@@ -51,7 +51,6 @@ from .flex import (
     LiftAmbiguityError,
     SingularPointError,
     best_fit_rigid_motion,
-    config_from_polyhedron,
     infinitesimal_flex_dim,
     is_trivial_flex,
     lift_angles,

@@ -182,11 +182,9 @@ def cmd_flex(args) -> int:
         tol=args.tol,
     )
     monitoring = monitor_flex(path, combinations, P)
-    logger.info(
-        "traced %d samples, max length drift %.3e",
-        path.n_samples,
-        path.length_drift(),
-    )
+    if logger.isEnabledFor(logging.INFO):
+        drift = path.length_drift()
+        logger.info("traced %d samples, max length drift %.3e", path.n_samples, drift)
     text = models.save_report_json(
         cert, combinations, monitoring=monitoring, edges=P.surface.edges
     )

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Polyhedron, principal_dihedral
-from .surfaces import SimplicialSurface
+from .geometry import Polyhedron, face_areas, principal_angles, squared_lengths
+from .surfaces import SimplicialSurface, edge_table
 
 logger = logging.getLogger("rigiditylab")
 
@@ -70,10 +70,6 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
     return Polyhedron(surface, {v: x[i] for i, v in enumerate(surface.vertices)})
 
 
-def config_from_polyhedron(P: Polyhedron) -> np.ndarray:
-    return P.vertex_array()
-
-
 def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     """Jacobian of the squared edge lengths, shape (n_edges, 3*n_vertices).
 
@@ -81,14 +77,13 @@ def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     negative in vertex j's block.
     """
     x = as_config(x)
-    nv = x.shape[0]
-    R = np.zeros((surface.n_edges, 3 * nv))
-    for row, (a, b) in enumerate(surface.edges):
-        i, j = surface.vertex_index(a), surface.vertex_index(b)
-        d = 2.0 * (x[i] - x[j])
-        R[row, 3 * i : 3 * i + 3] = d
-        R[row, 3 * j : 3 * j + 3] = -d
-    return R
+    ends = edge_table(surface)
+    rows = np.arange(len(ends))
+    d = 2.0 * (x[ends[:, 0]] - x[ends[:, 1]])
+    R = np.zeros((len(ends), x.shape[0], 3))
+    R[rows, ends[:, 0]] = d
+    R[rows, ends[:, 1]] = -d
+    return R.reshape(len(ends), -1)
 
 
 def trivial_motion_basis(x) -> np.ndarray:
@@ -102,14 +97,14 @@ def trivial_motion_basis(x) -> np.ndarray:
     sv = np.linalg.svd(centered, compute_uv=False)
     if nv < 3 or sv[1] <= 1e-12 * max(sv[0], 1.0):
         raise DegenerateConfigurationError("vertices are collinear")
-    basis = np.zeros((3 * nv, 6))
-    for k in range(3):
-        basis[k::3, k] = 1.0
-    axes = np.eye(3)
-    for k in range(3):
-        rot = np.cross(np.broadcast_to(axes[k], centered.shape), centered)
-        basis[:, 3 + k] = rot.reshape(-1)
-    q, _ = np.linalg.qr(basis)
+    basis = np.zeros((nv, 3, 6))
+    basis[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    # Rotation k is e_k x c.  Rows 0-2 of cz hold c, rows 3-5 the signed
+    # zeros 0*c; the 3x3 (k, component) pairs below are np.cross's products.
+    cz = np.concatenate([centered.T, 0.0 * centered.T])
+    rot = cz[[5, 3, 1, 2, 3, 4, 5, 0, 4]] - cz[[4, 2, 3, 4, 5, 0, 1, 5, 3]]
+    basis[:, :, 3:] = rot.reshape(3, 3, nv).T
+    q, _ = np.linalg.qr(basis.reshape(3 * nv, 6))
     return q
 
 
@@ -138,13 +133,7 @@ def infinitesimal_flex_dim(x, surface: SimplicialSurface, tol: float = SV_THRESH
 
 
 def squared_length_residual(x, surface, targets_sq) -> np.ndarray:
-    x = as_config(x)
-    out = np.empty(surface.n_edges)
-    for row, (a, b) in enumerate(surface.edges):
-        i, j = surface.vertex_index(a), surface.vertex_index(b)
-        d = x[i] - x[j]
-        out[row] = float(np.dot(d, d)) - targets_sq[row]
-    return out
+    return squared_lengths(surface, as_config(x)) - targets_sq
 
 
 @dataclass
@@ -169,19 +158,11 @@ class FlexPath:
     def n_samples(self) -> int:
         return len(self.ts)
 
-    def polyhedron_at(self, k: int) -> Polyhedron:
-        return polyhedron_from_config(self.surface, self.configs[k])
-
     def length_drift(self) -> float:
         """Maximum relative edge-length drift over the whole path."""
-        worst = 0.0
-        for k in range(self.n_samples):
-            x = self.configs[k]
-            for row, (a, b) in enumerate(self.surface.edges):
-                i, j = self.surface.vertex_index(a), self.surface.vertex_index(b)
-                ell = float(np.linalg.norm(x[i] - x[j]))
-                worst = max(worst, abs(ell - self.initial_lengths[row]) / self.initial_lengths[row])
-        return worst
+        ell = np.sqrt(squared_lengths(self.surface, self.configs))
+        L = self.initial_lengths
+        return float(np.max(np.abs(ell - L) / L, initial=0.0))
 
 
 def _wrap_to_pi(delta: np.ndarray) -> np.ndarray:
@@ -235,27 +216,6 @@ def lift_angles(
     return lifted
 
 
-def _principal_values(surface, x):
-    P = polyhedron_from_config(surface, x)
-    raw = np.empty(surface.n_edges)
-    flags = np.zeros(surface.n_edges, dtype=bool)
-    for i, e in enumerate(surface.edges):
-        d = principal_dihedral(P, e)
-        raw[i] = d.principal_value
-        flags[i] = d.degenerate_flag
-    return raw, flags
-
-
-def _face_areas(surface, x):
-    x = as_config(x)
-    idx = surface.vertex_index
-    areas = []
-    for f in surface.faces:
-        a, b, c = (x[idx(v)] for v in f)
-        areas.append(0.5 * float(np.linalg.norm(np.cross(b - a, c - a))))
-    return np.array(areas)
-
-
 def trace_flex(
     x0,
     surface: SimplicialSurface,
@@ -277,11 +237,7 @@ def trace_flex(
     """
     x = as_config(x0).copy()
     nv = x.shape[0]
-    targets_sq = np.empty(surface.n_edges)
-    for row, (a, b) in enumerate(surface.edges):
-        i, j = surface.vertex_index(a), surface.vertex_index(b)
-        d = x[i] - x[j]
-        targets_sq[row] = float(np.dot(d, d))
+    targets_sq = squared_lengths(surface, x)
     initial_lengths = np.sqrt(targets_sq)
     max_len = float(initial_lengths.max())
     if tol is None:
@@ -307,7 +263,7 @@ def trace_flex(
         )
 
     samples = [x.copy()]
-    raw0, flag0 = _principal_values(surface, x)
+    raw0, flag0 = principal_angles(surface, x)
     raws, flags = [raw0], [flag0]
     ds: list[float] = []
     diags: list[dict] = []
@@ -362,7 +318,7 @@ def trace_flex(
             logger.debug("corrector failed, halving step to %.3e", h)
             continue
 
-        areas = _face_areas(surface, y)
+        areas = face_areas(surface, y)
         if areas.min() <= area_tol:
             fi = int(np.argmin(areas))
             raise FaceDegenerationError(
@@ -374,7 +330,7 @@ def trace_flex(
         ds.append(float(np.linalg.norm((y - x).reshape(-1))))
         x = y
         samples.append(x.copy())
-        raw_k, flag_k = _principal_values(surface, x)
+        raw_k, flag_k = principal_angles(surface, x)
         raws.append(raw_k)
         flags.append(flag_k)
         diags.append({"step": h, "corrector_iters": gn_iters})
@@ -420,13 +376,8 @@ def is_trivial_flex(path: FlexPath, tol: float = 1e-7) -> bool:
     if path.n_samples <= 1:
         return True
     x0 = path.configs[0]
-    diam = float(
-        max(
-            np.linalg.norm(x0[i] - x0[j])
-            for i in range(len(x0))
-            for j in range(i + 1, len(x0))
-        )
-    )
+    d = x0[:, None] - x0[None]
+    diam = float(np.sqrt(np.vecdot(d, d)).max())
     worst = 0.0
     for k in range(1, path.n_samples):
         R, t = best_fit_rigid_motion(x0, path.configs[k])

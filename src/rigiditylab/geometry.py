@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .surfaces import SimplicialSurface
+from .surfaces import SimplicialSurface, edge_table
 
 DEGENERATE_NORMAL_TOL = 1e-9
 
@@ -75,7 +75,7 @@ class Polyhedron:
         return self._vertex_array.copy()
 
     def max_edge_length(self) -> float:
-        return float(max(edge_lengths(self).values()))
+        return float(edge_length_vector(self).max())
 
     def exact_edge_lengths(self):
         """Exact edge lengths in canonical edge order, if exact data exists."""
@@ -100,9 +100,122 @@ class DihedralAngle:
     degenerate_flag: bool = False
 
 
-def _face_area(P: Polyhedron, face) -> float:
-    a, b, c = (P.point(v) for v in face)
-    return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
+# Batched kernel over (..., V, 3) coordinates in canonical vertex order: one
+# configuration (V, 3) or a whole path (K, V, 3).  np.vecdot runs the BLAS
+# dot of np.dot on every row and _cross forms np.cross's products, so the
+# results equal those of a loop over 3-vectors to the last bit.
+
+_dot = np.vecdot
+
+
+def _cross(a, b):
+    """np.cross over the last axis: the same products, without its set-up."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def _corners(surface, x):
+    f = surface.face_table
+    return x[..., f[:, 0], :], x[..., f[:, 1], :], x[..., f[:, 2], :]
+
+
+def _plane_angle(z, e1, e2):
+    """Angle of z in the (e1, e2) frame, mapped to [0, 2*pi)."""
+    return np.arctan2(_dot(z, e2), _dot(z, e1)) % (2.0 * np.pi)
+
+
+def squared_lengths(surface, x) -> np.ndarray:
+    """Squared edge lengths, shape (..., E); any surface :func:`edge_table` takes."""
+    ends = edge_table(surface)
+    d = x[..., ends[:, 0], :] - x[..., ends[:, 1], :]
+    return _dot(d, d)
+
+
+def face_areas(surface, x) -> np.ndarray:
+    """Triangle areas, shape (..., F)."""
+    a, b, c = _corners(surface, x)
+    n = _cross(b - a, c - a)
+    return 0.5 * np.sqrt(_dot(n, n))
+
+
+def oriented_volumes(surface, x) -> np.ndarray:
+    """Signed enclosed volume (divergence formula), shape (...)."""
+    a, b, c = _corners(surface, x)
+    terms = _dot(a, _cross(b, c))
+    total = 0.0
+    for k in range(terms.shape[-1]):  # face by face, in stored order
+        total = total + terms[..., k]
+    return total / 6.0
+
+
+def weighted_angle_sums(surface, x, angles) -> np.ndarray:
+    """Sum over edges of length times angle, shape (...)."""
+    # A path's lengths come out column-major; BLAS sums strided rows in
+    # another order than contiguous ones, so make the rows contiguous.
+    lengths = np.ascontiguousarray(np.sqrt(squared_lengths(surface, x)))
+    return _dot(lengths, angles)
+
+
+def monitor_series(surface, configs, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Oriented volume and length-weighted angle sum of every configuration;
+    the one source of both series for the flex monitor and the CSV."""
+    return oriented_volumes(surface, configs), weighted_angle_sums(surface, configs, angles)
+
+
+def _edge_frames(surface, x, edges=None):
+    """Unit edge directions (..., E, 3), in-face unit directions and unit
+    normals of the two incident faces (..., E, 2, 3), at every edge or at the
+    edge indices ``edges``; the first face walks the edge as (a, b), a < b.
+    The first failing edge raises ValueError (not two oppositely oriented
+    faces, zero length) or DegenerateFaceError (zero direction or normal).
+    """
+    wings, status = surface.wing_table
+    ends = surface.edge_table
+    if edges is not None:
+        wings, status, ends = wings[edges], status[edges], ends[edges]
+    pa = x[..., ends[:, 0], :]
+    e = x[..., ends[:, 1], :] - pa
+    e_len = np.sqrt(_dot(e, e))
+    a, b, c = _corners(surface, x)
+    normals = _cross(b - a, c - a)
+    n_len = np.sqrt(_dot(normals, normals))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_hat = e / e_len[..., None]
+        v = x[..., wings[:, 2:], :] - pa[..., None, :]
+        u = v - _dot(v, e_hat[..., None, :])[..., None] * e_hat[..., None, :]
+        u_len = np.sqrt(_dot(u, u))
+        u = u / u_len[..., None]
+        n = (normals / n_len[..., None])[..., wings[:, :2], :]
+    n_len = n_len[..., wings[:, :2]]
+    if status.any() or not (e_len.all() and u_len.all() and n_len.all()):
+        checks = (status == 1, status == 2, e_len == 0.0,
+                  *np.moveaxis(u_len == 0.0, -1, 0), *np.moveaxis(n_len == 0.0, -1, 0))
+        *_, row, check = np.argwhere(np.stack(np.broadcast_arrays(*checks), axis=-1))[0]
+        edge = surface.edges[row if edges is None else edges[row]]
+        if check < 3:
+            raise ValueError(("edge {} is not shared by exactly two faces",
+                              "faces at edge {} do not induce opposite orientations",
+                              "edge {} has zero length")[check].format(edge))
+        raise DegenerateFaceError(surface.faces[wings[row, (check - 3) % 2]], 0.0)
+    return e_hat, u, n
+
+
+def principal_angles(surface, x, tol: float = DEGENERATE_NORMAL_TOL, edges=None):
+    """Principal dihedral values and degenerate flags, shapes (..., E).
+
+    In the plane orthogonal to each edge the two in-face unit directions
+    bound two complementary wedges; the angle is the width of the wedge
+    containing the summed face normals.  Where the normals cancel (the faces
+    fold onto each other) the angle is 0 and the flag is set.
+    """
+    e_hat, u, n = _edge_frames(surface, x, edges)
+    w = n[..., 0, :] + n[..., 1, :]
+    flags = np.sqrt(_dot(w, w)) <= tol
+    e1, e2 = u[..., 0, :], _cross(e_hat, u[..., 0, :])
+    a2 = _plane_angle(u[..., 1, :], e1, e2)
+    aw = _plane_angle(w, e1, e2)
+    width = np.where(aw <= a2, a2, 2.0 * np.pi - a2)
+    return np.where(flags, 0.0, width), flags
 
 
 def check_nondegenerate(P: Polyhedron, tol: float | None = None) -> list[float]:
@@ -113,108 +226,42 @@ def check_nondegenerate(P: Polyhedron, tol: float | None = None) -> list[float]:
     """
     if tol is None:
         tol = 1e-12 * P.max_edge_length() ** 2
-    areas = []
-    for face in P.surface.faces:
-        area = _face_area(P, face)
-        if area <= tol:
-            raise DegenerateFaceError(face, area)
-        areas.append(area)
-    return areas
+    areas = face_areas(P.surface, P._vertex_array)
+    small = np.flatnonzero(areas <= tol)
+    if small.size:
+        raise DegenerateFaceError(P.surface.faces[small[0]], float(areas[small[0]]))
+    return areas.tolist()
+
+
+def edge_length_vector(P: Polyhedron) -> np.ndarray:
+    """Euclidean edge lengths in canonical edge order."""
+    return np.sqrt(squared_lengths(P.surface, P._vertex_array))
 
 
 def edge_lengths(P: Polyhedron) -> dict:
     """Euclidean edge lengths keyed by canonical (sorted) edge pairs."""
-    return {
-        (a, b): float(np.linalg.norm(P.point(a) - P.point(b)))
-        for a, b in P.surface.edges
-    }
+    return dict(zip(P.surface.edges, edge_length_vector(P).tolist()))
 
 
-def edge_length_vector(P: Polyhedron) -> np.ndarray:
-    return np.array([edge_lengths(P)[e] for e in P.surface.edges])
-
-
-def _edge_frame(P: Polyhedron, edge: tuple[int, int]):
-    """In-plane data at an edge: unit edge direction, in-face directions and
-    positively oriented normals of the two incident faces.
-
-    The first returned face is the one whose cyclic order walks the edge as
-    (a, b) with a < b; results do not depend on this labeling choice.
-    """
-    a, b = edge
-    if a > b:
-        a, b = b, a
-    incident = P.surface.faces_of_edge((a, b))
-    if len(incident) != 2:
-        raise ValueError(f"edge {(a, b)} is not shared by exactly two faces")
-    f0, f1 = incident
-    if P.surface.directed_edge_in_face((a, b), f1):
-        f0, f1 = f1, f0
-    if not P.surface.directed_edge_in_face((a, b), f0) or P.surface.directed_edge_in_face(
-        (a, b), f1
-    ):
-        raise ValueError(
-            f"faces at edge {(a, b)} do not induce opposite orientations"
-        )
-    pa, pb = P.point(a), P.point(b)
-    e_hat = pb - pa
-    e_norm = np.linalg.norm(e_hat)
-    if e_norm == 0.0:
-        raise ValueError(f"edge {(a, b)} has zero length")
-    e_hat = e_hat / e_norm
-
-    def in_face_dir(face_idx):
-        c = P.surface.third_vertex((a, b), face_idx)
-        v = P.point(c) - pa
-        u = v - np.dot(v, e_hat) * e_hat
-        n = np.linalg.norm(u)
-        if n == 0.0:
-            raise DegenerateFaceError(P.surface.faces[face_idx], 0.0)
-        return u / n
-
-    def face_normal(face_idx):
-        p, q, r = (P.point(v) for v in P.surface.faces[face_idx])
-        n = np.cross(q - p, r - p)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise DegenerateFaceError(P.surface.faces[face_idx], 0.0)
-        return n / norm
-
-    u1, u2 = in_face_dir(f0), in_face_dir(f1)
-    n1, n2 = face_normal(f0), face_normal(f1)
-    return e_hat, u1, u2, n1, n2
-
-
-def _plane_angle(z: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> float:
-    """Angle of z in the (e1, e2) frame, mapped to [0, 2*pi)."""
-    theta = np.arctan2(float(np.dot(z, e2)), float(np.dot(z, e1)))
-    return float(theta % (2.0 * np.pi))
+def _edge_row(P: Polyhedron, edge) -> int:
+    key = tuple(sorted(edge))
+    if key not in P.surface.edges:
+        raise ValueError(f"edge {key} is not shared by exactly two faces")
+    return P.surface.edge_index(key)
 
 
 def principal_dihedral(
     P: Polyhedron, edge: tuple[int, int], tol: float = DEGENERATE_NORMAL_TOL
 ) -> DihedralAngle:
-    """Principal dihedral angle at an edge, in [0, 2*pi).
-
-    Computed in the plane orthogonal to the edge: the two in-face unit
-    directions bound two complementary wedges; the angle is the width of the
-    wedge containing the summed face normals.  If the normals cancel (the
-    faces fold onto each other) the angle is 0 with the degenerate flag set.
-    """
-    e_hat, u1, u2, n1, n2 = _edge_frame(P, edge)
-    w = n1 + n2
-    if np.linalg.norm(w) <= tol:
-        return DihedralAngle(tuple(edge), 0.0, degenerate_flag=True)
-    e1 = u1
-    e2 = np.cross(e_hat, e1)
-    a2 = _plane_angle(u2, e1, e2)
-    aw = _plane_angle(w, e1, e2)
-    width = a2 if aw <= a2 else 2.0 * np.pi - a2
-    return DihedralAngle(tuple(edge), width, degenerate_flag=False)
+    """Principal dihedral angle at an edge, in [0, 2*pi); see
+    :func:`principal_angles`."""
+    value, flag = principal_angles(P.surface, P._vertex_array, tol, [_edge_row(P, edge)])
+    return DihedralAngle(tuple(edge), float(value[0]), bool(flag[0]))
 
 
 def all_dihedrals(P: Polyhedron, tol: float = DEGENERATE_NORMAL_TOL) -> list[DihedralAngle]:
-    return [principal_dihedral(P, e, tol) for e in P.surface.edges]
+    values, flags = principal_angles(P.surface, P._vertex_array, tol)
+    return [DihedralAngle(e, float(v), bool(f)) for e, v, f in zip(P.surface.edges, values, flags)]
 
 
 def _point_segment_distance(x, p, q) -> float:
@@ -301,15 +348,16 @@ def monte_carlo_dihedral(
     derive from the master seed, so results are reproducible for a fixed
     (seed, workers) pair.
     """
-    e_hat, u1, u2, n1, n2 = _edge_frame(P, edge)
-    w = n1 + n2
+    row = [_edge_row(P, edge)]
+    e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
+    w = n[0] + n[1]
     if np.linalg.norm(w) <= tol:
         return 0.0
     radius = _safe_ball_radius(P, edge, radius_fraction)
 
-    e1 = u1
+    e1 = u[0]
     e2 = np.cross(e_hat, e1)
-    a2 = _plane_angle(u2, e1, e2)
+    a2 = _plane_angle(u[1], e1, e2)
     aw = _plane_angle(w, e1, e2)
     ref_in_first = aw <= a2
 
@@ -336,11 +384,7 @@ def monte_carlo_dihedral(
 
 def oriented_volume(P: Polyhedron) -> float:
     """Signed volume enclosed by the oriented surface (divergence formula)."""
-    total = 0.0
-    for face in P.surface.faces:
-        v1, v2, v3 = (P.point(v) for v in face)
-        total += float(np.dot(v1, np.cross(v2, v3)))
-    return total / 6.0
+    return float(oriented_volumes(P.surface, P._vertex_array))
 
 
 def weighted_angle_sum(P: Polyhedron, angles: np.ndarray | None = None) -> float:
@@ -350,17 +394,11 @@ def weighted_angle_sum(P: Polyhedron, angles: np.ndarray | None = None) -> float
     instead of the principal values; flex monitoring passes lifted angles
     here.  A warning is emitted when any principal value is degenerate.
     """
-    lengths = edge_length_vector(P)
+    x = P._vertex_array
     if angles is None:
-        dihedrals = all_dihedrals(P)
-        if any(d.degenerate_flag for d in dihedrals):
-            flagged = [d.edge for d in dihedrals if d.degenerate_flag]
-            warnings.warn(
-                f"degenerate dihedral angle at edges {flagged}; "
-                f"their contribution is 0 by convention",
-                stacklevel=2,
-            )
-        angles = np.array([d.principal_value for d in dihedrals])
-    else:
-        angles = np.asarray(angles, dtype=float)
-    return float(np.dot(lengths, angles))
+        angles, flags = principal_angles(P.surface, x)
+        if flags.any():
+            flagged = [e for e, f in zip(P.surface.edges, flags) if f]
+            warnings.warn(f"degenerate dihedral angle at edges {flagged}; their "
+                          f"contribution is 0 by convention", stacklevel=2)
+    return float(weighted_angle_sums(P.surface, x, np.asarray(angles, dtype=float)))

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flex import FlexPath
-from .geometry import (
-    Polyhedron,
-    all_dihedrals,
-    edge_length_vector,
-    oriented_volume,
-)
+from .geometry import Polyhedron, edge_length_vector, monitor_series, principal_angles
 from .lengths import (
     DEPENDENT,
     INDEPENDENT_EXACT,
@@ -225,14 +220,7 @@ def monitor_flex(
         series = path.lifted_angles @ np.asarray(comb.coeffs, dtype=float)
         comb_dev.append(float(np.max(np.abs(series - comb.claimed_constant))))
 
-    volumes = np.empty(path.n_samples)
-    weighted = np.empty(path.n_samples)
-    for k in range(path.n_samples):
-        Pk = path.polyhedron_at(k)
-        volumes[k] = oriented_volume(Pk)
-        weighted[k] = float(
-            np.dot(edge_length_vector(Pk), path.lifted_angles[k])
-        )
+    volumes, weighted = monitor_series(path.surface, path.configs, path.lifted_angles)
     return MonitoringReport(
         combination_deviations=comb_dev,
         volume_deviation=float(np.max(np.abs(volumes - volumes[0]))),
@@ -247,4 +235,4 @@ def monitor_flex(
 
 def initial_principal_angles(P: Polyhedron) -> np.ndarray:
     """Principal dihedral values in canonical edge order."""
-    return np.array([d.principal_value for d in all_dihedrals(P)])
+    return principal_angles(P.surface, P.vertex_array())[0]

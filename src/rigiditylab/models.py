@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .flex import FlexPath, rigidity_matrix, squared_length_residual
-from .geometry import Polyhedron, edge_length_vector, oriented_volume
+from .geometry import Polyhedron, edge_length_vector, monitor_series
 from .lengths import ExactLength
 from .surfaces import SimplicialSurface
 
@@ -444,12 +444,7 @@ def save_series_csv(path: FlexPath | None) -> str:
     cols = [f"phi_{a}_{b}" for a, b in path.surface.edges]
     header = "t," + ",".join(cols) + ",volume,weighted_angle_sum"
     rows = [f"# format_version: {FORMAT_VERSION}", header]
-    for k in range(path.n_samples):
-        Pk = path.polyhedron_at(k)
-        vol = oriented_volume(Pk)
-        was = float(np.dot(edge_length_vector(Pk), path.lifted_angles[k]))
-        cells = [format(path.ts[k], ".17g")]
-        cells += [format(v, ".17g") for v in path.lifted_angles[k]]
-        cells += [format(vol, ".17g"), format(was, ".17g")]
-        rows.append(",".join(cells))
+    volumes, weighted = monitor_series(path.surface, path.configs, path.lifted_angles)
+    table = np.column_stack([path.ts, path.lifted_angles, volumes, weighted])
+    rows += [",".join(format(v, ".17g") for v in row) for row in table]
     return "\n".join(rows) + "\n"

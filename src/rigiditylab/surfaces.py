@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 
 class NonOrientableError(Exception):
@@ -28,7 +31,7 @@ class SimplicialSurface:
     Vertices, edges and incidence maps are derived from the face list.
     Edges are kept in lexicographic order of their sorted vertex pairs;
     this order is the canonical edge indexing used by every downstream
-    coefficient vector and report.
+    coefficient vector and report.  Index tables are built on first use.
     """
 
     faces: tuple[tuple[int, int, int], ...]
@@ -88,10 +91,46 @@ class SimplicialSurface:
                 return True
         return False
 
-    def third_vertex(self, edge: tuple[int, int], face_idx: int) -> int:
-        a, b = edge
-        (c,) = [v for v in self.faces[face_idx] if v != a and v != b]
-        return c
+    @cached_property
+    def edge_table(self) -> np.ndarray:
+        """Vertex indices of each edge's endpoints, shape (E, 2)."""
+        return _index_table(self._vertex_index, self.edges, 2)
+
+    @cached_property
+    def face_table(self) -> np.ndarray:
+        """Vertex indices of each face in its cyclic order, shape (F, 3)."""
+        return _index_table(self._vertex_index, self.faces, 3)
+
+    @cached_property
+    def wing_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (f0, f1, c0, c1) per edge (a, b), a < b: the face walking it as
+        (a, b), the other face, and their third vertices' indices; shape (E, 4).
+        Status 1 (edge not in exactly two faces) or 2 (both faces walk it the
+        same way) gets a placeholder row.  Building never raises."""
+        walks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for fi, f in enumerate(self.faces):
+            for k in range(3):
+                walks.setdefault((f[k], f[(k + 1) % 3]), []).append((fi, f[k - 1]))
+        rows, status = [], []
+        for a, b in self.edges:
+            fwd, bwd = walks.get((a, b), []), walks.get((b, a), [])
+            ok = len(fwd) == len(bwd) == 1
+            status.append(0 if ok else 1 if len(fwd) + len(bwd) != 2 else 2)
+            (f0, c0), (f1, c1) = (fwd[0], bwd[0]) if ok else ((0, a), (0, a))
+            rows.append((f0, f1, self._vertex_index[c0], self._vertex_index[c1]))
+        return np.array(rows, dtype=np.intp).reshape(-1, 4), np.array(status, dtype=np.int8)
+
+
+def _index_table(index: dict, simplices, width: int) -> np.ndarray:
+    return np.array([[index[v] for v in s] for s in simplices], dtype=np.intp).reshape(-1, width)
+
+
+def edge_table(surface) -> np.ndarray:
+    """(E, 2) endpoint vertex indices of a SimplicialSurface (cached there)
+    or of any object with ``edges``, ``vertices`` and ``vertex_index``."""
+    if isinstance(surface, SimplicialSurface):
+        return surface.edge_table
+    return _index_table({v: surface.vertex_index(v) for v in surface.vertices}, surface.edges, 2)
 
 
 @dataclass
@@ -156,11 +195,9 @@ def validate_complex(faces) -> ValidationReport:
     if stray_vertices or stray_edges:
         violations.append(("iii", stray_vertices + stray_edges))
 
-    bad_edges = [
-        (e, len(surface.faces_of_edge(e)))
-        for e in surface.edges
-        if len(surface.faces_of_edge(e)) != 2
-    ]
+    _, status = surface.wing_table
+    edge_status = list(zip(surface.edges, status))
+    bad_edges = [(e, len(surface.faces_of_edge(e))) for e, s in edge_status if s == 1]
     if bad_edges:
         violations.append(("iv", bad_edges))
 
@@ -169,15 +206,7 @@ def validate_complex(faces) -> ValidationReport:
         stranded = sorted(set(range(surface.n_faces)) - component)
         violations.append(("v", [surface.faces[i] for i in stranded]))
 
-    mis_oriented = []
-    for e in surface.edges:
-        incident = surface.faces_of_edge(e)
-        if len(incident) != 2:
-            continue
-        d0 = surface.directed_edge_in_face(e, incident[0])
-        d1 = surface.directed_edge_in_face(e, incident[1])
-        if d0 == d1:
-            mis_oriented.append(e)
+    mis_oriented = [e for e, s in edge_status if s == 2]
     if mis_oriented:
         violations.append(("orientation", mis_oriented))
 
