@@ -29,7 +29,12 @@ from .flex import (
     SingularPointError,
     trace_flex,
 )
-from .geometry import all_dihedrals, monte_carlo_dihedral
+from .geometry import (
+    DegenerateFaceError,
+    ZeroRadiusError,
+    all_dihedrals,
+    monte_carlo_dihedral,
+)
 from .invariants import (
     initial_principal_angles,
     invariant_combinations,
@@ -82,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.01, help="arc-length step cap")
     p.add_argument("--tol", type=float, default=None, help="corrector residual tolerance")
     p.add_argument("--height", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-json", metavar="FILE")
     p.add_argument("--out-csv", metavar="FILE")
 
@@ -257,6 +261,8 @@ def main(argv=None) -> int:
         CorrectorDivergenceError,
         FaceDegenerationError,
         LiftAmbiguityError,
+        DegenerateFaceError,
+        ZeroRadiusError,
         ValueError,
     ) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

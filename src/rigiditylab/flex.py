@@ -24,6 +24,8 @@ logger = logging.getLogger("rigiditylab")
 
 SV_THRESHOLD = 1e-8
 LIFT_AMBIGUITY_TOL = 1e-9
+MAX_CORRECTOR_ITERS = 25
+TRIVIAL_FLEX_TOL = 1e-7
 
 
 class DegenerateConfigurationError(Exception):
@@ -108,26 +110,26 @@ def trivial_motion_basis(x) -> np.ndarray:
     return q
 
 
-def _kernel_beyond_trivial(x, surface, tol):
+def _kernel_beyond_trivial(x, surface):
     """Kernel vectors of the rigidity matrix orthogonal to rigid motions."""
     x = as_config(x)
     R = rigidity_matrix(x, surface)
     T = trivial_motion_basis(x)
     A = np.vstack([R, T.T])
     _, s, vt = np.linalg.svd(A)
-    cutoff = tol * s[0] if s.size else 0.0
+    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     null_dim = A.shape[1] - rank
     return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
 
 
-def infinitesimal_flex_dim(x, surface: SimplicialSurface, tol: float = SV_THRESHOLD) -> int:
+def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
     """Kernel dimension of the rigidity matrix beyond the six rigid motions."""
     x = as_config(x)
     R = rigidity_matrix(x, surface)
     trivial_motion_basis(x)  # raises on collinear input
     s = np.linalg.svd(R, compute_uv=False)
-    cutoff = tol * s[0] if s.size else 0.0
+    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     return 3 * x.shape[0] - rank - 6
 
@@ -170,11 +172,7 @@ def _wrap_to_pi(delta: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - delta, 2.0 * np.pi)
 
 
-def lift_angles(
-    raw: np.ndarray,
-    degenerate: np.ndarray | None = None,
-    ambiguity_tol: float = LIFT_AMBIGUITY_TOL,
-) -> np.ndarray:
+def lift_angles(raw: np.ndarray, degenerate: np.ndarray | None = None) -> np.ndarray:
     """Unwrap principal-value series into continuous lifted series.
 
     ``raw`` has shape (K, n_edges) with values in [0, 2*pi).  Each lifted
@@ -198,7 +196,7 @@ def lift_angles(
             continue
         series = raw[good, e]
         deltas = _wrap_to_pi(np.diff(series))
-        ambiguous = np.abs(np.abs(deltas) - np.pi) <= ambiguity_tol
+        ambiguous = np.abs(np.abs(deltas) - np.pi) <= LIFT_AMBIGUITY_TOL
         if np.any(ambiguous):
             bad = int(np.flatnonzero(ambiguous)[0])
             raise LiftAmbiguityError(
@@ -223,8 +221,6 @@ def trace_flex(
     n_steps: int = 200,
     step: float = 0.01,
     tol: float | None = None,
-    sv_tol: float = SV_THRESHOLD,
-    max_corrector_iters: int = 25,
 ) -> FlexPath:
     """Trace a flex from a flexible configuration.
 
@@ -269,7 +265,7 @@ def trace_flex(
     diags: list[dict] = []
 
     def tangent_at(y, path_builder_args):
-        kernel = _kernel_beyond_trivial(y, surface, sv_tol)
+        kernel = _kernel_beyond_trivial(y, surface)
         if kernel.shape[1] != 1:
             raise SingularPointError(
                 f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
@@ -299,7 +295,7 @@ def trace_flex(
         T_pred = trivial_motion_basis(x_pred)
         y = x_pred.copy()
         ok = False
-        for it in range(max_corrector_iters):
+        for it in range(MAX_CORRECTOR_ITERS):
             g = squared_length_residual(y, surface, targets_sq)
             slice_res = T_pred.T @ (y - x_pred).reshape(-1)
             res = np.concatenate([g, slice_res])
@@ -366,12 +362,13 @@ def best_fit_rigid_motion(source: np.ndarray, target: np.ndarray):
     return R, t
 
 
-def is_trivial_flex(path: FlexPath, tol: float = 1e-7) -> bool:
+def is_trivial_flex(path: FlexPath) -> bool:
     """True when every sample is a rigid motion of the first one.
 
     Each sample is aligned to the initial configuration by orthogonal
     Procrustes (proper rotations only); the path is trivial iff the largest
-    vertex misfit stays below ``tol`` times the configuration diameter.
+    vertex misfit stays below TRIVIAL_FLEX_TOL times the configuration
+    diameter.
     """
     if path.n_samples <= 1:
         return True
@@ -383,4 +380,4 @@ def is_trivial_flex(path: FlexPath, tol: float = 1e-7) -> bool:
         R, t = best_fit_rigid_motion(x0, path.configs[k])
         moved = x0 @ R.T + t
         worst = max(worst, float(np.max(np.linalg.norm(moved - path.configs[k], axis=1))))
-    return worst <= tol * diam
+    return worst <= TRIVIAL_FLEX_TOL * diam

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lengths import normalize_sqrt
 from .surfaces import SimplicialSurface, edge_table
 
 DEGENERATE_NORMAL_TOL = 1e-9
@@ -79,8 +80,6 @@ class Polyhedron:
 
     def exact_edge_lengths(self):
         """Exact edge lengths in canonical edge order, if exact data exists."""
-        from .lengths import exact_length_from_squared
-
         if self.exact_lengths is not None:
             return list(self.exact_lengths)
         if self.exact_coords is None:
@@ -89,7 +88,7 @@ class Polyhedron:
         for a, b in self.surface.edges:
             pa, pb = self.exact_coords[a], self.exact_coords[b]
             sq = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(pa, pb))
-            out.append(exact_length_from_squared(sq))
+            out.append(normalize_sqrt(sq))
         return out
 
 
@@ -200,7 +199,7 @@ def _edge_frames(surface, x, edges=None):
     return e_hat, u, n
 
 
-def principal_angles(surface, x, tol: float = DEGENERATE_NORMAL_TOL, edges=None):
+def principal_angles(surface, x, edges=None):
     """Principal dihedral values and degenerate flags, shapes (..., E).
 
     In the plane orthogonal to each edge the two in-face unit directions
@@ -210,7 +209,7 @@ def principal_angles(surface, x, tol: float = DEGENERATE_NORMAL_TOL, edges=None)
     """
     e_hat, u, n = _edge_frames(surface, x, edges)
     w = n[..., 0, :] + n[..., 1, :]
-    flags = np.sqrt(_dot(w, w)) <= tol
+    flags = np.sqrt(_dot(w, w)) <= DEGENERATE_NORMAL_TOL
     e1, e2 = u[..., 0, :], _cross(e_hat, u[..., 0, :])
     a2 = _plane_angle(u[..., 1, :], e1, e2)
     aw = _plane_angle(w, e1, e2)
@@ -250,17 +249,15 @@ def _edge_row(P: Polyhedron, edge) -> int:
     return P.surface.edge_index(key)
 
 
-def principal_dihedral(
-    P: Polyhedron, edge: tuple[int, int], tol: float = DEGENERATE_NORMAL_TOL
-) -> DihedralAngle:
+def principal_dihedral(P: Polyhedron, edge: tuple[int, int]) -> DihedralAngle:
     """Principal dihedral angle at an edge, in [0, 2*pi); see
     :func:`principal_angles`."""
-    value, flag = principal_angles(P.surface, P._vertex_array, tol, [_edge_row(P, edge)])
+    value, flag = principal_angles(P.surface, P._vertex_array, [_edge_row(P, edge)])
     return DihedralAngle(tuple(edge), float(value[0]), bool(flag[0]))
 
 
-def all_dihedrals(P: Polyhedron, tol: float = DEGENERATE_NORMAL_TOL) -> list[DihedralAngle]:
-    values, flags = principal_angles(P.surface, P._vertex_array, tol)
+def all_dihedrals(P: Polyhedron) -> list[DihedralAngle]:
+    values, flags = principal_angles(P.surface, P._vertex_array)
     return [DihedralAngle(e, float(v), bool(f)) for e, v, f in zip(P.surface.edges, values, flags)]
 
 

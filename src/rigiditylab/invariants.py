@@ -12,7 +12,6 @@ length-weighted angle sum) is the numerical check of that prediction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,14 @@ from .lengths import (
     INDEPENDENT_UP_TO_HEIGHT,
     IndependenceVerdict,
     SpanBasis,
+    clear_to_integers,
     find_integer_relation,
     is_q_independent,
     q_basis,
 )
+
+# Relative tolerance of the exact-versus-measured edge-length cross-check.
+LENGTH_TOL = 1e-9
 
 RIGID = "rigid"
 RIGID_PRESUMED = "rigid_presumed"
@@ -105,12 +108,7 @@ def constant_angle_edges(span: SpanBasis) -> tuple[int, ...]:
 
 
 def rigidity_certificate(
-    P: Polyhedron,
-    mode: str = "exact",
-    height: int = 10**6,
-    scale: int = 10**12,
-    precision: int = 50,
-    length_tol: float = 1e-9,
+    P: Polyhedron, mode: str = "exact", height: int = 10**6
 ) -> RigidityCertificate:
     """Decide rigidity from rational (in)dependence of the edge lengths.
 
@@ -126,7 +124,7 @@ def rigidity_certificate(
     if mode == "exact":
         exact = P.exact_edge_lengths()
         for ell, f in zip(exact, float_lengths):
-            if abs(ell.value() - f) > length_tol * max(f, 1.0):
+            if abs(ell.value() - f) > LENGTH_TOL * max(f, 1.0):
                 raise ValueError(
                     f"exact length {ell} disagrees with measured length {f:.12g}"
                 )
@@ -144,12 +142,7 @@ def rigidity_certificate(
             constant_angle_edges(span),
             caveat=DEPENDENCE_CAVEAT,
         )
-    relation = find_integer_relation(
-        [repr(float(v)) for v in float_lengths],
-        height=height,
-        scale=scale,
-        precision=precision,
-    )
+    relation = find_integer_relation([repr(float(v)) for v in float_lengths], height)
     if relation is None:
         verdict = IndependenceVerdict(INDEPENDENT_UP_TO_HEIGHT, height=height)
         return RigidityCertificate(
@@ -173,11 +166,7 @@ def invariant_combinations(
     initial_angles = np.asarray(initial_angles, dtype=float)
     out = []
     for j, lam in enumerate(span.basis):
-        column = [row[j] for row in span.coefficients]
-        lcm = 1
-        for c in column:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        coeffs = tuple(int(c * lcm) for c in column)
+        coeffs = clear_to_integers([row[j] for row in span.coefficients])
         out.append(
             InvariantCombination(
                 label=str(lam),

@@ -14,33 +14,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 
 MAX_FACTOR_INPUT = 2**63
+TRIAL_LIMIT = 10**6
+# Lattice column scale and working decimal digits of find_integer_relation.
+RELATION_SCALE = 10**12
+RELATION_PRECISION = 50
 
 
 class FactorizationTooLargeError(Exception):
     """Input exceeds the desk-scale factorization budget."""
 
 
-def _small_primes(limit: int = 10**6) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
+@cache
+def _small_primes() -> tuple[int, ...]:
+    """Primes up to TRIAL_LIMIT, sieved once."""
+    sieve = bytearray([1]) * (TRIAL_LIMIT + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, int(TRIAL_LIMIT**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, f in enumerate(sieve) if f]
-
-
-_PRIME_CACHE: list[int] | None = None
-
-
-def _primes() -> list[int]:
-    global _PRIME_CACHE
-    if _PRIME_CACHE is None:
-        _PRIME_CACHE = _small_primes()
-    return _PRIME_CACHE
+    return tuple(i for i, f in enumerate(sieve) if f)
 
 
 def _is_prime(n: int) -> bool:
@@ -74,8 +71,7 @@ def _square_split(n: int) -> tuple[int, int]:
     if n >= MAX_FACTOR_INPUT:
         raise FactorizationTooLargeError(f"{n} exceeds the factorization budget")
     s, d, c = 1, 1, n
-    trial_limit = 10**6
-    for p in _primes():
+    for p in _small_primes():
         if p * p > c:
             break
         if c % p:
@@ -88,7 +84,7 @@ def _square_split(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     if c > 1:
-        if c < trial_limit**2 and not _is_prime(c):
+        if c < TRIAL_LIMIT**2 and not _is_prime(c):
             # Trial division already removed every factor below sqrt(c).
             raise AssertionError(f"unexpected composite cofactor {c}")
         if _is_prime(c):
@@ -97,7 +93,7 @@ def _square_split(n: int) -> tuple[int, int]:
             r = math.isqrt(c)
             if r * r == c:
                 s *= r
-            elif c < trial_limit**3:
+            elif c < TRIAL_LIMIT**3:
                 # All prime factors exceed 1e6, so a non-square below 1e18
                 # is a product of two distinct primes, hence squarefree.
                 d *= c
@@ -148,11 +144,6 @@ def normalize_sqrt(q) -> ExactLength:
     num, den = q.numerator, q.denominator
     s, d = _square_split(num * den)
     return ExactLength(Fraction(s, den), d)
-
-
-def exact_length_from_squared(squared) -> ExactLength:
-    """ExactLength whose square equals the given positive rational."""
-    return normalize_sqrt(squared)
 
 
 @dataclass
@@ -208,7 +199,8 @@ class IndependenceVerdict:
             assert self.height is not None
 
 
-def _clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
+def clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
+    """The rationals times the lcm of their denominators, as integers."""
     lcm = 1
     for v in values:
         lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
@@ -230,7 +222,7 @@ def is_q_independent(lengths: list[ExactLength]) -> IndependenceVerdict:
             coeffs = [Fraction(0)] * len(lengths)
             coeffs[i0] = lengths[j].r
             coeffs[j] = -lengths[i0].r
-            relation = _clear_to_integers(coeffs)
+            relation = clear_to_integers(coeffs)
             g = math.gcd(*(abs(c) for c in relation if c)) if any(relation) else 1
             relation = tuple(c // g for c in relation)
             return IndependenceVerdict(DEPENDENT, relation=relation)
@@ -319,20 +311,16 @@ def _lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> lis
     return [[int(x) for x in row] for row in b]
 
 
-def find_integer_relation(
-    values,
-    height: int = 10**6,
-    scale: int = 10**12,
-    precision: int = 50,
-) -> tuple[int, ...] | None:
+def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None:
     """Search for a small integer relation among numerically given reals.
 
     Builds the integer lattice whose rows are the identity extended by a
-    column of the values scaled by ``scale`` and rounded, reduces it, and
-    accepts a short vector c when |sum(c_i * v_i)| <= n*height/scale with
-    every |c_i| <= height.  Candidates are then re-verified at ``precision``
-    decimal digits against a much tighter residual bound, which guards
-    against near-relations that only look small at the lattice scale.
+    column of the values scaled by RELATION_SCALE and rounded, reduces it,
+    and accepts a short vector c when |sum(c_i * v_i)| is at most
+    n*height/RELATION_SCALE with every |c_i| <= height.  Candidates are then
+    re-verified at RELATION_PRECISION decimal digits against a much tighter
+    residual bound, which guards against near-relations that only look small
+    at the lattice scale.
 
     Values may be floats, ints, Fractions, strings or mpmath numbers; pass
     strings (or mpf) to retain more than double precision.  Returns the
@@ -345,17 +333,17 @@ def find_integer_relation(
         raise ValueError("empty value list")
     if n > 64:
         raise ValueError("at most 64 values are supported")
-    with mp.workdps(max(precision, 30)):
+    with mp.workdps(RELATION_PRECISION):
         vals = [_to_mpf(v) for v in values]
         if not all(mp.isfinite(v) for v in vals):
             raise ValueError("values must be finite")
         rows = [
-            [1 if j == i else 0 for j in range(n)] + [int(mp.nint(vals[i] * scale))]
+            [1 if j == i else 0 for j in range(n)] + [int(mp.nint(vals[i] * RELATION_SCALE))]
             for i in range(n)
         ]
         reduced = _lll_reduce(rows)
         max_abs = max(abs(v) for v in vals) or mp.mpf(1)
-        loose = mp.mpf(n) * height / scale
+        loose = mp.mpf(n) * height / RELATION_SCALE
         candidates = sorted(reduced, key=lambda row: sum(x * x for x in row))
         for row in candidates:
             c = row[:n]
@@ -365,7 +353,7 @@ def find_integer_relation(
             if residual > loose:
                 continue
             one_norm = sum(abs(x) for x in c)
-            tight = mp.mpf(10) ** (-(precision // 2)) * max(1, one_norm * max_abs)
+            tight = mp.mpf(10) ** (-(RELATION_PRECISION // 2)) * max(1, one_norm * max_abs)
             if residual <= tight:
                 g = math.gcd(*(abs(x) for x in c if x))
                 c = [x // g for x in c]

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .flex import FlexPath, rigidity_matrix, squared_length_residual
 from .geometry import Polyhedron, edge_length_vector, monitor_series
@@ -219,10 +218,10 @@ def make_distinct_length_octahedron() -> Polyhedron:
     Vertices are placed sequentially: a base triangle, then vertex 3 on the
     circle determined by its two distances to the base edge, parametrized by
     an angle; vertices 4 and 5 follow by trilateration and the remaining
-    length closes the loop, which pins the angle by a one-dimensional root
-    find.  A few Gauss-Newton sweeps polish the solution to machine
-    precision.  The realized lengths are certified against the declared
-    exact values before the model is returned.
+    length closes the loop, which pins the angle by bisection on a sign
+    change of the closing error.  A few Gauss-Newton sweeps polish the
+    solution to machine precision.  The realized lengths are certified
+    against the declared exact values before the model is returned.
     """
     surface = SimplicialSurface(OCTAHEDRON_FACES)
     L = {e: float(np.sqrt(d)) for e, d in zip(surface.edges, DISTINCT_RADICANDS)}
@@ -259,10 +258,15 @@ def make_distinct_length_octahedron() -> Polyhedron:
         for k in range(len(thetas) - 1):
             if np.isnan(vals[k]) or np.isnan(vals[k + 1]) or vals[k] * vals[k + 1] > 0:
                 continue
-            root = brentq(
-                lambda t: closing(t, s4, s5), thetas[k], thetas[k + 1], xtol=1e-15
-            )
-            X = build(root, s4, s5)
+            # Bisect the bracket until its midpoint rounds onto an endpoint.
+            lo, hi, f_lo = thetas[k], thetas[k + 1], vals[k]
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid = closing(mid, s4, s5)
+                if f_mid * f_lo > 0:
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            X = build(lo, s4, s5)
             break
         if X is not None:
             break

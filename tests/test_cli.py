@@ -4,6 +4,14 @@ import subprocess
 import sys
 
 SINGLE_TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+# Octahedron whose vertex 2 lies on the segment between vertices 0 and 1,
+# so face (0, 1, 2) is flat although the surface is combinatorially closed.
+FLAT_FACE_OCTAHEDRON_OFF = (
+    "OFF\n6 8 0\n"
+    "1 0 0\n0 1 0\n0.5 0.5 0\n0 0 -1\n0 -1 0\n-1 0 0\n"
+    "3 0 1 2\n3 0 2 4\n3 0 4 3\n3 0 3 1\n"
+    "3 5 2 1\n3 5 4 2\n3 5 3 4\n3 5 1 3\n"
+)
 
 
 def run_cli(*args, env_extra=None):
@@ -127,10 +135,30 @@ def test_model_and_input_mutually_exclusive(tmp_path):
 def test_help_lists_flags():
     for sub, flags in [
         ("analyze", ["--model", "--input", "--mode", "--height", "--out-json"]),
-        ("flex", ["--steps", "--step", "--tol", "--seed", "--out-csv"]),
+        ("flex", ["--steps", "--step", "--tol", "--out-csv"]),
         ("oracle", ["--samples", "--seed", "--workers"]),
     ]:
         proc = run_cli(sub, "--help")
         assert proc.returncode == 0
         for flag in flags:
             assert flag.encode() in proc.stdout
+
+
+def test_oracle_flat_face_exit_2(tmp_path):
+    flat = tmp_path / "flat.off"
+    flat.write_text(FLAT_FACE_OCTAHEDRON_OFF)
+    proc = run_cli("oracle", "--input", str(flat), "--samples", "100")
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines()[-1] == (
+        "error: DegenerateFaceError: face (0, 1, 2) has area 0.000e+00"
+    )
+    assert b"Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, rigiditylab; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert proc.stdout.decode().strip() == "[]"

@@ -25,6 +25,7 @@ from rigiditylab import (
     save_series_csv,
     validate_complex,
 )
+from rigiditylab import models
 from rigiditylab.models import BRICARD_VERTEX_SYMMETRY, DISTINCT_RADICANDS
 
 from oracles import hull_volume
@@ -101,6 +102,17 @@ def test_distinct_length_octahedron(distinct_octahedron):
     realized = [np.linalg.norm(P.point(a) - P.point(b)) for a, b in P.surface.edges]
     assert np.allclose(realized, np.sqrt(DISTINCT_RADICANDS), atol=1e-10)
     assert infinitesimal_flex_dim(P.vertex_array(), P.surface) == 0
+
+
+def test_distinct_length_octahedron_other_radicands(monkeypatch):
+    # A set with a rational dependence (3*sqrt(2) = sqrt(18)) closes on a
+    # different bracket of the angle scan than the default set.
+    radicands = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 18)
+    monkeypatch.setattr(models, "DISTINCT_RADICANDS", radicands)
+    P = models.make_distinct_length_octahedron.__wrapped__()
+    realized = [np.linalg.norm(P.point(a) - P.point(b)) for a, b in P.surface.edges]
+    assert np.max(np.abs(np.array(realized) - np.sqrt(radicands))) <= 1e-10
+    assert [ell.d for ell in P.exact_edge_lengths()] == list(radicands)
 
 
 def test_off_round_trip(octahedron, bricard):
