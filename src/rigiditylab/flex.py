@@ -6,8 +6,8 @@ infinitesimal flexibility.  Flexes are traced by adaptive predictor-corrector
 continuation: the predictor follows a unit kernel vector orthogonal to the
 rigid motions, the corrector projects back onto the constraint set by
 Gauss-Newton inside the affine slice orthogonal to the rigid motions.
-Dihedral angles are recorded along the way and unwrapped into continuous
-lifted series.
+The tracer keeps only configurations; dihedral angles are computed from the
+finished path and unwrapped into continuous lifted series.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ SV_THRESHOLD = 1e-8
 LIFT_AMBIGUITY_TOL = 1e-9
 MAX_CORRECTOR_ITERS = 25
 TRIVIAL_FLEX_TOL = 1e-7
+ANGLE_BLOCK = 256  # configurations per batched angle evaluation; bounds peak memory
 
 
 class DegenerateConfigurationError(Exception):
@@ -92,13 +93,14 @@ def trivial_motion_basis(x) -> np.ndarray:
     """Orthonormal basis of the rigid motions at x, shape (3n, 6).
 
     Three translations and three rotations linearized about the centroid.
+    Collinear vertices zero the rotation about their line, which shows as a
+    vanishing diagonal entry of the QR factor.
     """
     x = as_config(x)
     nv = x.shape[0]
-    centered = x - x.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if nv < 3 or sv[1] <= 1e-12 * max(sv[0], 1.0):
+    if nv < 3:
         raise DegenerateConfigurationError("vertices are collinear")
+    centered = x - x.mean(axis=0)
     basis = np.zeros((nv, 3, 6))
     basis[:, [0, 1, 2], [0, 1, 2]] = 1.0
     # Rotation k is e_k x c.  Rows 0-2 of cz hold c, rows 3-5 the signed
@@ -106,7 +108,10 @@ def trivial_motion_basis(x) -> np.ndarray:
     cz = np.concatenate([centered.T, 0.0 * centered.T])
     rot = cz[[5, 3, 1, 2, 3, 4, 5, 0, 4]] - cz[[4, 2, 3, 4, 5, 0, 1, 5, 3]]
     basis[:, :, 3:] = rot.reshape(3, 3, nv).T
-    q, _ = np.linalg.qr(basis.reshape(3 * nv, 6))
+    q, r = np.linalg.qr(basis.reshape(3 * nv, 6))
+    diag = np.abs(np.diagonal(r))
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        raise DegenerateConfigurationError("vertices are collinear")
     return q
 
 
@@ -125,13 +130,7 @@ def _kernel_beyond_trivial(x, surface):
 
 def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
     """Kernel dimension of the rigidity matrix beyond the six rigid motions."""
-    x = as_config(x)
-    R = rigidity_matrix(x, surface)
-    trivial_motion_basis(x)  # raises on collinear input
-    s = np.linalg.svd(R, compute_uv=False)
-    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    return 3 * x.shape[0] - rank - 6
+    return _kernel_beyond_trivial(x, surface).shape[1]
 
 
 def squared_length_residual(x, surface, targets_sq) -> np.ndarray:
@@ -240,41 +239,45 @@ def trace_flex(
         tol = 1e-11 * max_len**2
     area_tol = 1e-12 * max_len**2
 
-    def build_path(samples, raws, flags, ds, diags):
+    principal_angles(surface, x)  # a bad surface or start raises before tracing
+    samples = [x.copy()]
+    ds: list[float] = []
+    diags: list[dict] = []
+
+    def path():
         ts = np.concatenate([[0.0], np.cumsum(ds)]) if ds else np.array([0.0])
         if ts[-1] > 0:
             ts = ts / ts[-1]
-        raw_arr = np.array(raws)
-        flag_arr = np.array(flags)
-        lifted = lift_angles(raw_arr, flag_arr)
+        configs = np.array(samples)
+        # Row-major, so each configuration's angles are contiguous; the
+        # batched kernel itself returns column-major arrays.
+        raw = np.empty((len(configs), len(surface.edges)))
+        flags = np.empty(raw.shape, dtype=bool)
+        for k in range(0, len(configs), ANGLE_BLOCK):
+            block = slice(k, k + ANGLE_BLOCK)
+            raw[block], flags[block] = principal_angles(surface, configs[block])
         return FlexPath(
             surface=surface,
             ts=ts,
-            configs=np.array(samples),
-            raw_angles=raw_arr,
-            lifted_angles=lifted,
-            degenerate_flags=flag_arr,
+            configs=configs,
+            raw_angles=raw,
+            lifted_angles=lift_angles(raw, flags),
+            degenerate_flags=flags,
             initial_lengths=initial_lengths,
             diagnostics=diags,
         )
 
-    samples = [x.copy()]
-    raw0, flag0 = principal_angles(surface, x)
-    raws, flags = [raw0], [flag0]
-    ds: list[float] = []
-    diags: list[dict] = []
-
-    def tangent_at(y, path_builder_args):
+    def tangent_at(y):
         kernel = _kernel_beyond_trivial(y, surface)
         if kernel.shape[1] != 1:
             raise SingularPointError(
                 f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
                 flex_dim=kernel.shape[1],
-                path=build_path(*path_builder_args),
+                path=path(),
             )
         return kernel[:, 0]
 
-    tangent = tangent_at(x, (samples, raws, flags, ds, diags))
+    tangent = tangent_at(x)
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
@@ -288,8 +291,7 @@ def trace_flex(
     while accepted < n_steps:
         if h < step * 2.0**-24:
             raise CorrectorDivergenceError(
-                f"step size underflow at accepted step {accepted}",
-                path=build_path(samples, raws, flags, ds, diags),
+                f"step size underflow at accepted step {accepted}", path=path()
             )
         x_pred = x + h * tangent.reshape(nv, 3)
         T_pred = trivial_motion_basis(x_pred)
@@ -317,22 +319,15 @@ def trace_flex(
         areas = face_areas(surface, y)
         if areas.min() <= area_tol:
             fi = int(np.argmin(areas))
-            raise FaceDegenerationError(
-                surface.faces[fi],
-                float(areas.min()),
-                path=build_path(samples, raws, flags, ds, diags),
-            )
+            raise FaceDegenerationError(surface.faces[fi], float(areas.min()), path=path())
 
         ds.append(float(np.linalg.norm((y - x).reshape(-1))))
         x = y
         samples.append(x.copy())
-        raw_k, flag_k = principal_angles(surface, x)
-        raws.append(raw_k)
-        flags.append(flag_k)
         diags.append({"step": h, "corrector_iters": gn_iters})
         accepted += 1
 
-        new_tangent = tangent_at(x, (samples, raws, flags, ds, diags))
+        new_tangent = tangent_at(x)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         tangent = new_tangent
@@ -345,7 +340,7 @@ def trace_flex(
         else:
             easy_run = 0
 
-    return build_path(samples, raws, flags, ds, diags)
+    return path()
 
 
 def best_fit_rigid_motion(source: np.ndarray, target: np.ndarray):

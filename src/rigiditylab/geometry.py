@@ -22,6 +22,7 @@ from .lengths import normalize_sqrt
 from .surfaces import SimplicialSurface, edge_table
 
 DEGENERATE_NORMAL_TOL = 1e-9
+MC_RADIUS_FRACTION = 0.25  # share of the clearance used as sampling radius
 
 
 class DegenerateFaceError(Exception):
@@ -150,9 +151,10 @@ def oriented_volumes(surface, x) -> np.ndarray:
 def weighted_angle_sums(surface, x, angles) -> np.ndarray:
     """Sum over edges of length times angle, shape (...)."""
     # A path's lengths come out column-major; BLAS sums strided rows in
-    # another order than contiguous ones, so make the rows contiguous.
+    # another order than contiguous ones, so make both operands' rows
+    # contiguous and the sums independent of the caller's layout.
     lengths = np.ascontiguousarray(np.sqrt(squared_lengths(surface, x)))
-    return _dot(lengths, angles)
+    return _dot(lengths, np.ascontiguousarray(angles))
 
 
 def monitor_series(surface, configs, angles) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +295,7 @@ def _point_triangle_distance(x, a, b, c) -> float:
     )
 
 
-def _safe_ball_radius(P: Polyhedron, edge: tuple[int, int], radius_fraction: float) -> float:
+def _safe_ball_radius(P: Polyhedron, edge: tuple[int, int]) -> float:
     """Radius of a ball around the edge midpoint that avoids every simplex
     other than the two incident faces and the edge itself."""
     a, b = edge
@@ -321,17 +323,15 @@ def _safe_ball_radius(P: Polyhedron, edge: tuple[int, int], radius_fraction: flo
         raise ZeroRadiusError(
             f"edge {(a, b)}: midpoint touches another simplex (distance {dist:.3e})"
         )
-    return radius_fraction * float(dist)
+    return MC_RADIUS_FRACTION * float(dist)
 
 
 def monte_carlo_dihedral(
     P: Polyhedron,
     edge: tuple[int, int],
     n_samples: int = 10**6,
-    radius_fraction: float = 0.25,
     seed: int = 0,
     workers: int = 1,
-    tol: float = DEGENERATE_NORMAL_TOL,
 ) -> float:
     """Volume-ratio estimate of the dihedral angle at an edge.
 
@@ -348,9 +348,9 @@ def monte_carlo_dihedral(
     row = [_edge_row(P, edge)]
     e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
     w = n[0] + n[1]
-    if np.linalg.norm(w) <= tol:
+    if np.linalg.norm(w) <= DEGENERATE_NORMAL_TOL:
         return 0.0
-    radius = _safe_ball_radius(P, edge, radius_fraction)
+    radius = _safe_ball_radius(P, edge)
 
     e1 = u[0]
     e2 = np.cross(e_hat, e1)

@@ -15,6 +15,8 @@ from rigiditylab import (
     trace_flex,
     trivial_motion_basis,
 )
+from rigiditylab.flex import ANGLE_BLOCK
+from rigiditylab.geometry import principal_angles
 
 from oracles import exact_flex_dim
 
@@ -92,6 +94,27 @@ def test_collinear_configuration_rejected(octahedron):
     x[:, 1:] = 0.0
     with pytest.raises(DegenerateConfigurationError):
         infinitesimal_flex_dim(x, octahedron.surface)
+
+
+def test_trivial_basis_rejects_collinear_input(octahedron):
+    x = octahedron.vertex_array()
+    x[:, 1:] = 0.0
+    with pytest.raises(DegenerateConfigurationError):
+        trivial_motion_basis(x)
+    with pytest.raises(DegenerateConfigurationError):
+        trivial_motion_basis(octahedron.vertex_array()[:2])
+
+
+def test_path_angles_across_blocks(bricard):
+    """Angles computed block by block from the finished path equal the
+    per-configuration values bit for bit, in row-major arrays."""
+    path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=ANGLE_BLOCK + 44)
+    one_by_one = [principal_angles(bricard.surface, x) for x in path.configs]
+    assert path.n_samples > ANGLE_BLOCK
+    assert np.array_equal(path.raw_angles, np.array([v for v, _ in one_by_one]))
+    assert np.array_equal(path.degenerate_flags, np.array([f for _, f in one_by_one]))
+    for a in (path.raw_angles, path.degenerate_flags, path.lifted_angles):
+        assert a.flags.c_contiguous
 
 
 def test_trace_rigid_model_aborts(octahedron):

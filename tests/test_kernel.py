@@ -226,3 +226,12 @@ def test_length_drift_matches_direct_recomputation(bricard_path):
             start = math.dist(x0[a], x0[b])
             worst = max(worst, abs(math.dist(pos[a], pos[b]) - start) / start)
     assert bricard_path.length_drift() == pytest.approx(worst, abs=1e-14)
+
+
+def test_weighted_sums_independent_of_angle_layout(bricard_path):
+    """Column-major angles give the same bytes as the row-major ones."""
+    S, configs = bricard_path.surface, bricard_path.configs
+    angles = bricard_path.lifted_angles
+    assert angles.flags.c_contiguous
+    assert (weighted_angle_sums(S, configs, np.asfortranarray(angles)).tobytes()
+            == weighted_angle_sums(S, configs, angles).tobytes())
