@@ -344,15 +344,22 @@ def trace_flex(
 
 
 def best_fit_rigid_motion(source: np.ndarray, target: np.ndarray):
-    """Rotation (det +1) and translation minimizing |R*source + t - target|."""
+    """Rotation (det +1) and translation minimizing |R*source + t - target|.
+
+    ``target`` is one configuration (V,3) or a stack (K,V,3); for a stack,
+    R is (K,3,3) and t is (K,3), one orthogonal Procrustes fit per slice
+    from a single batched SVD.
+    """
     src = as_config(source)
     dst = as_config(target)
     c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    H = (src - c_src).T @ (dst - c_dst)
+    c_dst = dst.mean(axis=-2)
+    H = (src - c_src).T @ (dst - c_dst[..., None, :])
     U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
+    V = Vt.mT
+    d = np.sign(np.linalg.det(V @ U.mT))
+    V[..., :, 2] *= d[..., None]
+    R = V @ U.mT
     t = c_dst - R @ c_src
     return R, t
 
@@ -370,9 +377,8 @@ def is_trivial_flex(path: FlexPath) -> bool:
     x0 = path.configs[0]
     d = x0[:, None] - x0[None]
     diam = float(np.sqrt(np.vecdot(d, d)).max())
-    worst = 0.0
-    for k in range(1, path.n_samples):
-        R, t = best_fit_rigid_motion(x0, path.configs[k])
-        moved = x0 @ R.T + t
-        worst = max(worst, float(np.max(np.linalg.norm(moved - path.configs[k], axis=1))))
+    rest = path.configs[1:]
+    R, t = best_fit_rigid_motion(x0, rest)
+    moved = x0 @ R.mT + t[:, None, :]
+    worst = float(np.max(np.linalg.norm(moved - rest, axis=-1)))
     return worst <= TRIVIAL_FLEX_TOL * diam

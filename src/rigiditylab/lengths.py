@@ -4,9 +4,10 @@ Exact mode works with lengths of the form r*sqrt(d), r a positive rational
 and d a squarefree positive integer.  Square roots of distinct squarefree
 integers are linearly independent over the rationals, so grouping lengths by
 radicand yields a basis of their rational span and decides independence
-exactly.  For lengths known only numerically, a lattice-reduction search
-looks for small integer relations; absence of a relation up to a coefficient
-height bound is reported as such, never as a proof of independence.
+exactly.  For lengths known only numerically, an integer-only LLL lattice
+reduction looks for small integer relations; absence of a relation up to a
+coefficient height bound is reported as such, never as a proof of
+independence.
 """
 
 from __future__ import annotations
@@ -242,73 +243,82 @@ def relation_residual_exact(lengths: list[ExactLength], relation) -> bool:
     return all(v == 0 for v in groups.values())
 
 
-def _lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Lattice basis reduction with exact rational Gram-Schmidt.
+def _lll_reduce(basis: list[list[int]]) -> list[list[int]]:
+    """LLL reduction (delta = 3/4) in integer arithmetic only.
 
-    Classic formulation with incremental mu/B bookkeeping; rows must be
-    linearly independent (always true for the identity-plus-column lattices
-    built by :func:`find_integer_relation`).
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): ``d[j]`` is the Gram determinant of the first j
+    rows and ``lam[k][j] = mu[k][j] * d[j + 1]``; every division in the
+    Gram-Schmidt update and in the swap is exact.  Rows must be linearly
+    independent (always true for the identity-plus-column lattices built by
+    :func:`find_integer_relation`).  Ties follow the rational formulation:
+    size reduction only when |mu| > 1/2, and mu rounded half to even, so
+    the reduced basis equals that of exact Fraction Gram-Schmidt.
     """
-    b = [[Fraction(x) for x in row] for row in basis]
+    b = [[int(x) for x in row] for row in basis]
     n = len(b)
     if n == 1:
-        return [[int(x) for x in row] for row in b]
+        return b
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
-    bstar: list[list[Fraction]] = [[] for _ in range(n)]
-    bstar[0] = b[0][:]
-    B[0] = dot(bstar[0], bstar[0])
+    lam = [[0] * n for _ in range(n)]
+    d = [1, dot(b[0], b[0])] + [0] * (n - 1)
 
     def size_reduce(k, l):
-        if abs(mu[k][l]) > Fraction(1, 2):
-            q = round(mu[k][l])
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q, r = divmod(2 * lam[k][l] + d[l + 1], 2 * d[l + 1])
+            if r == 0 and q % 2:
+                q -= 1  # an exact half rounds to even
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            mu[k][l] -= q
+            lam[k][l] -= q * d[l + 1]
             for i in range(l):
-                mu[k][i] -= q * mu[l][i]
+                lam[k][i] -= q * lam[l][i]
 
     def swap(k, kmax):
         b[k], b[k - 1] = b[k - 1], b[k]
         for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        m = mu[k][k - 1]
-        Bk = B[k] + m * m * B[k - 1]
-        mu[k][k - 1] = m * B[k - 1] / Bk
-        bs = bstar[k - 1][:]
-        bstar[k - 1] = [x + m * y for x, y in zip(bstar[k], bs)]
-        bstar[k] = [
-            -mu[k][k - 1] * x + (B[k] / Bk) * y for x, y in zip(bstar[k], bs)
-        ]
-        B[k] = B[k - 1] * B[k] / Bk
-        B[k - 1] = Bk
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        dk = (d[k - 1] * d[k + 1] + m * m) // d[k]
         for i in range(k + 1, kmax + 1):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (dk * t + m * lam[i][k]) // d[k + 1]
+        d[k] = dk
 
     k = 1
     kmax = 0
     while k < n:
         if k > kmax:
             kmax = k
-            bstar[k] = b[k][:]
-            for j in range(k):
-                mu[k][j] = dot(b[k], bstar[j]) / B[j]
-                bstar[k] = [x - mu[k][j] * y for x, y in zip(bstar[k], bstar[j])]
-            B[k] = dot(bstar[k], bstar[k])
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
         size_reduce(k, k - 1)
-        while B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        while 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             swap(k, kmax)
             k = max(k - 1, 1)
             size_reduce(k, k - 1)
         for l in range(k - 2, -1, -1):
             size_reduce(k, l)
         k += 1
-    return [[int(x) for x in row] for row in b]
+    return b
+
+
+def _relation_lattice(vals: list[mp.mpf]) -> list[list[int]]:
+    """Rows of the identity extended by the values times RELATION_SCALE, rounded."""
+    n = len(vals)
+    return [
+        [1 if j == i else 0 for j in range(n)] + [int(mp.nint(vals[i] * RELATION_SCALE))]
+        for i in range(n)
+    ]
 
 
 def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None:
@@ -337,11 +347,7 @@ def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None
         vals = [_to_mpf(v) for v in values]
         if not all(mp.isfinite(v) for v in vals):
             raise ValueError("values must be finite")
-        rows = [
-            [1 if j == i else 0 for j in range(n)] + [int(mp.nint(vals[i] * RELATION_SCALE))]
-            for i in range(n)
-        ]
-        reduced = _lll_reduce(rows)
+        reduced = _lll_reduce(_relation_lattice(vals))
         max_abs = max(abs(v) for v in vals) or mp.mpf(1)
         loose = mp.mpf(n) * height / RELATION_SCALE
         candidates = sorted(reduced, key=lambda row: sum(x * x for x in row))

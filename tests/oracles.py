@@ -78,3 +78,74 @@ PROJECTIVE_PLANE_FACES = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
     (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5), (4, 5, 6),
 ]
+
+
+# The rational LLL that lengths._lll_reduce replaced: the integer version
+# must reproduce its reduced basis row for row.
+def fraction_lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
+    """Lattice basis reduction with exact rational Gram-Schmidt.
+
+    Classic formulation with incremental mu/B bookkeeping; rows must be
+    linearly independent (always true for the identity-plus-column lattices
+    built by :func:`find_integer_relation`).
+    """
+    b = [[Fraction(x) for x in row] for row in basis]
+    n = len(b)
+    if n == 1:
+        return [[int(x) for x in row] for row in b]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    bstar: list[list[Fraction]] = [[] for _ in range(n)]
+    bstar[0] = b[0][:]
+    B[0] = dot(bstar[0], bstar[0])
+
+    def size_reduce(k, l):
+        if abs(mu[k][l]) > Fraction(1, 2):
+            q = round(mu[k][l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            mu[k][l] -= q
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        m = mu[k][k - 1]
+        Bk = B[k] + m * m * B[k - 1]
+        mu[k][k - 1] = m * B[k - 1] / Bk
+        bs = bstar[k - 1][:]
+        bstar[k - 1] = [x + m * y for x, y in zip(bstar[k], bs)]
+        bstar[k] = [
+            -mu[k][k - 1] * x + (B[k] / Bk) * y for x, y in zip(bstar[k], bs)
+        ]
+        B[k] = B[k - 1] * B[k] / Bk
+        B[k - 1] = Bk
+        for i in range(k + 1, kmax + 1):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    k = 1
+    kmax = 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            bstar[k] = b[k][:]
+            for j in range(k):
+                mu[k][j] = dot(b[k], bstar[j]) / B[j]
+                bstar[k] = [x - mu[k][j] * y for x, y in zip(bstar[k], bstar[j])]
+            B[k] = dot(bstar[k], bstar[k])
+        size_reduce(k, k - 1)
+        while B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            swap(k, kmax)
+            k = max(k - 1, 1)
+            size_reduce(k, k - 1)
+        for l in range(k - 2, -1, -1):
+            size_reduce(k, l)
+        k += 1
+    return [[int(x) for x in row] for row in b]

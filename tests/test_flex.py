@@ -8,6 +8,7 @@ from rigiditylab import (
     FlexPath,
     LiftAmbiguityError,
     SingularPointError,
+    best_fit_rigid_motion,
     infinitesimal_flex_dim,
     is_trivial_flex,
     lift_angles,
@@ -208,6 +209,18 @@ def test_trivial_flex_detection(octahedron):
         initial_lengths=np.full(E, np.sqrt(2)),
     )
     assert is_trivial_flex(path)
+
+
+def test_batched_rigid_fit_matches_single_fits(bricard_path):
+    x0 = bricard_path.configs[0]
+    # The mirror image forces the det sign correction onto its slice.
+    targets = np.concatenate([bricard_path.configs, -bricard_path.configs[-1:]])
+    R, t = best_fit_rigid_motion(x0, targets)
+    assert R.shape == (len(targets), 3, 3) and t.shape == (len(targets), 3)
+    assert np.allclose(np.linalg.det(R), 1.0)
+    for k, target in enumerate(targets):
+        Rk, tk = best_fit_rigid_motion(x0, target)
+        assert np.array_equal(R[k], Rk) and np.array_equal(t[k], tk)
 
 
 def test_single_sample_path_trivial(bricard_path):
