@@ -12,6 +12,7 @@ defined to be 0 and flagged as degenerate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,9 @@ class Polyhedron:
     exact_coords: dict | None = None
     exact_lengths: list | None = None
     _vertex_array: np.ndarray = field(init=False, repr=False)
+    _exact_length_cache: list | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         coords = {int(v): np.asarray(p, dtype=float) for v, p in self.coords.items()}
@@ -80,17 +84,34 @@ class Polyhedron:
         return float(edge_length_vector(self).max())
 
     def exact_edge_lengths(self):
-        """Exact edge lengths in canonical edge order, if exact data exists."""
+        """Exact edge lengths in canonical edge order, if exact data exists.
+
+        Computed once per polyhedron; every call returns a new list.  The
+        rational coordinates are scaled by the lcm D of their denominators to
+        integer points X_v, so edge (a, b) has squared length
+        sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
+        """
         if self.exact_lengths is not None:
             return list(self.exact_lengths)
         if self.exact_coords is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
-        out = []
-        for a, b in self.surface.edges:
-            pa, pb = self.exact_coords[a], self.exact_coords[b]
-            sq = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(pa, pb))
-            out.append(normalize_sqrt(sq))
-        return out
+        if self._exact_length_cache is None:
+            coords = self.exact_coords
+            exact = {v: [Fraction(c) for c in coords[v]] for v in self.surface.vertices}
+            D = math.lcm(*(c.denominator for p in exact.values() for c in p))
+            X = {
+                v: [c.numerator * (D // c.denominator) for c in p]
+                for v, p in exact.items()
+            }
+            split = {}
+            out = []
+            for a, b in self.surface.edges:
+                n = sum((x - y) ** 2 for x, y in zip(X[a], X[b]))
+                if n not in split:
+                    split[n] = normalize_sqrt(Fraction(n, D * D))
+                out.append(split[n])
+            self._exact_length_cache = out
+        return list(self._exact_length_cache)
 
 
 @dataclass

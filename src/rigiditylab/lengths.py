@@ -85,10 +85,11 @@ def _square_split(n: int) -> tuple[int, int]:
         if e % 2:
             d *= p
     if c > 1:
-        if c < TRIAL_LIMIT**2 and not _is_prime(c):
+        prime = _is_prime(c)
+        if c < TRIAL_LIMIT**2 and not prime:
             # Trial division already removed every factor below sqrt(c).
             raise AssertionError(f"unexpected composite cofactor {c}")
-        if _is_prime(c):
+        if prime:
             d *= c
         else:
             r = math.isqrt(c)
@@ -204,8 +205,9 @@ def clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
     """The rationals times the lcm of their denominators, as integers."""
     lcm = 1
     for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return tuple(int(v * lcm) for v in values)
+        if v.denominator != 1:
+            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    return tuple(v.numerator * (lcm // v.denominator) for v in values)
 
 
 def is_q_independent(lengths: list[ExactLength]) -> IndependenceVerdict:

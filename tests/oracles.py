@@ -7,10 +7,31 @@ expected angles from closed forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+from rigiditylab import normalize_sqrt
+
+
+def fraction_exact_lengths(P) -> list:
+    """Exact edge lengths by Fraction arithmetic on every edge's endpoints."""
+    out = []
+    for a, b in P.surface.edges:
+        pa, pb = P.exact_coords[a], P.exact_coords[b]
+        sq = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(pa, pb))
+        out.append(normalize_sqrt(sq))
+    return out
+
+
+def fraction_clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
+    """The rationals times the lcm of their denominators, by Fraction products."""
+    lcm = 1
+    for v in values:
+        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    return tuple(int(v * lcm) for v in values)
 
 
 def rational_rigidity_matrix(exact_coords: dict, surface) -> list[list[Fraction]]:

@@ -3,6 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigiditylab import (
     ExactLength,
@@ -12,7 +14,9 @@ from rigiditylab import (
     normalize_sqrt,
     q_basis,
 )
-from rigiditylab.lengths import relation_residual_exact
+from rigiditylab.lengths import clear_to_integers, relation_residual_exact
+
+from oracles import fraction_clear_to_integers
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23]
 
@@ -162,3 +166,17 @@ def test_heuristic_agrees_with_exact_random():
             assert relation_residual_exact(lengths, numeric)
         else:
             assert numeric is None
+
+
+MIXED_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.sampled_from([2, 3, 5, 7, 11, 13, 49])),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(MIXED_RATIONALS, max_size=12))
+def test_clear_to_integers_matches_fraction_products(values):
+    assert clear_to_integers(values) == fraction_clear_to_integers(values)
