@@ -33,7 +33,7 @@ from .geometry import (
     DegenerateFaceError,
     ZeroRadiusError,
     all_dihedrals,
-    monte_carlo_dihedral,
+    monte_carlo_dihedrals,
 )
 from .invariants import (
     initial_principal_angles,
@@ -202,15 +202,13 @@ def cmd_flex(args) -> int:
 def cmd_oracle(args) -> int:
     P = _load(args)
     _require_valid(P)
+    edges = P.surface.edges
+    dets = all_dihedrals(P)
+    mcs = monte_carlo_dihedrals(
+        P, edges, n_samples=args.samples, seed=args.seed, workers=args.workers
+    )
     rows = []
-    for edge, det in zip(P.surface.edges, all_dihedrals(P)):
-        mc = monte_carlo_dihedral(
-            P,
-            edge,
-            n_samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    for edge, det, mc in zip(edges, dets, mcs):
         rows.append(
             {
                 "edge": list(edge),

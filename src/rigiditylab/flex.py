@@ -230,6 +230,10 @@ def trace_flex(
     with :class:`CorrectorDivergenceError` when no step size works; the
     partial path is attached to the exception.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     x = as_config(x0).copy()
     nv = x.shape[0]
     targets_sq = squared_lengths(surface, x)

@@ -366,21 +366,47 @@ def monte_carlo_dihedral(
     derive from the master seed, so results are reproducible for a fixed
     (seed, workers) pair.
     """
-    row = [_edge_row(P, edge)]
-    e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
-    w = n[0] + n[1]
-    if np.linalg.norm(w) <= DEGENERATE_NORMAL_TOL:
-        return 0.0
-    radius = _safe_ball_radius(P, edge)
+    return monte_carlo_dihedrals(P, [edge], n_samples, seed, workers)[0]
 
-    e1 = u[0]
-    e2 = np.cross(e_hat, e1)
-    a2 = _plane_angle(u[1], e1, e2)
-    aw = _plane_angle(w, e1, e2)
-    ref_in_first = aw <= a2
 
-    counts = 0
-    total = 0
+def monte_carlo_dihedrals(
+    P: Polyhedron,
+    edges,
+    n_samples: int = 10**6,
+    seed: int = 0,
+    workers: int = 1,
+) -> list[float]:
+    """:func:`monte_carlo_dihedral` at each of ``edges``, from one draw.
+
+    Every edge scales the same unit-ball sample by its own radius and
+    classifies it in its own frame, so each chunk is drawn once for all
+    edges and each value equals that of a separate call.  Frames and radii
+    are found edge by edge before any draw, so the first failing edge raises
+    as a loop of separate calls would.
+    """
+    if n_samples < 1 or workers < 1:
+        raise ValueError(
+            f"need at least one sample and one worker, got n_samples={n_samples}, "
+            f"workers={workers}"
+        )
+    values = [0.0] * len(edges)
+    live = []  # (index, radius, e1, e2, a2, ref_in_first) of nondegenerate edges
+    for i, edge in enumerate(edges):
+        row = [_edge_row(P, edge)]
+        e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
+        w = n[0] + n[1]
+        if np.linalg.norm(w) <= DEGENERATE_NORMAL_TOL:
+            continue
+        radius = _safe_ball_radius(P, edge)
+        e1 = u[0]
+        e2 = np.cross(e_hat, e1)
+        a2 = _plane_angle(u[1], e1, e2)
+        aw = _plane_angle(w, e1, e2)
+        live.append((i, radius, e1, e2, a2, aw <= a2))
+    if not live:
+        return values
+
+    counts = [0] * len(live)
     chunk_sizes = [n_samples // workers] * workers
     for i in range(n_samples % workers):
         chunk_sizes[i] += 1
@@ -391,13 +417,16 @@ def monte_carlo_dihedral(
         rng = np.random.default_rng(ss)
         dirs = rng.normal(size=(size, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        radii = radius * np.cbrt(rng.random(size))
-        pts = radii[:, None] * dirs  # offsets from the midpoint
-        theta = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
-        in_first = theta <= a2
-        counts += int(np.count_nonzero(in_first == ref_in_first))
-        total += size
-    return 2.0 * np.pi * counts / total
+        cbrt_u = np.cbrt(rng.random(size))
+        for j, (_, radius, e1, e2, a2, ref_in_first) in enumerate(live):
+            radii = radius * cbrt_u
+            pts = radii[:, None] * dirs  # offsets from the midpoint
+            theta = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
+            in_first = theta <= a2
+            counts[j] += int(np.count_nonzero(in_first == ref_in_first))
+    for (i, *_), count in zip(live, counts):
+        values[i] = 2.0 * np.pi * count / n_samples
+    return values
 
 
 def oriented_volume(P: Polyhedron) -> float:

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
-import mpmath as mp
+if TYPE_CHECKING:
+    import mpmath as mp  # imported where used: only numeric mode needs it
 
 MAX_FACTOR_INPUT = 2**63
 TRIAL_LIMIT = 10**6
@@ -31,11 +33,11 @@ class FactorizationTooLargeError(Exception):
 
 
 @cache
-def _small_primes() -> tuple[int, ...]:
-    """Primes up to TRIAL_LIMIT, sieved once."""
-    sieve = bytearray([1]) * (TRIAL_LIMIT + 1)
+def _small_primes(limit: int) -> tuple[int, ...]:
+    """Primes up to ``limit``, sieved once per limit."""
+    sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(TRIAL_LIMIT**0.5) + 1):
+    for p in range(2, int(limit**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, f in enumerate(sieve) if f)
@@ -72,7 +74,10 @@ def _square_split(n: int) -> tuple[int, int]:
     if n >= MAX_FACTOR_INPUT:
         raise FactorizationTooLargeError(f"{n} exceeds the factorization budget")
     s, d, c = 1, 1, n
-    for p in _small_primes():
+    # Trial division needs primes p with p*p <= c <= n only.  The power of
+    # two above isqrt(n) bounds them, so a table is sieved at most once per
+    # doubling and only inputs that reach it pay for the 1e6 one.
+    for p in _small_primes(min(TRIAL_LIMIT, 2 ** math.isqrt(n).bit_length())):
         if p * p > c:
             break
         if c % p:
@@ -121,6 +126,8 @@ class ExactLength:
         return float(self.r) * math.sqrt(self.d)
 
     def value_mp(self) -> mp.mpf:
+        import mpmath as mp
+
         return mp.mpf(self.r.numerator) / self.r.denominator * mp.sqrt(self.d)
 
     def squared(self) -> Fraction:
@@ -316,6 +323,8 @@ def _lll_reduce(basis: list[list[int]]) -> list[list[int]]:
 
 def _relation_lattice(vals: list[mp.mpf]) -> list[list[int]]:
     """Rows of the identity extended by the values times RELATION_SCALE, rounded."""
+    import mpmath as mp
+
     n = len(vals)
     return [
         [1 if j == i else 0 for j in range(n)] + [int(mp.nint(vals[i] * RELATION_SCALE))]
@@ -340,11 +349,15 @@ def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None
     of height at most ``height`` was found (this is not an independence
     proof).
     """
+    if height < 1:
+        raise ValueError(f"coefficient height must be at least 1, got {height}")
     n = len(values)
     if n == 0:
         raise ValueError("empty value list")
     if n > 64:
         raise ValueError("at most 64 values are supported")
+    import mpmath as mp
+
     with mp.workdps(RELATION_PRECISION):
         vals = [_to_mpf(v) for v in values]
         if not all(mp.isfinite(v) for v in vals):
@@ -373,6 +386,8 @@ def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None
 
 
 def _to_mpf(v) -> mp.mpf:
+    import mpmath as mp
+
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / v.denominator
     if isinstance(v, ExactLength):

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flex import FlexPath, rigidity_matrix, squared_length_residual
-from .geometry import Polyhedron, edge_length_vector, monitor_series
+from .geometry import Polyhedron, _cross, edge_length_vector, monitor_series
 from .lengths import ExactLength
 from .surfaces import SimplicialSurface
 
@@ -200,7 +200,7 @@ def _trilaterate(p1, r1, p2, r2, p3, r3, sign):
     i = float(np.dot(ex, p3 - p1))
     ey = p3 - p1 - i * ex
     ey = ey / np.linalg.norm(ey)
-    ez = np.cross(ex, ey)
+    ez = _cross(ex, ey)
     j = float(np.dot(ey, p3 - p1))
     x = (r1**2 - r2**2 + d**2) / (2 * d)
     y = (r1**2 - r3**2 + i**2 + j**2 - 2 * i * x) / (2 * j)
@@ -254,12 +254,14 @@ def make_distinct_length_octahedron() -> Polyhedron:
     X = None
     thetas = np.linspace(0.01, 2 * np.pi - 0.01, 720)
     for s4, s5 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        vals = np.array([closing(t, s4, s5) for t in thetas])
+        # Scan point by point and stop at the first bracket.
+        f_next = closing(thetas[0], s4, s5)
         for k in range(len(thetas) - 1):
-            if np.isnan(vals[k]) or np.isnan(vals[k + 1]) or vals[k] * vals[k + 1] > 0:
+            f_k, f_next = f_next, closing(thetas[k + 1], s4, s5)
+            if np.isnan(f_k) or np.isnan(f_next) or f_k * f_next > 0:
                 continue
             # Bisect the bracket until its midpoint rounds onto an endpoint.
-            lo, hi, f_lo = thetas[k], thetas[k + 1], vals[k]
+            lo, hi, f_lo = thetas[k], thetas[k + 1], f_k
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 f_mid = closing(mid, s4, s5)
                 if f_mid * f_lo > 0:

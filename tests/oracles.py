@@ -7,13 +7,16 @@ expected angles from closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from rigiditylab import normalize_sqrt
+from rigiditylab import geometry, lengths, models, normalize_sqrt
+from rigiditylab.flex import rigidity_matrix, squared_length_residual
+from rigiditylab.surfaces import SimplicialSurface
 
 
 def fraction_exact_lengths(P) -> list:
@@ -170,3 +173,181 @@ def fraction_lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> li
             size_reduce(k, l)
         k += 1
     return [[int(x) for x in row] for row in b]
+
+
+# The code that the cold-start work replaced, kept as it was so that tests can
+# require equal results: the full 1e6 prime table, one Monte-Carlo draw per
+# edge, and the full 720-point closing scan.  They share the library's
+# helpers on purpose; they check that nothing moved, not that it is right.
+
+
+@functools.cache
+def _full_prime_table() -> tuple[int, ...]:
+    """Primes up to TRIAL_LIMIT, sieved once."""
+    sieve = bytearray([1]) * (lengths.TRIAL_LIMIT + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(lengths.TRIAL_LIMIT**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return tuple(i for i, f in enumerate(sieve) if f)
+
+
+def full_table_square_split(n: int) -> tuple[int, int]:
+    """Write n = s**2 * d with d squarefree; returns (s, d)."""
+    TRIAL_LIMIT = lengths.TRIAL_LIMIT
+    if n <= 0:
+        raise ValueError("expected a positive integer")
+    if n >= lengths.MAX_FACTOR_INPUT:
+        raise lengths.FactorizationTooLargeError(f"{n} exceeds the factorization budget")
+    s, d, c = 1, 1, n
+    for p in _full_prime_table():
+        if p * p > c:
+            break
+        if c % p:
+            continue
+        e = 0
+        while c % p == 0:
+            c //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    if c > 1:
+        prime = lengths._is_prime(c)
+        if c < TRIAL_LIMIT**2 and not prime:
+            # Trial division already removed every factor below sqrt(c).
+            raise AssertionError(f"unexpected composite cofactor {c}")
+        if prime:
+            d *= c
+        else:
+            r = math.isqrt(c)
+            if r * r == c:
+                s *= r
+            elif c < TRIAL_LIMIT**3:
+                # All prime factors exceed 1e6, so a non-square below 1e18
+                # is a product of two distinct primes, hence squarefree.
+                d *= c
+            else:
+                raise lengths.FactorizationTooLargeError(
+                    f"cannot certify the squarefree part of {c}"
+                )
+    return s, d
+
+
+def per_edge_monte_carlo_dihedral(
+    P, edge, n_samples: int = 10**6, seed: int = 0, workers: int = 1
+) -> float:
+    """Volume-ratio estimate of the dihedral angle at one edge, drawing its
+    own sample."""
+    row = [geometry._edge_row(P, edge)]
+    e_hat, u, n = (f[0] for f in geometry._edge_frames(P.surface, P._vertex_array, row))
+    w = n[0] + n[1]
+    if np.linalg.norm(w) <= geometry.DEGENERATE_NORMAL_TOL:
+        return 0.0
+    radius = geometry._safe_ball_radius(P, edge)
+
+    e1 = u[0]
+    e2 = np.cross(e_hat, e1)
+    a2 = geometry._plane_angle(u[1], e1, e2)
+    aw = geometry._plane_angle(w, e1, e2)
+    ref_in_first = aw <= a2
+
+    counts = 0
+    total = 0
+    chunk_sizes = [n_samples // workers] * workers
+    for i in range(n_samples % workers):
+        chunk_sizes[i] += 1
+    seeds = np.random.SeedSequence(seed).spawn(workers)
+    for size, ss in zip(chunk_sizes, seeds):
+        if size == 0:
+            continue
+        rng = np.random.default_rng(ss)
+        dirs = rng.normal(size=(size, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        radii = radius * np.cbrt(rng.random(size))
+        pts = radii[:, None] * dirs  # offsets from the midpoint
+        theta = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
+        in_first = theta <= a2
+        counts += int(np.count_nonzero(in_first == ref_in_first))
+        total += size
+    return 2.0 * np.pi * counts / total
+
+
+def _np_cross_trilaterate(p1, r1, p2, r2, p3, r3, sign):
+    ex = p2 - p1
+    d = np.linalg.norm(ex)
+    ex = ex / d
+    i = float(np.dot(ex, p3 - p1))
+    ey = p3 - p1 - i * ex
+    ey = ey / np.linalg.norm(ey)
+    ez = np.cross(ex, ey)
+    j = float(np.dot(ey, p3 - p1))
+    x = (r1**2 - r2**2 + d**2) / (2 * d)
+    y = (r1**2 - r3**2 + i**2 + j**2 - 2 * i * x) / (2 * j)
+    zsq = r1**2 - x**2 - y**2
+    if zsq < 0:
+        return None
+    return p1 + x * ex + y * ey + sign * np.sqrt(zsq) * ez
+
+
+def full_scan_distinct_octahedron():
+    """The distinct-length octahedron with ``models.DISTINCT_RADICANDS`` read
+    at call time, scanning all 720 angles before taking the first bracket."""
+    surface = SimplicialSurface(models.OCTAHEDRON_FACES)
+    L = {e: float(np.sqrt(d)) for e, d in zip(surface.edges, models.DISTINCT_RADICANDS)}
+    targets_sq = np.array(models.DISTINCT_RADICANDS, dtype=float)
+
+    def build(theta, s4, s5):
+        v0 = np.zeros(3)
+        v1 = np.array([L[(0, 1)], 0.0, 0.0])
+        x2 = (L[(0, 1)] ** 2 + L[(0, 2)] ** 2 - L[(1, 2)] ** 2) / (2 * L[(0, 1)])
+        y2sq = L[(0, 2)] ** 2 - x2**2
+        if y2sq <= 0:
+            return None
+        v2 = np.array([x2, np.sqrt(y2sq), 0.0])
+        x3 = (L[(0, 1)] ** 2 + L[(0, 3)] ** 2 - L[(1, 3)] ** 2) / (2 * L[(0, 1)])
+        rho3sq = L[(0, 3)] ** 2 - x3**2
+        if rho3sq <= 0:
+            return None
+        rho3 = np.sqrt(rho3sq)
+        v3 = np.array([x3, rho3 * np.cos(theta), rho3 * np.sin(theta)])
+        v4 = _np_cross_trilaterate(v0, L[(0, 4)], v2, L[(2, 4)], v3, L[(3, 4)], s4)
+        v5 = _np_cross_trilaterate(v1, L[(1, 5)], v2, L[(2, 5)], v3, L[(3, 5)], s5)
+        if v4 is None or v5 is None:
+            return None
+        return np.array([v0, v1, v2, v3, v4, v5])
+
+    def closing(theta, s4, s5):
+        X = build(theta, s4, s5)
+        return np.nan if X is None else float(np.linalg.norm(X[4] - X[5])) - L[(4, 5)]
+
+    X = None
+    thetas = np.linspace(0.01, 2 * np.pi - 0.01, 720)
+    for s4, s5 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        vals = np.array([closing(t, s4, s5) for t in thetas])
+        for k in range(len(thetas) - 1):
+            if np.isnan(vals[k]) or np.isnan(vals[k + 1]) or vals[k] * vals[k + 1] > 0:
+                continue
+            # Bisect the bracket until its midpoint rounds onto an endpoint.
+            lo, hi, f_lo = thetas[k], thetas[k + 1], vals[k]
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid = closing(mid, s4, s5)
+                if f_mid * f_lo > 0:
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            X = build(lo, s4, s5)
+            break
+        if X is not None:
+            break
+    if X is None:
+        raise RuntimeError("no realization found for the distinct-length octahedron")
+
+    for _ in range(4):
+        g = squared_length_residual(X, surface, targets_sq)
+        if np.max(np.abs(g)) < 1e-14:
+            break
+        J = rigidity_matrix(X, surface)
+        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
+        X = X + delta.reshape(-1, 3)
+    return X

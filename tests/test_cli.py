@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 SINGLE_TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
 # Octahedron whose vertex 2 lies on the segment between vertices 0 and 1,
@@ -162,3 +165,61 @@ def test_import_loads_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
     assert proc.stdout.decode().strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["oracle", "--model", "octahedron", "--samples", "0"], "n_samples=0"),
+        (["oracle", "--model", "octahedron", "--workers", "0"], "workers=0"),
+        (["oracle", "--model", "octahedron", "--samples", "-5"], "n_samples=-5"),
+        (["flex", "--model", "bricard-default", "--step", "0"], "step must be positive"),
+        (["flex", "--model", "bricard-default", "--step", "-0.01"], "step must be positive"),
+        (["analyze", "--model", "octahedron", "--mode", "numeric", "--height", "0"],
+         "height must be at least 1"),
+    ],
+)
+def test_meaningless_counts_exit_2(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ValueError: ")
+    assert message.encode() in proc.stderr
+
+
+# Runs one command through cli.main in a fresh interpreter, then reports on
+# stderr whether mpmath was imported.
+MPMATH_PROBE = (
+    "import sys\n"
+    "from rigiditylab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(f\"mpmath loaded: {'mpmath' in sys.modules}\")\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["validate", "--model", "cube"], False),
+        (["analyze", "--model", "bricard-default", "--mode", "exact"], False),
+        (["flex", "--model", "bricard-default", "--steps", "5"], False),
+        (["oracle", "--model", "octahedron", "--samples", "100"], False),
+        (["analyze", "--model", "bricard-default", "--mode", "numeric"], True),
+    ],
+)
+def test_mpmath_loaded_only_by_numeric_mode(args, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", MPMATH_PROBE, *args],
+        capture_output=True,
+        env=dict(os.environ, RIGIDITYLAB_LOG="error"),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.decode() == f"mpmath loaded: {loaded}"
+
+
+def test_numeric_analyze_golden_in_fresh_process():
+    golden = Path(__file__).parent / "golden" / "analyze-numeric-bricard-default.stdout"
+    proc = run_cli("analyze", "--model", "bricard-default", "--mode", "numeric")
+    assert proc.returncode == 0
+    assert proc.stdout == golden.read_bytes()

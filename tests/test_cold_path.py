@@ -1,0 +1,134 @@
+"""The work each CLI call does is cut to what its answer needs; these tests
+require that every result equals that of the code it replaced, kept in
+``oracles``: the full prime table, one Monte-Carlo draw per edge, and the
+full closing scan of the distinct-length octahedron."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigiditylab import cli, lengths, models
+from rigiditylab.geometry import ZeroRadiusError, monte_carlo_dihedral, monte_carlo_dihedrals
+from perfbench import inputs
+
+from oracles import (
+    full_scan_distinct_octahedron,
+    full_table_square_split,
+    per_edge_monte_carlo_dihedral,
+)
+
+
+def _outcome(split, n):
+    try:
+        return split(n)
+    except (ValueError, AssertionError, lengths.FactorizationTooLargeError) as exc:
+        return type(exc), str(exc)
+
+
+def _prime_near(n: int, up: bool) -> int:
+    step = 1 if up else -1
+    while not lengths._is_prime(n):
+        n += step
+    return n
+
+
+PRIMES_NEAR_POWERS = st.builds(
+    _prime_near, st.integers(1, 40).map(lambda k: 2**k), st.booleans()
+).filter(lambda p: p > 1)
+PRIMES_NEAR_1E6 = st.builds(_prime_near, st.integers(10**6 - 2000, 10**6 + 2000), st.booleans())
+SQUARE_SPLIT_INPUTS = st.one_of(
+    PRIMES_NEAR_POWERS,
+    st.builds(lambda p, m: p * m, PRIMES_NEAR_POWERS, st.integers(1, 50)),
+    st.builds(lambda p, q: p * q, PRIMES_NEAR_POWERS, PRIMES_NEAR_POWERS),
+    st.builds(lambda p: p * p, PRIMES_NEAR_POWERS),
+    st.builds(lambda p, q: p * q, PRIMES_NEAR_1E6, PRIMES_NEAR_1E6),
+    st.builds(lambda p, q, m: p * q * m, PRIMES_NEAR_1E6, PRIMES_NEAR_1E6, st.integers(1, 30)),
+    st.builds(lambda p, m: p * p * m, PRIMES_NEAR_1E6, st.integers(1, 30)),
+    st.integers(-5, 2**20),
+    st.integers(2**63 - 10**4, 2**63 + 10**4),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(SQUARE_SPLIT_INPUTS)
+def test_square_split_matches_full_prime_table(n):
+    assert _outcome(lengths._square_split, n) == _outcome(full_table_square_split, n)
+
+
+# Two edges of this octahedron, (0, 1) and (1, 2), have their midpoints on
+# another simplex; the first of them must be the one reported.
+TOUCHING_OCTAHEDRON_OFF = """OFF
+6 8 0
+-3.0 -6.0 2.6666666666666665
+-1.0 -5.0 4.0
+-3.0 -4.5 0.6666666666666666
+-1.0 -3.5 0.3333333333333333
+4.5 -4.0 10.0
+2.0 -8.0 -3.5
+3 0 1 2
+3 0 2 4
+3 0 3 1
+3 0 4 3
+3 1 3 5
+3 1 5 2
+3 2 5 4
+3 3 4 5
+"""
+
+
+@pytest.fixture(scope="module")
+def mc_models(tmp_path_factory):
+    off = tmp_path_factory.mktemp("mc") / "seeded-octahedron.off"
+    off.write_text(models.save_off(inputs.rational_octahedron(random.Random(7))))
+    return {
+        ("--model", "octahedron"): models.make_regular_octahedron(),
+        ("--model", "cube"): models.make_triangulated_cube(),
+        ("--input", str(off)): models.load_off(off.read_text()),
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_samples", [1, 2, 2000, 2001])
+def test_monte_carlo_matches_per_edge_draws(mc_models, capsys, workers, n_samples):
+    for source, P in mc_models.items():
+        edges = P.surface.edges
+        expected = [
+            per_edge_monte_carlo_dihedral(P, e, n_samples, seed=11, workers=workers)
+            for e in edges
+        ]
+        assert monte_carlo_dihedrals(P, edges, n_samples, 11, workers) == expected
+        assert [
+            monte_carlo_dihedral(P, e, n_samples, seed=11, workers=workers) for e in edges
+        ] == expected
+        code = cli.main(["oracle", *source, "--samples", str(n_samples),
+                         "--seed", "11", "--workers", str(workers)])
+        assert code == cli.EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["edges"]
+        assert [row["monte_carlo"] for row in rows] == expected
+
+
+def test_monte_carlo_first_zero_radius_edge_raises():
+    P = models.load_off(TOUCHING_OCTAHEDRON_OFF)
+    with pytest.raises(ZeroRadiusError) as expected:
+        for e in P.surface.edges:
+            per_edge_monte_carlo_dihedral(P, e, 10)
+    with pytest.raises(ZeroRadiusError) as got:
+        monte_carlo_dihedrals(P, P.surface.edges, 10)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("edge (0, 1):")
+
+
+def test_distinct_octahedron_matches_full_scan():
+    P = models.make_distinct_length_octahedron.__wrapped__()
+    assert P.vertex_array().tobytes() == full_scan_distinct_octahedron().tobytes()
+
+
+def test_distinct_octahedron_other_radicands_match_full_scan(monkeypatch):
+    # The radicand set whose root lies two scan brackets from the default's.
+    radicands = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 18)
+    monkeypatch.setattr(models, "DISTINCT_RADICANDS", radicands)
+    P = models.make_distinct_length_octahedron.__wrapped__()
+    assert P.vertex_array().tobytes() == full_scan_distinct_octahedron().tobytes()
