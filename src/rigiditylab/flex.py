@@ -13,6 +13,7 @@ finished path and unwrapped into continuous lifted series.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,101 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
     return Polyhedron(surface, {v: x[i] for i, v in enumerate(surface.vertices)})
 
 
+# Rotation k is e_k x c.  Columns 0-2 of cz hold c, columns 3-5 the signed
+# zeros 0*c; component i of rotation k is cz[:, PLUS[i][k]] - cz[:, MINUS[i][k]],
+# np.cross's products.
+_ROT_PAIRS = np.array([
+    [[5, 2, 5], [3, 3, 0], [1, 4, 4]],  # PLUS
+    [[4, 4, 1], [2, 5, 5], [3, 0, 3]],  # MINUS
+])
+
+
+class _MotionBasis:
+    """Orthonormal rigid motions of nv-vertex configurations.
+
+    The (nv, 3, 6) basis scaffold carries its translation columns from the
+    start; each call refills the rotation columns in place and factors the
+    scaffold.
+    """
+
+    def __init__(self, nv: int):
+        self.nv = nv
+        self.basis = np.zeros((nv, 3, 6))
+        for i in range(3):
+            self.basis[:, i, i] = 1.0
+        self.cz = np.empty((nv, 6))
+        self.rot = np.empty((nv, *_ROT_PAIRS.shape))
+
+    def __call__(self, x) -> np.ndarray:
+        if self.nv < 3:
+            raise DegenerateConfigurationError("vertices are collinear")
+        c = self.cz[:, :3]
+        np.subtract(x, np.add.reduce(x, axis=0) / self.nv, out=c)  # x - x.mean(axis=0), bit for bit
+        np.multiply(0.0, c, out=self.cz[:, 3:])
+        # The table is in range by construction; "clip" skips the bounds
+        # check that buffers take's output.
+        np.take(self.cz, _ROT_PAIRS, axis=1, out=self.rot, mode="clip")
+        np.subtract(self.rot[:, 0], self.rot[:, 1], out=self.basis[:, :, 3:])
+        q, r = np.linalg.qr(self.basis.reshape(3 * self.nv, 6))
+        diag = np.abs(r.diagonal())
+        if np.minimum.reduce(diag) <= 1e-12 * max(np.maximum.reduce(diag), 1.0):
+            raise DegenerateConfigurationError("vertices are collinear")
+        return q
+
+
+# Edge (i, j) writes 2*d in vertex i's block and -2*d in vertex j's block,
+# d = x_i - x_j; -2.0*d is -(2.0*d) to the bit, signed zeros included.
+_EDGE_SIGNS = np.array([2.0, -2.0])[:, None, None]
+
+
+class _RigidityScatter:
+    """Writes the rigidity matrix into the first E rows of a row-major
+    (rows, 3*nv) matrix, through flat positions built once; the zero entries
+    are never written."""
+
+    def __init__(self, surface, nv: int):
+        ends = edge_table(surface)
+        self.n_edges = len(ends)
+        self.heads, self.tails = ends[:, 0], ends[:, 1]
+        # Entry k of vertex v's block in row e sits at 3*(nv*e + v) + k.
+        blocks = ends.T + nv * np.arange(self.n_edges)
+        self.positions = 3 * blocks[:, :, None] + np.arange(3)  # (head/tail, E, 3)
+        self.values = np.empty(self.positions.shape)
+
+    def __call__(self, out: np.ndarray, x) -> None:
+        np.multiply(_EDGE_SIGNS, x[self.heads] - x[self.tails], out=self.values)
+        np.put(out, self.positions, self.values)
+
+
+def _kernel(A: np.ndarray) -> np.ndarray:
+    """Right singular vectors of A beyond its numerical rank, as columns."""
+    _, s, vt = np.linalg.svd(A)
+    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > cutoff))
+    null_dim = A.shape[1] - rank
+    return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
+
+
+class _BorderedJacobian:
+    """The (E+6, 3*nv) matrix J = [R(y); T.T] of a surface, zeroed once.
+
+    R is the rigidity matrix, rewritten in place at each configuration; the
+    six border rows hold the transposed rigid-motion basis T.
+    """
+
+    def __init__(self, surface, nv: int):
+        self.scatter = _RigidityScatter(surface, nv)
+        self.motions = _MotionBasis(nv)
+        n_edges = self.scatter.n_edges
+        self.J = np.zeros((n_edges + 6, 3 * nv))
+        self.border = self.J[n_edges:]
+
+    def kernel_beyond_trivial(self, y) -> np.ndarray:
+        self.scatter(self.J, y)
+        self.border[:] = self.motions(y).T
+        return _kernel(self.J)
+
+
 def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     """Jacobian of the squared edge lengths, shape (n_edges, 3*n_vertices).
 
@@ -80,13 +176,10 @@ def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     negative in vertex j's block.
     """
     x = as_config(x)
-    ends = edge_table(surface)
-    rows = np.arange(len(ends))
-    d = 2.0 * (x[ends[:, 0]] - x[ends[:, 1]])
-    R = np.zeros((len(ends), x.shape[0], 3))
-    R[rows, ends[:, 0]] = d
-    R[rows, ends[:, 1]] = -d
-    return R.reshape(len(ends), -1)
+    scatter = _RigidityScatter(surface, x.shape[0])
+    R = np.zeros((scatter.n_edges, 3 * x.shape[0]))
+    scatter(R, x)
+    return R
 
 
 def trivial_motion_basis(x) -> np.ndarray:
@@ -97,35 +190,13 @@ def trivial_motion_basis(x) -> np.ndarray:
     vanishing diagonal entry of the QR factor.
     """
     x = as_config(x)
-    nv = x.shape[0]
-    if nv < 3:
-        raise DegenerateConfigurationError("vertices are collinear")
-    centered = x - x.mean(axis=0)
-    basis = np.zeros((nv, 3, 6))
-    basis[:, [0, 1, 2], [0, 1, 2]] = 1.0
-    # Rotation k is e_k x c.  Rows 0-2 of cz hold c, rows 3-5 the signed
-    # zeros 0*c; the 3x3 (k, component) pairs below are np.cross's products.
-    cz = np.concatenate([centered.T, 0.0 * centered.T])
-    rot = cz[[5, 3, 1, 2, 3, 4, 5, 0, 4]] - cz[[4, 2, 3, 4, 5, 0, 1, 5, 3]]
-    basis[:, :, 3:] = rot.reshape(3, 3, nv).T
-    q, r = np.linalg.qr(basis.reshape(3 * nv, 6))
-    diag = np.abs(np.diagonal(r))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise DegenerateConfigurationError("vertices are collinear")
-    return q
+    return _MotionBasis(x.shape[0])(x)
 
 
 def _kernel_beyond_trivial(x, surface):
     """Kernel vectors of the rigidity matrix orthogonal to rigid motions."""
     x = as_config(x)
-    R = rigidity_matrix(x, surface)
-    T = trivial_motion_basis(x)
-    A = np.vstack([R, T.T])
-    _, s, vt = np.linalg.svd(A)
-    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    null_dim = A.shape[1] - rank
-    return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
+    return _BorderedJacobian(surface, x.shape[0]).kernel_beyond_trivial(x)
 
 
 def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
@@ -228,12 +299,20 @@ def trace_flex(
     aborts with :class:`SingularPointError` when the kernel dimension leaves
     1, with :class:`FaceDegenerationError` when a face area collapses, and
     with :class:`CorrectorDivergenceError` when no step size works; the
-    partial path is attached to the exception.
+    partial path is attached to the exception.  The corrector stops when
+    every residual is at most ``tol``, positive and finite, by default
+    1e-11 times the squared longest edge.
+
+    Each step costs its LAPACK calls and little else: one bordered Jacobian,
+    set up once per trace, is refilled in place for every least-squares
+    correction and for the SVD that gives the next tangent.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     x = as_config(x0).copy()
     nv = x.shape[0]
     targets_sq = squared_lengths(surface, x)
@@ -247,6 +326,10 @@ def trace_flex(
     samples = [x.copy()]
     ds: list[float] = []
     diags: list[dict] = []
+    # One bordered Jacobian serves every corrector iteration and tangent.
+    jac = _BorderedJacobian(surface, nv)
+    res = np.empty(len(jac.J))  # [g; slice residual], written in place
+    g, slice_res = res[: len(targets_sq)], res[len(targets_sq) :]
 
     def path():
         ts = np.concatenate([[0.0], np.cumsum(ds)]) if ds else np.array([0.0])
@@ -272,7 +355,7 @@ def trace_flex(
         )
 
     def tangent_at(y):
-        kernel = _kernel_beyond_trivial(y, surface)
+        kernel = jac.kernel_beyond_trivial(y)
         if kernel.shape[1] != 1:
             raise SingularPointError(
                 f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
@@ -298,21 +381,21 @@ def trace_flex(
                 f"step size underflow at accepted step {accepted}", path=path()
             )
         x_pred = x + h * tangent.reshape(nv, 3)
-        T_pred = trivial_motion_basis(x_pred)
-        y = x_pred.copy()
+        T_pred = jac.motions(x_pred)
+        jac.border[:] = T_pred.T
+        y = x_pred  # no array is changed in place below
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
-            g = squared_length_residual(y, surface, targets_sq)
-            slice_res = T_pred.T @ (y - x_pred).reshape(-1)
-            res = np.concatenate([g, slice_res])
-            if np.max(np.abs(g)) <= tol and np.max(np.abs(slice_res)) <= tol:
+            np.subtract(squared_lengths(surface, y), targets_sq, out=g)
+            np.matmul(T_pred.T, (y - x_pred).reshape(-1), out=slice_res)
+            if np.abs(res).max() <= tol:
                 ok = True
                 gn_iters = it
                 break
-            J = np.vstack([rigidity_matrix(y, surface), T_pred.T])
-            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
+            jac.scatter(jac.J, y)
+            delta, *_ = np.linalg.lstsq(jac.J, -res, rcond=None)
             y = y + delta.reshape(nv, 3)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 break
         if not ok:
             h *= 0.5
@@ -325,9 +408,10 @@ def trace_flex(
             fi = int(np.argmin(areas))
             raise FaceDegenerationError(surface.faces[fi], float(areas.min()), path=path())
 
-        ds.append(float(np.linalg.norm((y - x).reshape(-1))))
+        d = (y - x).reshape(-1)
+        ds.append(math.sqrt(d.dot(d)))  # np.linalg.norm's arithmetic
         x = y
-        samples.append(x.copy())
+        samples.append(x)
         diags.append({"step": h, "corrector_iters": gn_iters})
         accepted += 1
 

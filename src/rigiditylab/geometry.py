@@ -127,12 +127,18 @@ class DihedralAngle:
 # results equal those of a loop over 3-vectors to the last bit.
 
 _dot = np.vecdot
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
 
 
 def _cross(a, b):
-    """np.cross over the last axis: the same products, without its set-up."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    """np.cross over the last axis: the same products, without its set-up.
+
+    Component k is a_i*b_j - a_j*b_i for (i, j) the cyclic successors of k;
+    both products of every component come from one gather of each factor.
+    """
+    p = a[..., _CROSS_A] * b[..., _CROSS_B]
+    return p[..., :3] - p[..., 3:]
 
 
 def _corners(surface, x):

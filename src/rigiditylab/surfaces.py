@@ -122,7 +122,9 @@ class SimplicialSurface:
 
 
 def _index_table(index: dict, simplices, width: int) -> np.ndarray:
-    return np.array([[index[v] for v in s] for s in simplices], dtype=np.intp).reshape(-1, width)
+    """Column-major, so each column is a contiguous index array."""
+    table = np.array([[index[v] for v in s] for s in simplices], dtype=np.intp)
+    return np.asfortranarray(table.reshape(-1, width))
 
 
 def edge_table(surface) -> np.ndarray:

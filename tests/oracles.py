@@ -15,8 +15,22 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from rigiditylab import geometry, lengths, models, normalize_sqrt
-from rigiditylab.flex import rigidity_matrix, squared_length_residual
-from rigiditylab.surfaces import SimplicialSurface
+from rigiditylab.flex import (
+    ANGLE_BLOCK,
+    MAX_CORRECTOR_ITERS,
+    SV_THRESHOLD,
+    CorrectorDivergenceError,
+    DegenerateConfigurationError,
+    FaceDegenerationError,
+    FlexPath,
+    SingularPointError,
+    as_config,
+    lift_angles,
+    rigidity_matrix,
+    squared_length_residual,
+)
+from rigiditylab.geometry import face_areas, principal_angles, squared_lengths
+from rigiditylab.surfaces import SimplicialSurface, edge_table
 
 
 def fraction_exact_lengths(P) -> list:
@@ -351,3 +365,167 @@ def full_scan_distinct_octahedron():
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         X = X + delta.reshape(-1, 3)
     return X
+
+
+# The flex tracer as it was before its bordered Jacobian became a reused
+# workspace: every matrix is built afresh, by the (E, V, 3) scatter, the
+# fancy-index motion basis and np.vstack.  Tests compare the library's
+# tracer with it bit for bit.
+
+
+def reference_rigidity_matrix(x, surface) -> np.ndarray:
+    x = as_config(x)
+    ends = edge_table(surface)
+    rows = np.arange(len(ends))
+    d = 2.0 * (x[ends[:, 0]] - x[ends[:, 1]])
+    R = np.zeros((len(ends), x.shape[0], 3))
+    R[rows, ends[:, 0]] = d
+    R[rows, ends[:, 1]] = -d
+    return R.reshape(len(ends), -1)
+
+
+def reference_trivial_motion_basis(x) -> np.ndarray:
+    x = as_config(x)
+    nv = x.shape[0]
+    if nv < 3:
+        raise DegenerateConfigurationError("vertices are collinear")
+    centered = x - x.mean(axis=0)
+    basis = np.zeros((nv, 3, 6))
+    basis[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    cz = np.concatenate([centered.T, 0.0 * centered.T])
+    rot = cz[[5, 3, 1, 2, 3, 4, 5, 0, 4]] - cz[[4, 2, 3, 4, 5, 0, 1, 5, 3]]
+    basis[:, :, 3:] = rot.reshape(3, 3, nv).T
+    q, r = np.linalg.qr(basis.reshape(3 * nv, 6))
+    diag = np.abs(np.diagonal(r))
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        raise DegenerateConfigurationError("vertices are collinear")
+    return q
+
+
+def reference_kernel_beyond_trivial(x, surface):
+    x = as_config(x)
+    R = reference_rigidity_matrix(x, surface)
+    T = reference_trivial_motion_basis(x)
+    A = np.vstack([R, T.T])
+    _, s, vt = np.linalg.svd(A)
+    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > cutoff))
+    null_dim = A.shape[1] - rank
+    return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
+
+
+def reference_trace_flex(
+    x0, surface, direction_hint=None, n_steps=200, step=0.01, tol=None
+) -> FlexPath:
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    x = as_config(x0).copy()
+    nv = x.shape[0]
+    targets_sq = squared_lengths(surface, x)
+    initial_lengths = np.sqrt(targets_sq)
+    max_len = float(initial_lengths.max())
+    if tol is None:
+        tol = 1e-11 * max_len**2
+    area_tol = 1e-12 * max_len**2
+
+    principal_angles(surface, x)
+    samples = [x.copy()]
+    ds: list[float] = []
+    diags: list[dict] = []
+
+    def path():
+        ts = np.concatenate([[0.0], np.cumsum(ds)]) if ds else np.array([0.0])
+        if ts[-1] > 0:
+            ts = ts / ts[-1]
+        configs = np.array(samples)
+        raw = np.empty((len(configs), len(surface.edges)))
+        flags = np.empty(raw.shape, dtype=bool)
+        for k in range(0, len(configs), ANGLE_BLOCK):
+            block = slice(k, k + ANGLE_BLOCK)
+            raw[block], flags[block] = principal_angles(surface, configs[block])
+        return FlexPath(
+            surface=surface,
+            ts=ts,
+            configs=configs,
+            raw_angles=raw,
+            lifted_angles=lift_angles(raw, flags),
+            degenerate_flags=flags,
+            initial_lengths=initial_lengths,
+            diagnostics=diags,
+        )
+
+    def tangent_at(y):
+        kernel = reference_kernel_beyond_trivial(y, surface)
+        if kernel.shape[1] != 1:
+            raise SingularPointError(
+                f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
+                flex_dim=kernel.shape[1],
+                path=path(),
+            )
+        return kernel[:, 0]
+
+    tangent = tangent_at(x)
+    if direction_hint is not None:
+        hint = np.asarray(direction_hint, dtype=float).reshape(-1)
+        if float(np.dot(tangent, hint)) < 0:
+            tangent = -tangent
+    elif tangent[int(np.argmax(np.abs(tangent)))] < 0:
+        tangent = -tangent
+
+    h = step
+    easy_run = 0
+    accepted = 0
+    while accepted < n_steps:
+        if h < step * 2.0**-24:
+            raise CorrectorDivergenceError(
+                f"step size underflow at accepted step {accepted}", path=path()
+            )
+        x_pred = x + h * tangent.reshape(nv, 3)
+        T_pred = reference_trivial_motion_basis(x_pred)
+        y = x_pred.copy()
+        ok = False
+        for it in range(MAX_CORRECTOR_ITERS):
+            g = squared_length_residual(y, surface, targets_sq)
+            slice_res = T_pred.T @ (y - x_pred).reshape(-1)
+            res = np.concatenate([g, slice_res])
+            if np.max(np.abs(g)) <= tol and np.max(np.abs(slice_res)) <= tol:
+                ok = True
+                gn_iters = it
+                break
+            J = np.vstack([reference_rigidity_matrix(y, surface), T_pred.T])
+            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
+            y = y + delta.reshape(nv, 3)
+            if not np.all(np.isfinite(y)):
+                break
+        if not ok:
+            h *= 0.5
+            easy_run = 0
+            continue
+
+        areas = face_areas(surface, y)
+        if areas.min() <= area_tol:
+            fi = int(np.argmin(areas))
+            raise FaceDegenerationError(surface.faces[fi], float(areas.min()), path=path())
+
+        ds.append(float(np.linalg.norm((y - x).reshape(-1))))
+        x = y
+        samples.append(x.copy())
+        diags.append({"step": h, "corrector_iters": gn_iters})
+        accepted += 1
+
+        new_tangent = tangent_at(x)
+        if float(np.dot(new_tangent, tangent)) < 0:
+            new_tangent = -new_tangent
+        tangent = new_tangent
+
+        if gn_iters <= 3:
+            easy_run += 1
+            if easy_run >= 3:
+                h = min(2.0 * h, step)
+                easy_run = 0
+        else:
+            easy_run = 0
+
+    return path()

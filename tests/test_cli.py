@@ -187,6 +187,18 @@ def test_meaningless_counts_exit_2(args, message):
     assert message.encode() in proc.stderr
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_meaningless_tol_exit_2(tol):
+    """A tolerance no residual can meet is refused up front, not reported as
+    a step size underflow after the corrector has failed at every step."""
+    proc = run_cli("flex", "--model", "bricard-default", "--steps", "20", f"--tol={tol}")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: ValueError: tol must be positive and finite, got {float(tol)}\n"
+    )
+
+
 # Runs one command through cli.main in a fresh interpreter, then reports on
 # stderr whether mpmath was imported.
 MPMATH_PROBE = (

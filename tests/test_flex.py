@@ -1,9 +1,12 @@
+import random
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from perfbench import inputs
 from rigiditylab import (
+    CorrectorDivergenceError,
     DegenerateConfigurationError,
     FlexPath,
     LiftAmbiguityError,
@@ -12,14 +15,21 @@ from rigiditylab import (
     infinitesimal_flex_dim,
     is_trivial_flex,
     lift_angles,
+    make_bricard_type1,
     rigidity_matrix,
     trace_flex,
     trivial_motion_basis,
 )
-from rigiditylab.flex import ANGLE_BLOCK
+from rigiditylab.flex import ANGLE_BLOCK, MAX_CORRECTOR_ITERS, _kernel_beyond_trivial
 from rigiditylab.geometry import principal_angles
 
-from oracles import exact_flex_dim
+from oracles import (
+    exact_flex_dim,
+    reference_kernel_beyond_trivial,
+    reference_rigidity_matrix,
+    reference_trace_flex,
+    reference_trivial_motion_basis,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -234,3 +244,104 @@ def test_single_sample_path_trivial(bricard_path):
         initial_lengths=bricard_path.initial_lengths,
     )
     assert is_trivial_flex(single)
+
+
+# The tracer reuses one bordered Jacobian, refilled in place.  The reference
+# tracer builds every matrix afresh; both must agree to the last bit.
+
+PATH_ARRAYS = ("configs", "ts", "raw_angles", "lifted_angles", "degenerate_flags")
+
+
+def assert_same_path(path, ref):
+    for name in PATH_ARRAYS:
+        a, b = getattr(path, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert path.diagnostics == ref.diagnostics
+
+
+def traced_pair(P, **kwargs):
+    x0 = P.vertex_array()
+    return (trace_flex(x0, P.surface, **kwargs),
+            reference_trace_flex(x0, P.surface, **kwargs))
+
+
+def test_trace_matches_reference_default_spec(bricard):
+    assert_same_path(*traced_pair(bricard, n_steps=400))
+
+
+@pytest.mark.parametrize("seed", [5, 13])
+def test_trace_matches_reference_seeded_spec(seed):
+    P = make_bricard_type1(inputs.bricard_spec(random.Random(seed)))
+    assert_same_path(*traced_pair(P, n_steps=150))
+
+
+def test_trace_matches_reference_through_halving(bricard):
+    cap = 256.0
+    path, ref = traced_pair(bricard, n_steps=12, step=cap)
+    assert min(d["step"] for d in path.diagnostics) < cap
+    assert_same_path(path, ref)
+
+
+@pytest.mark.parametrize(
+    "model, kwargs, error",
+    [
+        ("octahedron", {"n_steps": 5}, SingularPointError),
+        ("bricard", {"n_steps": 5, "tol": 1e-300}, CorrectorDivergenceError),
+    ],
+)
+def test_trace_failures_match_reference(model, kwargs, error, request):
+    P = request.getfixturevalue(model)
+    x0 = P.vertex_array()
+    with pytest.raises(error) as got:
+        trace_flex(x0, P.surface, **kwargs)
+    with pytest.raises(error) as want:
+        reference_trace_flex(x0, P.surface, **kwargs)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "flex_dim", None) == getattr(want.value, "flex_dim", None)
+    assert_same_path(got.value.path, want.value.path)
+
+
+def test_flex_matrices_match_reference(octahedron, cube, bricard_path):
+    cases = [(P.surface, P.vertex_array()) for P in (octahedron, cube)]
+    cases += [(bricard_path.surface, x) for x in bricard_path.configs[::15]]
+    for surface, x in cases:
+        for got, want in (
+            (rigidity_matrix(x, surface), reference_rigidity_matrix(x, surface)),
+            (trivial_motion_basis(x), reference_trivial_motion_basis(x)),
+            (_kernel_beyond_trivial(x, surface), reference_kernel_beyond_trivial(x, surface)),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_edge_stub_matrix_matches_reference():
+    stub = EdgeOnly(edges=((0, 1), (1, 3), (0, 2)), vertices=(0, 1, 2, 3))
+    x = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 3.0], [0.5, 0.25, -1.0], [-0.0, 4.0, 1.5]])
+    R = rigidity_matrix(x, stub)
+    assert R.shape == (3, 12)
+    assert R.tobytes() == reference_rigidity_matrix(x, stub).tobytes()
+
+
+def test_lapack_call_counts(bricard, monkeypatch, caplog):
+    """Per accepted step: two QR factorizations (predictor and tangent motion
+    bases), one SVD (tangent) and one least-squares solve per corrector
+    iteration; the initial tangent adds one QR and one SVD."""
+    counts = dict.fromkeys(("qr", "svd", "lstsq"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    with caplog.at_level("DEBUG", logger="rigiditylab"):
+        path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=200)
+    failed = sum("corrector failed" in r.getMessage() for r in caplog.records)
+    assert failed == 0  # so no failed attempt adds its iterations below
+    accepted = path.n_samples - 1
+    assert counts == {
+        "qr": 2 * accepted + 1 + failed,
+        "svd": accepted + 1,
+        "lstsq": sum(d["corrector_iters"] for d in path.diagnostics)
+        + MAX_CORRECTOR_ITERS * failed,
+    }

@@ -9,6 +9,9 @@ The golden files pin the output of the program as it stands.  Regenerating
 them, with ``PYTHONPATH=src python tests/test_golden.py``, is a declared
 re-baseline of that output: a change that does it says so in CHANGES.md,
 with the reason the bytes moved.
+
+A case may also read an input file from ``tests/golden/``: ``<case>.off``
+is a fixed OFF mesh, written once from a seeded spec and never regenerated.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ CASES = {
         ("--out-json", "--out-csv"),
     ),
     "oracle-octahedron": (["oracle", "--model", "octahedron", "--samples", "2000"], ()),
+    # A Bricard octahedron from perfbench.inputs.bricard_spec(random.Random(2026)),
+    # as the benchmark's command-line workload flexes it: numeric mode, OFF input.
+    "flex-numeric-bricard-off": (
+        ["flex", "--input", str(GOLDEN / "flex-numeric-bricard-off.off"),
+         "--mode", "numeric", "--steps", "60"],
+        ("--out-json", "--out-csv"),
+    ),
 }
 
 
