@@ -3,9 +3,10 @@
 # The angle at an edge is measured in [0, 2*pi): in the plane orthogonal to
 # the edge, the two in-face directions bound two complementary wedges, and
 # the angle is the width of the wedge on the side of the summed face
-# normals.  A Monte-Carlo estimate samples a small ball around the edge
-# midpoint and measures the volume fraction of the same wedge, which gives
-# an independent check of the closed-form value.
+# normals.  A Monte-Carlo estimate samples unit directions and counts the
+# share inside the same wedge; the wedge is a cone about the edge, so that
+# is its volume fraction in any ball around the edge midpoint.  This gives a
+# sampled check of the closed-form value.
 
 import numpy as np
 

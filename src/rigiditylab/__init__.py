@@ -20,7 +20,6 @@ from .geometry import (
     DegenerateFaceError,
     DihedralAngle,
     Polyhedron,
-    ZeroRadiusError,
     all_dihedrals,
     check_nondegenerate,
     edge_length_vector,

@@ -31,7 +31,6 @@ from .flex import (
 )
 from .geometry import (
     DegenerateFaceError,
-    ZeroRadiusError,
     all_dihedrals,
     monte_carlo_dihedrals,
 )
@@ -260,7 +259,6 @@ def main(argv=None) -> int:
         FaceDegenerationError,
         LiftAmbiguityError,
         DegenerateFaceError,
-        ZeroRadiusError,
         ValueError,
     ) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -23,7 +23,6 @@ from .lengths import normalize_sqrt
 from .surfaces import SimplicialSurface, edge_table
 
 DEGENERATE_NORMAL_TOL = 1e-9
-MC_RADIUS_FRACTION = 0.25  # share of the clearance used as sampling radius
 
 
 class DegenerateFaceError(Exception):
@@ -31,10 +30,6 @@ class DegenerateFaceError(Exception):
         self.face = face
         self.area = area
         super().__init__(f"face {face} has area {area:.3e}")
-
-
-class ZeroRadiusError(Exception):
-    """The sampling ball around an edge midpoint would have zero radius."""
 
 
 @dataclass
@@ -290,69 +285,6 @@ def all_dihedrals(P: Polyhedron) -> list[DihedralAngle]:
     return [DihedralAngle(e, float(v), bool(f)) for e, v, f in zip(P.surface.edges, values, flags)]
 
 
-def _point_segment_distance(x, p, q) -> float:
-    d = q - p
-    denom = float(np.dot(d, d))
-    if denom == 0.0:
-        return float(np.linalg.norm(x - p))
-    t = np.clip(float(np.dot(x - p, d)) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(x - (p + t * d)))
-
-
-def _point_triangle_distance(x, a, b, c) -> float:
-    """Distance from a point to a (possibly degenerate) triangle."""
-    n = np.cross(b - a, c - a)
-    nn = float(np.dot(n, n))
-    if nn > 0.0:
-        # Project into the plane and test barycentric containment.
-        proj = x - (float(np.dot(x - a, n)) / nn) * n
-        v0, v1, v2 = c - a, b - a, proj - a
-        d00, d01, d11 = np.dot(v0, v0), np.dot(v0, v1), np.dot(v1, v1)
-        d20, d21 = np.dot(v2, v0), np.dot(v2, v1)
-        denom = d00 * d11 - d01 * d01
-        if denom > 0.0:
-            u = (d11 * d20 - d01 * d21) / denom
-            v = (d00 * d21 - d01 * d20) / denom
-            if u >= 0.0 and v >= 0.0 and u + v <= 1.0:
-                return float(np.linalg.norm(x - proj))
-    return min(
-        _point_segment_distance(x, a, b),
-        _point_segment_distance(x, b, c),
-        _point_segment_distance(x, c, a),
-    )
-
-
-def _safe_ball_radius(P: Polyhedron, edge: tuple[int, int]) -> float:
-    """Radius of a ball around the edge midpoint that avoids every simplex
-    other than the two incident faces and the edge itself."""
-    a, b = edge
-    if a > b:
-        a, b = b, a
-    x = 0.5 * (P.point(a) + P.point(b))
-    incident = set(P.surface.faces_of_edge((a, b)))
-    dist = np.inf
-    for fi, face in enumerate(P.surface.faces):
-        if fi in incident:
-            # Keep clear of the incident faces' other boundary edges.
-            for k in range(3):
-                p, q = face[k], face[(k + 1) % 3]
-                if {p, q} == {a, b}:
-                    continue
-                dist = min(dist, _point_segment_distance(x, P.point(p), P.point(q)))
-        else:
-            dist = min(
-                dist,
-                _point_triangle_distance(
-                    x, P.point(face[0]), P.point(face[1]), P.point(face[2])
-                ),
-            )
-    if not np.isfinite(dist) or dist <= 1e-12 * P.max_edge_length():
-        raise ZeroRadiusError(
-            f"edge {(a, b)}: midpoint touches another simplex (distance {dist:.3e})"
-        )
-    return MC_RADIUS_FRACTION * float(dist)
-
-
 def monte_carlo_dihedral(
     P: Polyhedron,
     edge: tuple[int, int],
@@ -360,13 +292,15 @@ def monte_carlo_dihedral(
     seed: int = 0,
     workers: int = 1,
 ) -> float:
-    """Volume-ratio estimate of the dihedral angle at an edge.
+    """Monte-Carlo estimate of the dihedral angle at an edge.
 
-    Samples points uniformly in a ball around the edge midpoint, small
-    enough to meet no simplex besides the two incident faces.  The two faces
-    cut the ball into two slices; the returned value is 2*pi times the
-    fraction of samples falling in the slice on the side of the summed face
-    normals.  Serves as the independent check of :func:`principal_dihedral`.
+    The two incident faces bound two wedges about the edge's line, and a
+    wedge is a cone about every point of that line.  So the share of a ball
+    around the edge midpoint that lies in the wedge on the side of the
+    summed face normals is the share of directions that do, at any radius,
+    and no other simplex enters.  The returned value is 2*pi times the
+    fraction of uniformly drawn unit directions in that wedge.  Serves as
+    the sampled check of :func:`principal_dihedral`.
 
     Sampling is split into ``workers`` deterministic chunks whose sub-seeds
     derive from the master seed, so results are reproducible for a fixed
@@ -384,11 +318,10 @@ def monte_carlo_dihedrals(
 ) -> list[float]:
     """:func:`monte_carlo_dihedral` at each of ``edges``, from one draw.
 
-    Every edge scales the same unit-ball sample by its own radius and
-    classifies it in its own frame, so each chunk is drawn once for all
-    edges and each value equals that of a separate call.  Frames and radii
-    are found edge by edge before any draw, so the first failing edge raises
-    as a loop of separate calls would.
+    Every edge classifies the same unit directions in its own frame, so
+    each chunk is drawn once for all edges and each value equals that of a
+    separate call.  Frames are found edge by edge before any draw, so the
+    first failing edge raises as a loop of separate calls would.
     """
     if n_samples < 1 or workers < 1:
         raise ValueError(
@@ -396,19 +329,18 @@ def monte_carlo_dihedrals(
             f"workers={workers}"
         )
     values = [0.0] * len(edges)
-    live = []  # (index, radius, e1, e2, a2, ref_in_first) of nondegenerate edges
+    live = []  # (index, e1, e2, a2, ref_in_first) of nondegenerate edges
     for i, edge in enumerate(edges):
         row = [_edge_row(P, edge)]
         e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
         w = n[0] + n[1]
         if np.linalg.norm(w) <= DEGENERATE_NORMAL_TOL:
             continue
-        radius = _safe_ball_radius(P, edge)
         e1 = u[0]
         e2 = np.cross(e_hat, e1)
         a2 = _plane_angle(u[1], e1, e2)
         aw = _plane_angle(w, e1, e2)
-        live.append((i, radius, e1, e2, a2, aw <= a2))
+        live.append((i, e1, e2, a2, aw <= a2))
     if not live:
         return values
 
@@ -423,11 +355,8 @@ def monte_carlo_dihedrals(
         rng = np.random.default_rng(ss)
         dirs = rng.normal(size=(size, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        cbrt_u = np.cbrt(rng.random(size))
-        for j, (_, radius, e1, e2, a2, ref_in_first) in enumerate(live):
-            radii = radius * cbrt_u
-            pts = radii[:, None] * dirs  # offsets from the midpoint
-            theta = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
+        for j, (_, e1, e2, a2, ref_in_first) in enumerate(live):
+            theta = np.arctan2(dirs @ e2, dirs @ e1) % (2.0 * np.pi)
             in_first = theta <= a2
             counts[j] += int(np.count_nonzero(in_first == ref_in_first))
     for (i, *_), count in zip(live, counts):

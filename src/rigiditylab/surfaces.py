@@ -82,15 +82,6 @@ class SimplicialSurface:
         key = (a, b) if a < b else (b, a)
         return list(self._edge_faces.get(key, []))
 
-    def directed_edge_in_face(self, edge: tuple[int, int], face_idx: int) -> bool:
-        """True if the face's cyclic order walks the edge as given (a, b)."""
-        a, b = edge
-        f = self.faces[face_idx]
-        for k in range(3):
-            if f[k] == a and f[(k + 1) % 3] == b:
-                return True
-        return False
-
     @cached_property
     def edge_table(self) -> np.ndarray:
         """Vertex indices of each edge's endpoints, shape (E, 2)."""
@@ -158,7 +149,8 @@ def validate_complex(faces) -> ValidationReport:
     - "i": every triple consists of three distinct vertex ids;
     - "ii": no two faces share the same vertex set (for triangle lists the
       remaining simplex-intersection requirements hold by derivation);
-    - "iii": every derived vertex and edge lies in some triangle;
+    - "iii": every derived vertex and edge lies in some triangle (this holds
+      by construction, since both are derived from the triangles);
     - "iv": every edge is contained in exactly two faces;
     - "v": the face graph (adjacency = shared edge) is connected;
     - "orientation": the two faces at each edge traverse it in opposite
@@ -189,21 +181,13 @@ def validate_complex(faces) -> ValidationReport:
     if surface is None:
         return ValidationReport(False, violations)
 
-    # "iii" holds by construction (vertices and edges are derived from the
-    # triangles); assert it anyway so corruption cannot pass silently.
-    covered = {v for f in surface.faces for v in f}
-    stray_vertices = [v for v in surface.vertices if v not in covered]
-    stray_edges = [e for e in surface.edges if not surface.faces_of_edge(e)]
-    if stray_vertices or stray_edges:
-        violations.append(("iii", stray_vertices + stray_edges))
-
     _, status = surface.wing_table
     edge_status = list(zip(surface.edges, status))
     bad_edges = [(e, len(surface.faces_of_edge(e))) for e, s in edge_status if s == 1]
     if bad_edges:
         violations.append(("iv", bad_edges))
 
-    component = _face_component(surface, 0)
+    component = {0, *(gi for *_, gi, new in _face_walk(surface, 0) if new)}
     if len(component) != surface.n_faces:
         stranded = sorted(set(range(surface.n_faces)) - component)
         violations.append(("v", [surface.faces[i] for i in stranded]))
@@ -220,19 +204,28 @@ def validate_complex(faces) -> ValidationReport:
     return ValidationReport(passed, violations)
 
 
-def _face_component(surface: SimplicialSurface, start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
+def _face_walk(surface: SimplicialSurface, root: int):
+    """Breadth-first walk over the faces joined to ``root`` by shared edges.
+
+    Yields (fi, (a, b), gi, new) for each face fi in walk order, each of its
+    edges (a, b) in fi's cyclic order and each other face gi at that edge;
+    ``new`` marks the first sighting of gi, which queues it.
+    """
+    seen = {root}
+    queue = deque([root])
     while queue:
         fi = queue.popleft()
         f = surface.faces[fi]
         for k in range(3):
             a, b = f[k], f[(k + 1) % 3]
             for gi in surface.faces_of_edge((a, b)):
-                if gi not in seen:
+                if gi == fi:
+                    continue
+                new = gi not in seen
+                if new:
                     seen.add(gi)
                     queue.append(gi)
-    return seen
+                yield fi, (a, b), gi, new
 
 
 def orient(surface: SimplicialSurface) -> SimplicialSurface:
@@ -252,28 +245,17 @@ def orient(surface: SimplicialSurface) -> SimplicialSurface:
         if root in flip:
             continue
         flip[root] = False
-        queue = deque([root])
-        while queue:
-            fi = queue.popleft()
-            f = surface.faces[fi]
-            for k in range(3):
-                a, b = f[k], f[(k + 1) % 3]
-                for gi in surface.faces_of_edge((a, b)):
-                    if gi == fi:
-                        continue
-                    # fi walks the shared edge as (a, b) in its stored order;
-                    # with flips applied the neighbour must walk it as (b, a).
-                    fi_dir = not flip[fi]  # True: stored order is in effect
-                    gi_stored = surface.directed_edge_in_face((a, b), gi)
-                    need_flip = gi_stored == fi_dir
-                    if gi not in flip:
-                        flip[gi] = need_flip
-                        queue.append(gi)
-                    elif flip[gi] != need_flip:
-                        raise NonOrientableError(
-                            f"faces {surface.faces[fi]} and {surface.faces[gi]} "
-                            f"cannot be oriented consistently"
-                        )
+        for fi, edge, gi, new in _face_walk(surface, root):
+            # With flips applied, gi must walk the shared edge against fi.
+            g = surface.faces[gi]
+            need_flip = (edge in zip(g, g[1:] + g[:1])) != flip[fi]
+            if new:
+                flip[gi] = need_flip
+            elif flip[gi] != need_flip:
+                raise NonOrientableError(
+                    f"faces {surface.faces[fi]} and {surface.faces[gi]} "
+                    f"cannot be oriented consistently"
+                )
     new_faces = [
         (f[0], f[2], f[1]) if flip[i] else f for i, f in enumerate(surface.faces)
     ]

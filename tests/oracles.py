@@ -252,13 +252,15 @@ def per_edge_monte_carlo_dihedral(
     P, edge, n_samples: int = 10**6, seed: int = 0, workers: int = 1
 ) -> float:
     """Volume-ratio estimate of the dihedral angle at one edge, drawing its
-    own sample."""
+    own sample of points in a ball around the edge midpoint.  The radius, a
+    quarter of the shortest edge, is this oracle's own choice; the wedge is
+    a cone about the midpoint, so any radius classifies alike."""
     row = [geometry._edge_row(P, edge)]
     e_hat, u, n = (f[0] for f in geometry._edge_frames(P.surface, P._vertex_array, row))
     w = n[0] + n[1]
     if np.linalg.norm(w) <= geometry.DEGENERATE_NORMAL_TOL:
         return 0.0
-    radius = geometry._safe_ball_radius(P, edge)
+    radius = 0.25 * min(np.linalg.norm(P.point(a) - P.point(b)) for a, b in P.surface.edges)
 
     e1 = u[0]
     e2 = np.cross(e_hat, e1)

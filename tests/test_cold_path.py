@@ -4,6 +4,7 @@ require that every result equals that of the code it replaced, kept in
 full closing scan of the distinct-length octahedron."""
 
 import json
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigiditylab import cli, lengths, models
-from rigiditylab.geometry import ZeroRadiusError, monte_carlo_dihedral, monte_carlo_dihedrals
+from rigiditylab.geometry import monte_carlo_dihedral, monte_carlo_dihedrals, principal_angles
 from perfbench import inputs
 
 from oracles import (
@@ -59,7 +60,7 @@ def test_square_split_matches_full_prime_table(n):
 
 
 # Two edges of this octahedron, (0, 1) and (1, 2), have their midpoints on
-# another simplex; the first of them must be the one reported.
+# another simplex.
 TOUCHING_OCTAHEDRON_OFF = """OFF
 6 8 0
 -3.0 -6.0 2.6666666666666665
@@ -110,15 +111,79 @@ def test_monte_carlo_matches_per_edge_draws(mc_models, capsys, workers, n_sample
         assert [row["monte_carlo"] for row in rows] == expected
 
 
-def test_monte_carlo_first_zero_radius_edge_raises():
-    P = models.load_off(TOUCHING_OCTAHEDRON_OFF)
-    with pytest.raises(ZeroRadiusError) as expected:
-        for e in P.surface.edges:
-            per_edge_monte_carlo_dihedral(P, e, 10)
-    with pytest.raises(ZeroRadiusError) as got:
-        monte_carlo_dihedrals(P, P.surface.edges, 10)
-    assert str(got.value) == str(expected.value)
-    assert str(got.value).startswith("edge (0, 1):")
+# The regular octahedron with vertex 5 moved onto the midpoint of edge (0, 1).
+MIDPOINT_VERTEX_OCTAHEDRON_OFF = """OFF
+6 8 0
+1 0 0
+0 1 0
+0 0 1
+0 0 -1
+0 -1 0
+0.5 0.5 0
+3 0 1 2
+3 0 2 4
+3 0 3 1
+3 0 4 3
+3 1 3 5
+3 1 5 2
+3 2 5 4
+3 3 4 5
+"""
+
+
+def _oracle_disagreements(det, mc, n_samples):
+    """Edges where the sampled angle lies beyond 6 sigma of the binomial
+    share det / 2pi, as the benchmark's command-line check counts them."""
+    bad = []
+    for i, (d, m) in enumerate(zip(det, mc)):
+        p = d / (2 * math.pi)
+        sigma = 2 * math.pi * math.sqrt(max(p * (1 - p), 0.0) / n_samples)
+        if abs(d - m) > 6 * sigma + 1e-9:
+            bad.append(i)
+    return bad
+
+
+# A self-touching polyhedron is a valid input: the sampled wedge at an edge
+# is a cone, so what else passes through the edge midpoint does not matter.
+@pytest.mark.parametrize("off", [TOUCHING_OCTAHEDRON_OFF, MIDPOINT_VERTEX_OCTAHEDRON_OFF],
+                         ids=["touching", "midpoint-vertex"])
+def test_monte_carlo_self_touching_octahedron(off, tmp_path, capsys):
+    P = models.load_off(off)
+    edges, n = P.surface.edges, 20000
+    expected = [per_edge_monte_carlo_dihedral(P, e, n, seed=0, workers=3) for e in edges]
+    assert monte_carlo_dihedrals(P, edges, n, 0, 3) == expected
+    det, _ = principal_angles(P.surface, P.vertex_array())
+    assert _oracle_disagreements(det, expected, n) == []
+    path = tmp_path / "touching.off"
+    path.write_text(off)
+    code = cli.main(["oracle", "--input", str(path), "--samples", str(n), "--workers", "3"])
+    assert code == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["edges"]
+    assert [row["monte_carlo"] for row in rows] == expected
+
+
+def _benchmark_octahedron(seed: int, round_: int):
+    """The octahedron that the benchmark's command-line workload writes for
+    ``round_``: each round draws a Bricard spec, an octahedron and a cube
+    from one ``random.Random(seed)``, in that order."""
+    rng = random.Random(seed)
+    for _ in range(round_ + 1):
+        inputs.bricard_spec(rng)
+        P = inputs.rational_octahedron(rng)
+        inputs.rational_cube(rng)
+    return P
+
+
+# Benchmark inputs with an edge midpoint on another simplex.
+@pytest.mark.parametrize("seed, round_", [(4, 0), (5, 1), (19, 12)])
+def test_oracle_on_benchmark_self_touching_octahedra(seed, round_, tmp_path, capsys):
+    n = 100_000
+    path = tmp_path / "octa.off"
+    path.write_text(models.save_off(_benchmark_octahedron(seed, round_)))
+    assert cli.main(["oracle", "--input", str(path), "--samples", str(n)]) == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["edges"]
+    det = [row["deterministic"] for row in rows]
+    assert _oracle_disagreements(det, [row["monte_carlo"] for row in rows], n) == []
 
 
 def test_distinct_octahedron_matches_full_scan():

@@ -5,7 +5,6 @@ from rigiditylab import (
     DegenerateFaceError,
     Polyhedron,
     SimplicialSurface,
-    ZeroRadiusError,
     check_nondegenerate,
     edge_lengths,
     monte_carlo_dihedral,
@@ -13,7 +12,6 @@ from rigiditylab import (
     principal_dihedral,
     weighted_angle_sum,
 )
-from rigiditylab.models import OCTAHEDRON_FACES
 
 from oracles import hull_volume
 
@@ -139,17 +137,6 @@ def test_monte_carlo_worker_partition_deterministic(cube):
     a = monte_carlo_dihedral(cube, (0, 1), n_samples=20000, seed=5, workers=4)
     b = monte_carlo_dihedral(cube, (0, 1), n_samples=20000, seed=5, workers=4)
     assert a == b
-
-
-def test_monte_carlo_zero_radius():
-    coords = {
-        0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1),
-        3: (0, 0, -1), 4: (0, -1, 0), 5: (0.5, 0.5, 0.0),
-    }
-    P = Polyhedron(SimplicialSurface(OCTAHEDRON_FACES), coords)
-    # vertex 5 sits on the midpoint of edge (0, 1)
-    with pytest.raises(ZeroRadiusError):
-        monte_carlo_dihedral(P, (0, 1), n_samples=10)
 
 
 def test_cube_volume_and_reversal(cube):

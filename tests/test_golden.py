@@ -56,6 +56,13 @@ CASES = {
          "--mode", "numeric", "--steps", "60"],
         ("--out-json", "--out-csv"),
     ),
+    # An octahedron from perfbench.inputs.rational_octahedron(random.Random(2026)),
+    # sampled in three chunks.
+    "oracle-octahedron-off": (
+        ["oracle", "--input", str(GOLDEN / "oracle-octahedron-off.off"),
+         "--samples", "20000", "--workers", "3"],
+        ("--out-json",),
+    ),
 }
 
 
