@@ -23,6 +23,9 @@ from .lengths import normalize_sqrt
 from .surfaces import SimplicialSurface, edge_table
 
 DEGENERATE_NORMAL_TOL = 1e-9
+# Unit directions the Monte-Carlo oracle draws and classifies at a time.  A
+# power of two, so block boundaries keep each sample's matvec rounding.
+_MC_BLOCK = 8192
 
 
 class DegenerateFaceError(Exception):
@@ -302,9 +305,11 @@ def monte_carlo_dihedral(
     fraction of uniformly drawn unit directions in that wedge.  Serves as
     the sampled check of :func:`principal_dihedral`.
 
-    Sampling is split into ``workers`` deterministic chunks whose sub-seeds
-    derive from the master seed, so results are reproducible for a fixed
-    (seed, workers) pair.
+    ``workers`` splits the sample into that many independent seeded streams,
+    whose sub-seeds derive from the master seed, so results are reproducible
+    for a fixed (seed, workers) pair.  The streams are drawn one after
+    another, not in parallel.  Each is drawn in blocks of a fixed size, so
+    memory does not grow with ``n_samples``.
     """
     return monte_carlo_dihedrals(P, [edge], n_samples, seed, workers)[0]
 
@@ -319,9 +324,13 @@ def monte_carlo_dihedrals(
     """:func:`monte_carlo_dihedral` at each of ``edges``, from one draw.
 
     Every edge classifies the same unit directions in its own frame, so
-    each chunk is drawn once for all edges and each value equals that of a
-    separate call.  Frames are found edge by edge before any draw, so the
-    first failing edge raises as a loop of separate calls would.
+    each block of a stream is drawn once for all edges and each value
+    equals that of a separate call.  A stream's blocks continue one
+    generator, so they hold exactly the directions of one whole draw, and
+    memory stays fixed whatever ``n_samples`` is.  Only the first
+    ``min(workers, n_samples)`` streams hold a sample, and only they are
+    spawned.  Frames are found edge by edge before any draw, so the first
+    failing edge raises as a loop of separate calls would.
     """
     if n_samples < 1 or workers < 1:
         raise ValueError(
@@ -345,20 +354,24 @@ def monte_carlo_dihedrals(
         return values
 
     counts = [0] * len(live)
-    chunk_sizes = [n_samples // workers] * workers
-    for i in range(n_samples % workers):
-        chunk_sizes[i] += 1
-    seeds = np.random.SeedSequence(seed).spawn(workers)
-    for size, ss in zip(chunk_sizes, seeds):
-        if size == 0:
-            continue
+    base, extra = divmod(n_samples, workers)  # stream k draws base + (k < extra)
+    x, theta = np.empty(_MC_BLOCK), np.empty(_MC_BLOCK)
+    for k, ss in enumerate(np.random.SeedSequence(seed).spawn(min(workers, n_samples))):
         rng = np.random.default_rng(ss)
-        dirs = rng.normal(size=(size, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        for j, (_, e1, e2, a2, ref_in_first) in enumerate(live):
-            theta = np.arctan2(dirs @ e2, dirs @ e1) % (2.0 * np.pi)
-            in_first = theta <= a2
-            counts[j] += int(np.count_nonzero(in_first == ref_in_first))
+        left = base + (k < extra)
+        while left:
+            m = min(left, _MC_BLOCK)
+            left -= m
+            dirs = rng.normal(size=(m, 3))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            xm, tm = x[:m], theta[:m]
+            for j, (_, e1, e2, a2, ref_in_first) in enumerate(live):
+                np.matmul(dirs, e1, out=xm)
+                np.matmul(dirs, e2, out=tm)
+                np.arctan2(tm, xm, out=tm)
+                np.remainder(tm, 2.0 * np.pi, out=tm)
+                n_first = int(np.count_nonzero(tm <= a2))
+                counts[j] += n_first if ref_in_first else m - n_first
     for (i, *_), count in zip(live, counts):
         values[i] = 2.0 * np.pi * count / n_samples
     return values

@@ -235,3 +235,26 @@ def test_numeric_analyze_golden_in_fresh_process():
     proc = run_cli("analyze", "--model", "bricard-default", "--mode", "numeric")
     assert proc.returncode == 0
     assert proc.stdout == golden.read_bytes()
+
+
+def _oracle_peak_rss_kb(samples: int) -> int:
+    """Peak RSS of a fresh ``oracle`` process, reaped with ``os.wait4``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=path, RIGIDITYLAB_LOG="error", **threads)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rigiditylab.cli", "oracle", "--model", "octahedron",
+         "--samples", str(samples)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss
+
+
+def test_oracle_memory_does_not_grow_with_samples():
+    """Directions are drawn one block at a time, so a million samples peak
+    at about the resident size of a single one."""
+    grown_kb = _oracle_peak_rss_kb(10**6) - _oracle_peak_rss_kb(1)
+    assert grown_kb <= 4 * 1024

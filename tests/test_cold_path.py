@@ -6,12 +6,14 @@ full closing scan of the distinct-length octahedron."""
 import json
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigiditylab import cli, lengths, models
+from rigiditylab import cli, geometry, lengths, models
 from rigiditylab.geometry import monte_carlo_dihedral, monte_carlo_dihedrals, principal_angles
 from perfbench import inputs
 
@@ -109,6 +111,49 @@ def test_monte_carlo_matches_per_edge_draws(mc_models, capsys, workers, n_sample
         assert code == cli.EXIT_OK
         rows = json.loads(capsys.readouterr().out)["edges"]
         assert [row["monte_carlo"] for row in rows] == expected
+
+
+B = geometry._MC_BLOCK
+
+
+# Streams just below, at and above one block, and several blocks long, equal
+# the per-edge oracle, which draws each stream whole.
+@pytest.mark.parametrize("n_samples, workers", [
+    (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 3, 1), (3 * B + 2, 3), (6 * B + 1, 3),
+])
+def test_monte_carlo_blocks_match_whole_draws(mc_models, n_samples, workers):
+    for P in mc_models.values():
+        edges = P.surface.edges
+        expected = [
+            per_edge_monte_carlo_dihedral(P, e, n_samples, seed=11, workers=workers)
+            for e in edges
+        ]
+        assert monte_carlo_dihedrals(P, edges, n_samples, 11, workers) == expected
+
+
+def test_monte_carlo_spawns_only_streams_that_draw(monkeypatch, octahedron):
+    spawned = []
+
+    class SpySeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    edges = octahedron.surface.edges
+    expected = monte_carlo_dihedrals(octahedron, edges, 5, 0, 5)
+    monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+    assert monte_carlo_dihedrals(octahedron, edges, 5, 0, 10**9) == expected
+    assert spawned and max(spawned) <= 5
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples(octahedron):
+    tracemalloc.start()
+    try:
+        monte_carlo_dihedrals(octahedron, octahedron.surface.edges, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 # The regular octahedron with vertex 5 moved onto the midpoint of edge (0, 1).

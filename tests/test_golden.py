@@ -63,6 +63,11 @@ CASES = {
          "--samples", "20000", "--workers", "3"],
         ("--out-json",),
     ),
+    # Two streams of 15001 and 15000 directions, each longer than one block.
+    "oracle-cube": (
+        ["oracle", "--model", "cube", "--samples", "30001", "--workers", "2"],
+        ("--out-json",),
+    ),
 }
 
 
