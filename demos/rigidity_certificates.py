@@ -17,10 +17,10 @@ from rigiditylab import (
 )
 
 # ----------------------------------------------------------------------
-# An octahedron whose twelve edges are sqrt(2), sqrt(3), ..., sqrt(19):
-# twelve distinct squarefree radicands, hence a rigid certificate.  The
-# rigidity matrix agrees (no infinitesimal flex), but the certificate did
-# not need it.
+# An octahedron on integer points whose twelve edges are sqrt(6),
+# sqrt(14), ..., sqrt(62): twelve distinct squarefree radicands, hence a
+# rigid certificate.  The rigidity matrix agrees (no infinitesimal flex),
+# but the certificate did not need it.
 # ----------------------------------------------------------------------
 
 P = make_distinct_length_octahedron()

@@ -18,7 +18,6 @@ from .surfaces import (
 )
 from .geometry import (
     DegenerateFaceError,
-    DihedralAngle,
     Polyhedron,
     all_dihedrals,
     check_nondegenerate,
@@ -35,7 +34,6 @@ from .lengths import (
     INDEPENDENT_UP_TO_HEIGHT,
     ExactLength,
     FactorizationTooLargeError,
-    IndependenceVerdict,
     SpanBasis,
     find_integer_relation,
     is_q_independent,
@@ -76,7 +74,6 @@ from .models import (
     BRICARD_VERTEX_SYMMETRY,
     BUILTIN_MODELS,
     DEFAULT_BRICARD_SPEC,
-    DISTINCT_RADICANDS,
     BricardSpec,
     DegenerateSpecError,
     NonTriangularFaceError,

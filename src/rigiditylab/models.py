@@ -1,10 +1,10 @@
 """Built-in model generators and file formats.
 
-Generators produce polyhedra with exact rational coordinates wherever
-possible, so squared edge lengths are exact rationals and the exact length
-algebra applies.  File I/O covers OFF meshes (text in, canonical text out),
-JSON analysis reports and CSV flex time series; all formats carry a
-format_version marker.
+Generators produce polyhedra with exact rational coordinates, so squared
+edge lengths are exact rationals and the exact length algebra applies.
+File I/O covers OFF meshes (text in, canonical text out), JSON analysis
+reports and CSV flex time series; all formats carry a format_version
+marker.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flex import FlexPath, rigidity_matrix, squared_length_residual
-from .geometry import Polyhedron, _cross, edge_length_vector, monitor_series
-from .lengths import ExactLength
+from .flex import FlexPath
+from .geometry import Polyhedron, monitor_series
 from .surfaces import SimplicialSurface
 
 FORMAT_VERSION = 1
@@ -190,109 +189,22 @@ def make_regular_tetrahedron() -> Polyhedron:
     return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
 
 
-DISTINCT_RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19)
-
-
-def _trilaterate(p1, r1, p2, r2, p3, r3, sign):
-    ex = p2 - p1
-    d = np.linalg.norm(ex)
-    ex = ex / d
-    i = float(np.dot(ex, p3 - p1))
-    ey = p3 - p1 - i * ex
-    ey = ey / np.linalg.norm(ey)
-    ez = _cross(ex, ey)
-    j = float(np.dot(ey, p3 - p1))
-    x = (r1**2 - r2**2 + d**2) / (2 * d)
-    y = (r1**2 - r3**2 + i**2 + j**2 - 2 * i * x) / (2 * j)
-    zsq = r1**2 - x**2 - y**2
-    if zsq < 0:
-        return None
-    return p1 + x * ex + y * ey + sign * np.sqrt(zsq) * ez
-
-
 @lru_cache(maxsize=1)
 def make_distinct_length_octahedron() -> Polyhedron:
-    """Octahedron whose twelve edges realize twelve distinct squarefree
-    square roots, so the length set is independent over the rationals.
-
-    Vertices are placed sequentially: a base triangle, then vertex 3 on the
-    circle determined by its two distances to the base edge, parametrized by
-    an angle; vertices 4 and 5 follow by trilateration and the remaining
-    length closes the loop, which pins the angle by bisection on a sign
-    change of the closing error.  A few Gauss-Newton sweeps polish the
-    solution to machine precision.  The realized lengths are certified
-    against the declared exact values before the model is returned.
-    """
+    """Octahedron on six integer points whose twelve squared edge lengths
+    are the distinct squarefree integers 6, 14, 17, 21, 22, 29, 33, 34, 35,
+    42, 61 and 62, so the length set is independent over the rationals."""
+    points = {
+        0: (-2, 3, -3),
+        1: (1, 2, -1),
+        2: (3, -3, -3),
+        3: (-2, 0, 2),
+        4: (1, -2, -2),
+        5: (2, 2, 3),
+    }
+    exact = {v: tuple(Fraction(c) for c in p) for v, p in points.items()}
     surface = SimplicialSurface(OCTAHEDRON_FACES)
-    L = {e: float(np.sqrt(d)) for e, d in zip(surface.edges, DISTINCT_RADICANDS)}
-    targets_sq = np.array(DISTINCT_RADICANDS, dtype=float)
-
-    def build(theta, s4, s5):
-        v0 = np.zeros(3)
-        v1 = np.array([L[(0, 1)], 0.0, 0.0])
-        x2 = (L[(0, 1)] ** 2 + L[(0, 2)] ** 2 - L[(1, 2)] ** 2) / (2 * L[(0, 1)])
-        y2sq = L[(0, 2)] ** 2 - x2**2
-        if y2sq <= 0:
-            return None
-        v2 = np.array([x2, np.sqrt(y2sq), 0.0])
-        x3 = (L[(0, 1)] ** 2 + L[(0, 3)] ** 2 - L[(1, 3)] ** 2) / (2 * L[(0, 1)])
-        rho3sq = L[(0, 3)] ** 2 - x3**2
-        if rho3sq <= 0:
-            return None
-        rho3 = np.sqrt(rho3sq)
-        v3 = np.array([x3, rho3 * np.cos(theta), rho3 * np.sin(theta)])
-        v4 = _trilaterate(v0, L[(0, 4)], v2, L[(2, 4)], v3, L[(3, 4)], s4)
-        v5 = _trilaterate(v1, L[(1, 5)], v2, L[(2, 5)], v3, L[(3, 5)], s5)
-        if v4 is None or v5 is None:
-            return None
-        return np.array([v0, v1, v2, v3, v4, v5])
-
-    def closing(theta, s4, s5):
-        X = build(theta, s4, s5)
-        return np.nan if X is None else float(np.linalg.norm(X[4] - X[5])) - L[(4, 5)]
-
-    X = None
-    thetas = np.linspace(0.01, 2 * np.pi - 0.01, 720)
-    for s4, s5 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        # Scan point by point and stop at the first bracket.
-        f_next = closing(thetas[0], s4, s5)
-        for k in range(len(thetas) - 1):
-            f_k, f_next = f_next, closing(thetas[k + 1], s4, s5)
-            if np.isnan(f_k) or np.isnan(f_next) or f_k * f_next > 0:
-                continue
-            # Bisect the bracket until its midpoint rounds onto an endpoint.
-            lo, hi, f_lo = thetas[k], thetas[k + 1], f_k
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                f_mid = closing(mid, s4, s5)
-                if f_mid * f_lo > 0:
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            X = build(lo, s4, s5)
-            break
-        if X is not None:
-            break
-    if X is None:
-        raise RuntimeError("no realization found for the distinct-length octahedron")
-
-    for _ in range(4):
-        g = squared_length_residual(X, surface, targets_sq)
-        if np.max(np.abs(g)) < 1e-14:
-            break
-        J = rigidity_matrix(X, surface)
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        X = X + delta.reshape(-1, 3)
-
-    declared = [ExactLength(Fraction(1), d) for d in DISTINCT_RADICANDS]
-    P = Polyhedron(
-        surface,
-        {v: X[i] for i, v in enumerate(surface.vertices)},
-        exact_lengths=declared,
-    )
-    realized = edge_length_vector(P)
-    if np.max(np.abs(realized - np.sqrt(targets_sq))) > 1e-10:
-        raise RuntimeError("distinct-length octahedron failed to converge")
-    return P
+    return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
 
 
 BUILTIN_MODELS = {

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from rigiditylab import geometry, lengths, models, normalize_sqrt
+from rigiditylab import geometry, lengths, normalize_sqrt
 from rigiditylab.flex import (
     ANGLE_BLOCK,
     MAX_CORRECTOR_ITERS,
@@ -26,11 +26,10 @@ from rigiditylab.flex import (
     SingularPointError,
     as_config,
     lift_angles,
-    rigidity_matrix,
     squared_length_residual,
 )
 from rigiditylab.geometry import face_areas, principal_angles, squared_lengths
-from rigiditylab.surfaces import SimplicialSurface, edge_table
+from rigiditylab.surfaces import edge_table
 
 
 def fraction_exact_lengths(P) -> list:
@@ -287,86 +286,6 @@ def per_edge_monte_carlo_dihedral(
         counts += int(np.count_nonzero(in_first == ref_in_first))
         total += size
     return 2.0 * np.pi * counts / total
-
-
-def _np_cross_trilaterate(p1, r1, p2, r2, p3, r3, sign):
-    ex = p2 - p1
-    d = np.linalg.norm(ex)
-    ex = ex / d
-    i = float(np.dot(ex, p3 - p1))
-    ey = p3 - p1 - i * ex
-    ey = ey / np.linalg.norm(ey)
-    ez = np.cross(ex, ey)
-    j = float(np.dot(ey, p3 - p1))
-    x = (r1**2 - r2**2 + d**2) / (2 * d)
-    y = (r1**2 - r3**2 + i**2 + j**2 - 2 * i * x) / (2 * j)
-    zsq = r1**2 - x**2 - y**2
-    if zsq < 0:
-        return None
-    return p1 + x * ex + y * ey + sign * np.sqrt(zsq) * ez
-
-
-def full_scan_distinct_octahedron():
-    """The distinct-length octahedron with ``models.DISTINCT_RADICANDS`` read
-    at call time, scanning all 720 angles before taking the first bracket."""
-    surface = SimplicialSurface(models.OCTAHEDRON_FACES)
-    L = {e: float(np.sqrt(d)) for e, d in zip(surface.edges, models.DISTINCT_RADICANDS)}
-    targets_sq = np.array(models.DISTINCT_RADICANDS, dtype=float)
-
-    def build(theta, s4, s5):
-        v0 = np.zeros(3)
-        v1 = np.array([L[(0, 1)], 0.0, 0.0])
-        x2 = (L[(0, 1)] ** 2 + L[(0, 2)] ** 2 - L[(1, 2)] ** 2) / (2 * L[(0, 1)])
-        y2sq = L[(0, 2)] ** 2 - x2**2
-        if y2sq <= 0:
-            return None
-        v2 = np.array([x2, np.sqrt(y2sq), 0.0])
-        x3 = (L[(0, 1)] ** 2 + L[(0, 3)] ** 2 - L[(1, 3)] ** 2) / (2 * L[(0, 1)])
-        rho3sq = L[(0, 3)] ** 2 - x3**2
-        if rho3sq <= 0:
-            return None
-        rho3 = np.sqrt(rho3sq)
-        v3 = np.array([x3, rho3 * np.cos(theta), rho3 * np.sin(theta)])
-        v4 = _np_cross_trilaterate(v0, L[(0, 4)], v2, L[(2, 4)], v3, L[(3, 4)], s4)
-        v5 = _np_cross_trilaterate(v1, L[(1, 5)], v2, L[(2, 5)], v3, L[(3, 5)], s5)
-        if v4 is None or v5 is None:
-            return None
-        return np.array([v0, v1, v2, v3, v4, v5])
-
-    def closing(theta, s4, s5):
-        X = build(theta, s4, s5)
-        return np.nan if X is None else float(np.linalg.norm(X[4] - X[5])) - L[(4, 5)]
-
-    X = None
-    thetas = np.linspace(0.01, 2 * np.pi - 0.01, 720)
-    for s4, s5 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        vals = np.array([closing(t, s4, s5) for t in thetas])
-        for k in range(len(thetas) - 1):
-            if np.isnan(vals[k]) or np.isnan(vals[k + 1]) or vals[k] * vals[k + 1] > 0:
-                continue
-            # Bisect the bracket until its midpoint rounds onto an endpoint.
-            lo, hi, f_lo = thetas[k], thetas[k + 1], vals[k]
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                f_mid = closing(mid, s4, s5)
-                if f_mid * f_lo > 0:
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            X = build(lo, s4, s5)
-            break
-        if X is not None:
-            break
-    if X is None:
-        raise RuntimeError("no realization found for the distinct-length octahedron")
-
-    for _ in range(4):
-        g = squared_length_residual(X, surface, targets_sq)
-        if np.max(np.abs(g)) < 1e-14:
-            break
-        J = rigidity_matrix(X, surface)
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        X = X + delta.reshape(-1, 3)
-    return X
 
 
 # The flex tracer as it was before its bordered Jacobian became a reused

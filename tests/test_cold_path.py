@@ -1,7 +1,6 @@
 """The work each CLI call does is cut to what its answer needs; these tests
 require that every result equals that of the code it replaced, kept in
-``oracles``: the full prime table, one Monte-Carlo draw per edge, and the
-full closing scan of the distinct-length octahedron."""
+``oracles``: the full prime table and one Monte-Carlo draw per edge."""
 
 import json
 import math
@@ -18,7 +17,6 @@ from rigiditylab.geometry import monte_carlo_dihedral, monte_carlo_dihedrals, pr
 from perfbench import inputs
 
 from oracles import (
-    full_scan_distinct_octahedron,
     full_table_square_split,
     per_edge_monte_carlo_dihedral,
 )
@@ -229,16 +227,3 @@ def test_oracle_on_benchmark_self_touching_octahedra(seed, round_, tmp_path, cap
     rows = json.loads(capsys.readouterr().out)["edges"]
     det = [row["deterministic"] for row in rows]
     assert _oracle_disagreements(det, [row["monte_carlo"] for row in rows], n) == []
-
-
-def test_distinct_octahedron_matches_full_scan():
-    P = models.make_distinct_length_octahedron.__wrapped__()
-    assert P.vertex_array().tobytes() == full_scan_distinct_octahedron().tobytes()
-
-
-def test_distinct_octahedron_other_radicands_match_full_scan(monkeypatch):
-    # The radicand set whose root lies two scan brackets from the default's.
-    radicands = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 18)
-    monkeypatch.setattr(models, "DISTINCT_RADICANDS", radicands)
-    P = models.make_distinct_length_octahedron.__wrapped__()
-    assert P.vertex_array().tobytes() == full_scan_distinct_octahedron().tobytes()

@@ -81,14 +81,13 @@ def test_no_exact_data_raises_on_every_call(tetrahedron):
             P.exact_edge_lengths()
 
 
-def test_declared_lengths_take_precedence(distinct_octahedron):
-    declared = distinct_octahedron.exact_lengths
-    first = distinct_octahedron.exact_edge_lengths()
-    assert first == declared and first is not declared
-    first.clear()
-    assert distinct_octahedron.exact_edge_lengths() == declared
-
+def test_declared_lengths_take_precedence():
     exact = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
     stated = [ExactLength(Fraction(1), 3)] * 6
     P = exact_polyhedron(TETRAHEDRON, exact, exact_lengths=stated)
+    declared = P.exact_lengths
+    first = P.exact_edge_lengths()
+    assert first == declared and first is not declared
+    first.clear()
+    assert P.exact_edge_lengths() == declared
     assert P.exact_edge_lengths() == stated

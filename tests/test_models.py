@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from rigiditylab import (
     ExactLength,
     NonTriangularFaceError,
     ParseError,
+    check_nondegenerate,
+    edge_length_vector,
     half_turn_edge_pairs,
     infinitesimal_flex_dim,
     invariant_combinations,
@@ -25,8 +28,7 @@ from rigiditylab import (
     save_series_csv,
     validate_complex,
 )
-from rigiditylab import models
-from rigiditylab.models import BRICARD_VERTEX_SYMMETRY, DISTINCT_RADICANDS
+from rigiditylab.models import BRICARD_VERTEX_SYMMETRY
 
 from oracles import hull_volume
 
@@ -99,20 +101,16 @@ def test_bricard_mirrored_angle_series(bricard, bricard_path):
 
 def test_distinct_length_octahedron(distinct_octahedron):
     P = distinct_octahedron
-    realized = [np.linalg.norm(P.point(a) - P.point(b)) for a, b in P.surface.edges]
-    assert np.allclose(realized, np.sqrt(DISTINCT_RADICANDS), atol=1e-10)
+    assert P.exact_lengths is None
+    exact = P.exact_edge_lengths()
+    radicands = [ell.d for ell in exact]
+    assert len(set(radicands)) == 12
+    assert all(ell.r == 1 for ell in exact)
+    assert all(d % (k * k) for d in radicands for k in range(2, math.isqrt(d) + 1))
+    lengths = edge_length_vector(P)
+    assert np.allclose(lengths, [ell.value() for ell in exact], rtol=0, atol=1e-12)
     assert infinitesimal_flex_dim(P.vertex_array(), P.surface) == 0
-
-
-def test_distinct_length_octahedron_other_radicands(monkeypatch):
-    # A set with a rational dependence (3*sqrt(2) = sqrt(18)) closes on a
-    # different bracket of the angle scan than the default set.
-    radicands = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 18)
-    monkeypatch.setattr(models, "DISTINCT_RADICANDS", radicands)
-    P = models.make_distinct_length_octahedron.__wrapped__()
-    realized = [np.linalg.norm(P.point(a) - P.point(b)) for a, b in P.surface.edges]
-    assert np.max(np.abs(np.array(realized) - np.sqrt(radicands))) <= 1e-10
-    assert [ell.d for ell in P.exact_edge_lengths()] == list(radicands)
+    assert min(check_nondegenerate(P)) >= 1e-2 * float(np.max(lengths)) ** 2
 
 
 def test_off_round_trip(octahedron, bricard):
