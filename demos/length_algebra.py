@@ -7,9 +7,8 @@
 # searches for small integer relations instead; finding none up to a
 # coefficient height is evidence, not proof.
 
+from decimal import Context
 from fractions import Fraction
-
-import mpmath as mp
 
 from rigiditylab import (
     find_integer_relation,
@@ -50,10 +49,10 @@ print("dependence of {sqrt(2), sqrt(8)}:", verdict.kind, verdict.relation,
 # (1, sqrt(2), sqrt(3)) no relation with coefficients up to 1e6 exists.
 # ----------------------------------------------------------------------
 
-with mp.workdps(40):
-    s2 = mp.nstr(mp.sqrt(2), 31)
-    s3 = mp.nstr(mp.sqrt(3), 31)
-    s = mp.nstr(1 + mp.sqrt(2), 31)
+digits31 = Context(prec=31)
+s2 = str(digits31.sqrt(2))
+s3 = str(digits31.sqrt(3))
+s = str(digits31.add(1, digits31.sqrt(2)))
 
 print()
 print("relation in (1, sqrt(2), 1 + sqrt(2)):",

@@ -19,8 +19,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import models
 from .flex import (
     CorrectorDivergenceError,
@@ -126,19 +124,11 @@ def _validation_report_json(report) -> str:
         "format_version": models.FORMAT_VERSION,
         "passed": report.passed,
         "violations": [
-            {"condition": cond, "simplices": _jsonify(simplices)}
+            {"condition": cond, "simplices": simplices}
             for cond, simplices in report.violations
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _jsonify(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _require_valid(P):

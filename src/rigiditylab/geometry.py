@@ -12,14 +12,13 @@ defined to be 0 and flagged as degenerate.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .lengths import normalize_sqrt
+from .lengths import clear_to_integers, normalize_sqrt
 from .surfaces import SimplicialSurface, edge_table
 
 DEGENERATE_NORMAL_TOL = 1e-9
@@ -94,13 +93,11 @@ class Polyhedron:
         if self.exact_coords is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
         if self._exact_length_cache is None:
-            coords = self.exact_coords
-            exact = {v: [Fraction(c) for c in coords[v]] for v in self.surface.vertices}
-            D = math.lcm(*(c.denominator for p in exact.values() for c in p))
-            X = {
-                v: [c.numerator * (D // c.denominator) for c in p]
-                for v, p in exact.items()
-            }
+            verts = self.surface.vertices
+            exact = [Fraction(c) for v in verts for c in self.exact_coords[v]]
+            # The common denominator D is what 1 clears to.
+            *flat, D = clear_to_integers([*exact, Fraction(1)])
+            X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}
             split = {}
             out = []
             for a, b in self.surface.edges:

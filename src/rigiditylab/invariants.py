@@ -129,18 +129,11 @@ def rigidity_certificate(
                     f"exact length {ell} disagrees with measured length {f:.12g}"
                 )
         verdict = is_q_independent(exact)
+        constant = constant_angle_edges(q_basis(exact))
         if verdict.kind == INDEPENDENT_EXACT:
-            span = q_basis(exact)
-            return RigidityCertificate(
-                RIGID, "exact", verdict, constant_angle_edges(span)
-            )
-        span = q_basis(exact)
+            return RigidityCertificate(RIGID, "exact", verdict, constant)
         return RigidityCertificate(
-            INCONCLUSIVE,
-            "exact",
-            verdict,
-            constant_angle_edges(span),
-            caveat=DEPENDENCE_CAVEAT,
+            INCONCLUSIVE, "exact", verdict, constant, caveat=DEPENDENCE_CAVEAT
         )
     relation = find_integer_relation([repr(float(v)) for v in float_lengths], height)
     if relation is None:

@@ -5,9 +5,9 @@ and d a squarefree positive integer.  Square roots of distinct squarefree
 integers are linearly independent over the rationals, so grouping lengths by
 radicand yields a basis of their rational span and decides independence
 exactly.  For lengths known only numerically, an integer-only LLL lattice
-reduction looks for small integer relations; absence of a relation up to a
-coefficient height bound is reported as such, never as a proof of
-independence.
+reduction looks for small integer relations among the exact rationals their
+decimal or float forms denote; absence of a relation up to a coefficient
+height bound is reported as such, never as a proof of independence.
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mpmath as mp  # imported where used: only numeric mode needs it
 
 MAX_FACTOR_INPUT = 2**63
 TRIAL_LIMIT = 10**6
-# Lattice column scale and working decimal digits of find_integer_relation.
+# Lattice column scale of find_integer_relation, and the inverse of the
+# relative residual its accepted relations must meet.
 RELATION_SCALE = 10**12
-RELATION_PRECISION = 50
+RELATION_TIGHT = 10**25
 
 
 class FactorizationTooLargeError(Exception):
@@ -125,11 +122,6 @@ class ExactLength:
     def value(self) -> float:
         return float(self.r) * math.sqrt(self.d)
 
-    def value_mp(self) -> mp.mpf:
-        import mpmath as mp
-
-        return mp.mpf(self.r.numerator) / self.r.denominator * mp.sqrt(self.d)
-
     def squared(self) -> Fraction:
         return self.r * self.r * self.d
 
@@ -210,10 +202,7 @@ class IndependenceVerdict:
 
 def clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
     """The rationals times the lcm of their denominators, as integers."""
-    lcm = 1
-    for v in values:
-        if v.denominator != 1:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (lcm // v.denominator) for v in values)
 
 
@@ -321,13 +310,12 @@ def _lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     return b
 
 
-def _relation_lattice(vals: list[mp.mpf]) -> list[list[int]]:
-    """Rows of the identity extended by the values times RELATION_SCALE, rounded."""
-    import mpmath as mp
-
+def _relation_lattice(vals: list[Fraction]) -> list[list[int]]:
+    """Rows of the identity extended by the values times RELATION_SCALE,
+    rounded half to even."""
     n = len(vals)
     return [
-        [1 if j == i else 0 for j in range(n)] + [int(mp.nint(vals[i] * RELATION_SCALE))]
+        [1 if j == i else 0 for j in range(n)] + [round(vals[i] * RELATION_SCALE)]
         for i in range(n)
     ]
 
@@ -335,19 +323,20 @@ def _relation_lattice(vals: list[mp.mpf]) -> list[list[int]]:
 def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None:
     """Search for a small integer relation among numerically given reals.
 
-    Builds the integer lattice whose rows are the identity extended by a
-    column of the values scaled by RELATION_SCALE and rounded, reduces it,
-    and accepts a short vector c when |sum(c_i * v_i)| is at most
-    n*height/RELATION_SCALE with every |c_i| <= height.  Candidates are then
-    re-verified at RELATION_PRECISION decimal digits against a much tighter
-    residual bound, which guards against near-relations that only look small
-    at the lattice scale.
+    Each value is read as the exact rational it denotes.  The integer
+    lattice whose rows are the identity extended by a column of the values
+    scaled by RELATION_SCALE and rounded is reduced, and a short vector c
+    is accepted when |sum(c_i * v_i)| is at most n*height/RELATION_SCALE
+    with every |c_i| <= height.  Candidates must then meet the much tighter
+    bound max(1, |c|_1 * max|v_i|) / RELATION_TIGHT, which guards against
+    near-relations that only look small at the lattice scale.  Both bounds
+    are checked exactly, in integers over the values' common denominator.
 
-    Values may be floats, ints, Fractions, strings or mpmath numbers; pass
-    strings (or mpf) to retain more than double precision.  Returns the
-    relation with the first nonzero entry positive, or None when no relation
-    of height at most ``height`` was found (this is not an independence
-    proof).
+    Values may be ints, floats, Fractions or decimal strings, not mpmath
+    numbers or ExactLength values; pass strings to retain more than double
+    precision.  Returns the relation with the first nonzero entry positive,
+    or None when no relation of height at most ``height`` was found (this
+    is not an independence proof).
     """
     if height < 1:
         raise ValueError(f"coefficient height must be at least 1, got {height}")
@@ -356,40 +345,24 @@ def find_integer_relation(values, height: int = 10**6) -> tuple[int, ...] | None
         raise ValueError("empty value list")
     if n > 64:
         raise ValueError("at most 64 values are supported")
-    import mpmath as mp
-
-    with mp.workdps(RELATION_PRECISION):
-        vals = [_to_mpf(v) for v in values]
-        if not all(mp.isfinite(v) for v in vals):
-            raise ValueError("values must be finite")
-        reduced = _lll_reduce(_relation_lattice(vals))
-        max_abs = max(abs(v) for v in vals) or mp.mpf(1)
-        loose = mp.mpf(n) * height / RELATION_SCALE
-        candidates = sorted(reduced, key=lambda row: sum(x * x for x in row))
-        for row in candidates:
-            c = row[:n]
-            if not any(c) or max(abs(x) for x in c) > height:
-                continue
-            residual = abs(mp.fsum(ci * vi for ci, vi in zip(c, vals)))
-            if residual > loose:
-                continue
-            one_norm = sum(abs(x) for x in c)
-            tight = mp.mpf(10) ** (-(RELATION_PRECISION // 2)) * max(1, one_norm * max_abs)
-            if residual <= tight:
-                g = math.gcd(*(abs(x) for x in c if x))
-                c = [x // g for x in c]
-                lead = next(x for x in c if x)
-                if lead < 0:
-                    c = [-x for x in c]
-                return tuple(c)
+    try:
+        vals = [Fraction(v) for v in values]
+    except (OverflowError, ValueError) as exc:
+        raise ValueError("values must be finite") from exc
+    # D * v_i = N_i for the common denominator D, which 1 clears to.
+    *N, D = clear_to_integers([*vals, Fraction(1)])
+    reduced = _lll_reduce(_relation_lattice(vals))
+    max_abs = max(map(abs, N))
+    candidates = sorted(reduced, key=lambda row: sum(x * x for x in row))
+    for row in candidates:
+        c = row[:n]
+        if not any(c) or max(abs(x) for x in c) > height:
+            continue
+        residual = abs(sum(ci * Ni for ci, Ni in zip(c, N)))  # D*|sum(c_i*v_i)|
+        if residual * RELATION_SCALE > n * height * D:
+            continue
+        one_norm = sum(abs(x) for x in c)
+        if residual * RELATION_TIGHT <= max(D, one_norm * max_abs):
+            g = math.gcd(*c) if next(x for x in c if x) > 0 else -math.gcd(*c)
+            return tuple(x // g for x in c)
     return None
-
-
-def _to_mpf(v) -> mp.mpf:
-    import mpmath as mp
-
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    if isinstance(v, ExactLength):
-        return v.value_mp()
-    return mp.mpf(v)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .flex import FlexPath
 from .geometry import Polyhedron, monitor_series
-from .surfaces import SimplicialSurface
+from .surfaces import SimplicialSurface, _canonical_face
 
 FORMAT_VERSION = 1
 
@@ -289,12 +289,9 @@ def save_off(P: Polyhedron) -> str:
     rotated to start at their smallest vertex and sorted; round trips
     byte-identically."""
     vmap = {v: i for i, v in enumerate(P.surface.vertices)}
-    canon_faces = []
-    for f in P.surface.faces:
-        g = tuple(vmap[v] for v in f)
-        k = g.index(min(g))
-        canon_faces.append(g[k:] + g[:k])
-    canon_faces.sort()
+    canon_faces = sorted(
+        _canonical_face(tuple(vmap[v] for v in f)) for f in P.surface.faces
+    )
     out = ["OFF", f"# format_version: {FORMAT_VERSION}"]
     out.append(f"{P.surface.n_vertices} {P.surface.n_faces} 0")
     for v in P.surface.vertices:

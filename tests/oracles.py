@@ -11,6 +11,7 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 from scipy.spatial import ConvexHull
 
@@ -186,6 +187,42 @@ def fraction_lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> li
             size_reduce(k, l)
         k += 1
     return [[int(x) for x in row] for row in b]
+
+
+# The relation search as it ran in 50-digit mpmath before it read its values
+# as exact rationals.  It shares the integer LLL with the library, which
+# tests/test_lll.py checks against fraction_lll; the parsing, the lattice
+# column and both acceptance bounds are mpmath's.
+def mpmath_integer_relation(values, height: int = 10**6):
+    """The lattice column and the first accepted row, in 50-digit mpmath.
+
+    Each value is parsed as a 50-digit mpf.  The column is mp.nint(v * 1e12)
+    and the rows of the reduced lattice are tried shortest first.  A row c
+    with 0 < max|c_i| <= height is accepted when |sum(c_i * v_i)| is at most
+    n * height / 1e12 and at most 1e-25 * max(1, |c|_1 * max|v_i|).  Returns
+    (column, relation), the relation made primitive with a positive lead,
+    or None when no row is accepted.
+    """
+    n = len(values)
+    with mp.workdps(50):
+        vals = [mp.mpf(v) for v in values]
+        column = [int(mp.nint(v * 10**12)) for v in vals]
+        lattice = [[int(j == i) for j in range(n)] + [column[i]] for i in range(n)]
+        reduced = lengths._lll_reduce(lattice)
+        max_abs = max(abs(v) for v in vals) or mp.mpf(1)
+        for row in sorted(reduced, key=lambda row: sum(x * x for x in row)):
+            c = row[:n]
+            if not any(c) or max(abs(x) for x in c) > height:
+                continue
+            residual = abs(mp.fsum(ci * vi for ci, vi in zip(c, vals)))
+            if residual > mp.mpf(n) * height / 10**12:
+                continue
+            one_norm = sum(abs(x) for x in c)
+            if residual <= mp.mpf(10) ** -25 * max(1, one_norm * max_abs):
+                g = math.gcd(*c)
+                sign = 1 if next(x for x in c if x) > 0 else -1
+                return column, tuple(sign * x // g for x in c)
+    return column, None
 
 
 # The code that the cold-start work replaced, kept as it was so that tests can

@@ -96,7 +96,8 @@ def test_criterion_2_exact_independence_engine():
 
     def render(ell):
         with mp.workdps(40):
-            return mp.nstr(ell.value_mp(), 31)
+            value = mp.mpf(ell.r.numerator) / ell.r.denominator * mp.sqrt(ell.d)
+            return mp.nstr(value, 31)
 
     assert find_integer_relation([render(e) for e in distinct], height=10**6) is None
     numeric = find_integer_relation([render(e) for e in octa], height=10**6)

@@ -199,35 +199,35 @@ def test_meaningless_tol_exit_2(tol):
     )
 
 
-# Runs one command through cli.main in a fresh interpreter, then reports on
-# stderr whether mpmath was imported.
-MPMATH_PROBE = (
+# Runs one command through cli.main in a fresh interpreter in which every
+# import of mpmath fails.
+NO_MPMATH_PROBE = (
     "import sys\n"
+    "sys.modules['mpmath'] = None\n"
     "from rigiditylab.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "sys.stderr.write(f\"mpmath loaded: {'mpmath' in sys.modules}\")\n"
-    "sys.exit(code)\n"
+    "sys.exit(main(sys.argv[1:]))\n"
 )
 
 
 @pytest.mark.parametrize(
-    "args, loaded",
+    "args",
     [
-        (["validate", "--model", "cube"], False),
-        (["analyze", "--model", "bricard-default", "--mode", "exact"], False),
-        (["flex", "--model", "bricard-default", "--steps", "5"], False),
-        (["oracle", "--model", "octahedron", "--samples", "100"], False),
-        (["analyze", "--model", "bricard-default", "--mode", "numeric"], True),
+        ["validate", "--model", "cube"],
+        ["analyze", "--model", "bricard-default", "--mode", "exact"],
+        ["flex", "--model", "bricard-default", "--steps", "5"],
+        ["oracle", "--model", "octahedron", "--samples", "100"],
+        ["analyze", "--model", "bricard-default", "--mode", "numeric"],
+        ["flex", "--model", "bricard-default", "--steps", "5", "--mode", "numeric"],
     ],
 )
-def test_mpmath_loaded_only_by_numeric_mode(args, loaded):
+def test_no_subcommand_needs_mpmath(args):
     proc = subprocess.run(
-        [sys.executable, "-c", MPMATH_PROBE, *args],
+        [sys.executable, "-c", NO_MPMATH_PROBE, *args],
         capture_output=True,
         env=dict(os.environ, RIGIDITYLAB_LOG="error"),
     )
     assert proc.returncode == 0
-    assert proc.stderr.decode() == f"mpmath loaded: {loaded}"
+    assert proc.stderr == b""
 
 
 def test_numeric_analyze_golden_in_fresh_process():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,24 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench import inputs
 from rigiditylab import (
+    BUILTIN_MODELS,
     ExactLength,
     FactorizationTooLargeError,
+    edge_length_vector,
     find_integer_relation,
     is_q_independent,
+    make_bricard_type1,
+    make_model,
     normalize_sqrt,
     q_basis,
 )
-from rigiditylab.lengths import clear_to_integers, relation_residual_exact
+from rigiditylab.lengths import (
+    _relation_lattice,
+    clear_to_integers,
+    relation_residual_exact,
+)
 
-from oracles import fraction_clear_to_integers
+from oracles import fraction_clear_to_integers, mpmath_integer_relation
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23]
 
 
 def render(ell: ExactLength, digits: int = 30) -> str:
     with mp.workdps(digits + 10):
-        return mp.nstr(ell.value_mp(), digits + 1)
+        value = mp.mpf(ell.r.numerator) / ell.r.denominator * mp.sqrt(ell.d)
+        return mp.nstr(value, digits + 1)
 
 
 def test_normalize_examples():
@@ -143,6 +154,43 @@ def test_find_relation_input_validation():
         find_integer_relation([1.0] * 65)
     with pytest.raises(ValueError):
         find_integer_relation([float("nan"), 1.0])
+    for bad in (float("inf"), "nan", "inf"):
+        with pytest.raises(ValueError, match="values must be finite"):
+            find_integer_relation([bad, 1.0])
+
+
+def relation_search_inputs():
+    """Value lists as callers pass them, three exact ties of the column, and
+    relations on either side of the tight and of the loose residual bound."""
+    builtin = [make_model(name) for name in sorted(BUILTIN_MODELS)]
+    seeded = []
+    for seed in (5, 9001):
+        rng = random.Random(seed)
+        for _ in range(4):
+            seeded += [
+                inputs.rational_octahedron(rng),
+                inputs.rational_cube(rng),
+                make_bricard_type1(inputs.bricard_spec(rng)),
+            ]
+    cases = [[repr(float(v)) for v in edge_length_vector(P)] for P in builtin + seeded]
+    cases += [list(edge_length_vector(P)) for P in builtin]
+    cases += [[render(ell) for ell in P.exact_edge_lengths()] for P in builtin]
+    ties = ["0.0000000000005", "1.0000000000005", "2.0000000000015"]
+    bounds = [
+        ["1", "1.0000000000000000000000001"],
+        ["1", "1.0000000000000000000000003"],
+        ["100000000000000000000", "100000000000000000000.0000019"],
+        ["100000000000000000000", "100000000000000000000.000003"],
+    ]
+    return cases + [[t] for t in ties] + [ties] + bounds
+
+
+def test_relation_search_matches_mpmath_rule():
+    for values in relation_search_inputs():
+        column, relation = mpmath_integer_relation(values)
+        lattice = _relation_lattice([Fraction(v) for v in values])
+        assert [row[-1] for row in lattice] == column
+        assert find_integer_relation(values) == relation
 
 
 def test_heuristic_agrees_with_exact_random():

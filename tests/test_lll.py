@@ -4,26 +4,19 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perfbench import inputs
 from rigiditylab import edge_length_vector, make_bricard_type1, make_model
-from rigiditylab.lengths import (
-    RELATION_PRECISION,
-    _lll_reduce,
-    _relation_lattice,
-    _to_mpf,
-)
+from rigiditylab.lengths import _lll_reduce, _relation_lattice
 
 from oracles import fraction_lll, rational_rank
 
 
 def relation_lattice(values):
     """The lattice find_integer_relation reduces for these values."""
-    with mp.workdps(RELATION_PRECISION):
-        return _relation_lattice([_to_mpf(v) for v in values])
+    return _relation_lattice([Fraction(v) for v in values])
 
 
 def length_lattice(P):
