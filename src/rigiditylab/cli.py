@@ -184,7 +184,7 @@ def cmd_flex(args) -> int:
     _emit(text, args.out_json)
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(models.save_series_csv(path))
+            fh.writelines(models.series_csv_blocks(path))
     return EXIT_OK
 
 

@@ -6,19 +6,27 @@ infinitesimal flexibility.  Flexes are traced by adaptive predictor-corrector
 continuation: the predictor follows a unit kernel vector orthogonal to the
 rigid motions, the corrector projects back onto the constraint set by
 Gauss-Newton inside the affine slice orthogonal to the rigid motions.
-The tracer keeps only configurations; dihedral angles are computed from the
-finished path and unwrapped into continuous lifted series.
+The tracer keeps only configurations, in fixed-size blocks; dihedral angles
+are computed from the finished path and unwrapped into continuous lifted
+series.  Every whole-path pass runs over blocks of PATH_BLOCK configurations,
+so its memory is the path's own plus a fixed amount.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Polyhedron, face_areas, principal_angles, squared_lengths
+from .geometry import (
+    PATH_BLOCK,
+    Polyhedron,
+    face_areas,
+    path_blocks,
+    principal_angles,
+    squared_lengths,
+)
 from .surfaces import SimplicialSurface, edge_table
 
 logger = logging.getLogger("rigiditylab")
@@ -27,7 +35,7 @@ SV_THRESHOLD = 1e-8
 LIFT_AMBIGUITY_TOL = 1e-9
 MAX_CORRECTOR_ITERS = 25
 TRIVIAL_FLEX_TOL = 1e-7
-ANGLE_BLOCK = 256  # configurations per batched angle evaluation; bounds peak memory
+ANGLE_BLOCK = PATH_BLOCK  # configurations per stored sample block and angle evaluation
 
 
 class DegenerateConfigurationError(Exception):
@@ -214,7 +222,9 @@ class FlexPath:
 
     ``ts`` is arc-length-proportional, rescaled to [0, 1].  ``configs`` has
     shape (K, n_vertices, 3); ``raw_angles`` and ``lifted_angles`` have shape
-    (K, n_edges) in canonical edge order.
+    (K, n_edges) in canonical edge order.  ``step_sizes`` and
+    ``corrector_iters`` have shape (K - 1,): the size of each accepted step
+    and the corrector iterations it took.
     """
 
     surface: SimplicialSurface
@@ -224,17 +234,27 @@ class FlexPath:
     lifted_angles: np.ndarray
     degenerate_flags: np.ndarray
     initial_lengths: np.ndarray
-    diagnostics: list[dict] = field(default_factory=list)
+    step_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    corrector_iters: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def n_samples(self) -> int:
         return len(self.ts)
 
+    @property
+    def diagnostics(self) -> list[dict]:
+        """One ``{"step", "corrector_iters"}`` dict per accepted step."""
+        return [{"step": h, "corrector_iters": n}
+                for h, n in zip(self.step_sizes.tolist(), self.corrector_iters.tolist())]
+
     def length_drift(self) -> float:
         """Maximum relative edge-length drift over the whole path."""
-        ell = np.sqrt(squared_lengths(self.surface, self.configs))
         L = self.initial_lengths
-        return float(np.max(np.abs(ell - L) / L, initial=0.0))
+        worst = 0.0
+        for b in path_blocks(self.n_samples):
+            ell = np.sqrt(squared_lengths(self.surface, self.configs[b]))
+            worst = np.max(np.abs(ell - L) / L, initial=worst)
+        return float(worst)
 
 
 def _wrap_to_pi(delta: np.ndarray) -> np.ndarray:
@@ -323,26 +343,42 @@ def trace_flex(
     area_tol = 1e-12 * max_len**2
 
     principal_angles(surface, x)  # a bad surface or start raises before tracing
-    samples = [x.copy()]
-    ds: list[float] = []
-    diags: list[dict] = []
+    # Per accepted step, its size and corrector iterations: objects that
+    # already exist, so a step leaves no new small object behind.
+    sizes: list[float] = []
+    iters: list[int] = []
+    # Accepted samples, ANGLE_BLOCK to an array; sample k is row k % ANGLE_BLOCK
+    # of block k // ANGLE_BLOCK, and blocks are added as the path grows.
+    store: list[np.ndarray] = []
+
+    def keep(y):  # y is sample len(sizes): the start or the last step's end
+        k = len(sizes) % ANGLE_BLOCK
+        if k == 0:
+            store.append(np.empty((ANGLE_BLOCK, nv, 3)))
+        store[-1][k] = y
+
+    keep(x)
     # One bordered Jacobian serves every corrector iteration and tangent.
     jac = _BorderedJacobian(surface, nv)
     res = np.empty(len(jac.J))  # [g; slice residual], written in place
     g, slice_res = res[: len(targets_sq)], res[len(targets_sq) :]
 
     def path():
-        ts = np.concatenate([[0.0], np.cumsum(ds)]) if ds else np.array([0.0])
-        if ts[-1] > 0:
-            ts = ts / ts[-1]
-        configs = np.array(samples)
+        # The path ends the trace, so its copy replaces the blocks.
+        configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % ANGLE_BLOCK + 1]])
+        store.clear()
         # Row-major, so each configuration's angles are contiguous; the
         # batched kernel itself returns column-major arrays.
         raw = np.empty((len(configs), len(surface.edges)))
         flags = np.empty(raw.shape, dtype=bool)
-        for k in range(0, len(configs), ANGLE_BLOCK):
-            block = slice(k, k + ANGLE_BLOCK)
-            raw[block], flags[block] = principal_angles(surface, configs[block])
+        arcs = np.empty(len(sizes))  # step k's length, |sample k+1 - sample k|
+        for b in path_blocks(len(configs)):
+            raw[b], flags[b] = principal_angles(surface, configs[b])
+            d = (configs[1:][b] - configs[:-1][b]).reshape(-1, 3 * nv)
+            arcs[b] = np.sqrt(np.vecdot(d, d))  # np.linalg.norm's arithmetic
+        ts = np.concatenate([[0.0], np.cumsum(arcs)])
+        if ts[-1] > 0:
+            ts = ts / ts[-1]
         return FlexPath(
             surface=surface,
             ts=ts,
@@ -351,7 +387,8 @@ def trace_flex(
             lifted_angles=lift_angles(raw, flags),
             degenerate_flags=flags,
             initial_lengths=initial_lengths,
-            diagnostics=diags,
+            step_sizes=np.array(sizes, dtype=float),
+            corrector_iters=np.array(iters, dtype=int),
         )
 
     def tangent_at(y):
@@ -374,11 +411,10 @@ def trace_flex(
 
     h = step
     easy_run = 0
-    accepted = 0
-    while accepted < n_steps:
+    while len(sizes) < n_steps:
         if h < step * 2.0**-24:
             raise CorrectorDivergenceError(
-                f"step size underflow at accepted step {accepted}", path=path()
+                f"step size underflow at accepted step {len(sizes)}", path=path()
             )
         x_pred = x + h * tangent.reshape(nv, 3)
         T_pred = jac.motions(x_pred)
@@ -408,12 +444,10 @@ def trace_flex(
             fi = int(np.argmin(areas))
             raise FaceDegenerationError(surface.faces[fi], float(areas.min()), path=path())
 
-        d = (y - x).reshape(-1)
-        ds.append(math.sqrt(d.dot(d)))  # np.linalg.norm's arithmetic
+        sizes.append(h)
+        iters.append(gn_iters)
         x = y
-        samples.append(x)
-        diags.append({"step": h, "corrector_iters": gn_iters})
-        accepted += 1
+        keep(x)
 
         new_tangent = tangent_at(x)
         if float(np.dot(new_tangent, tangent)) < 0:
@@ -466,7 +500,9 @@ def is_trivial_flex(path: FlexPath) -> bool:
     d = x0[:, None] - x0[None]
     diam = float(np.sqrt(np.vecdot(d, d)).max())
     rest = path.configs[1:]
-    R, t = best_fit_rigid_motion(x0, rest)
-    moved = x0 @ R.mT + t[:, None, :]
-    worst = float(np.max(np.linalg.norm(moved - rest, axis=-1)))
-    return worst <= TRIVIAL_FLEX_TOL * diam
+    worst = 0.0
+    for b in path_blocks(len(rest)):
+        R, t = best_fit_rigid_motion(x0, rest[b])
+        moved = x0 @ R.mT + t[:, None, :]
+        worst = np.max(np.linalg.norm(moved - rest[b], axis=-1), initial=worst)
+    return float(worst) <= TRIVIAL_FLEX_TOL * diam

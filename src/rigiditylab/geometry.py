@@ -25,6 +25,9 @@ DEGENERATE_NORMAL_TOL = 1e-9
 # Unit directions the Monte-Carlo oracle draws and classifies at a time.  A
 # power of two, so block boundaries keep each sample's matvec rounding.
 _MC_BLOCK = 8192
+# Configurations of a path that one batched evaluation takes at a time, so
+# temporaries stay fixed in size however long the path is.
+PATH_BLOCK = 256
 
 
 class DegenerateFaceError(Exception):
@@ -179,10 +182,23 @@ def weighted_angle_sums(surface, x, angles) -> np.ndarray:
     return _dot(lengths, np.ascontiguousarray(angles))
 
 
+def path_blocks(n: int):
+    """Slices of ``range(n)`` that hold PATH_BLOCK configurations each, the
+    last one fewer.  A block is a run of contiguous rows, so each
+    configuration goes through the same operations as in one whole-path
+    call and its numbers do not change."""
+    return (slice(k, k + PATH_BLOCK) for k in range(0, n, PATH_BLOCK))
+
+
 def monitor_series(surface, configs, angles) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented volume and length-weighted angle sum of every configuration;
-    the one source of both series for the flex monitor and the CSV."""
-    return oriented_volumes(surface, configs), weighted_angle_sums(surface, configs, angles)
+    """Oriented volume and length-weighted angle sum of every configuration
+    of a (K, V, 3) path, block by block; the one source of both series for
+    the flex monitor and the CSV."""
+    volumes, weighted = np.empty(len(configs)), np.empty(len(configs))
+    for b in path_blocks(len(configs)):
+        volumes[b] = oriented_volumes(surface, configs[b])
+        weighted[b] = weighted_angle_sums(surface, configs[b], angles[b])
+    return volumes, weighted
 
 
 def _edge_frames(surface, x, edges=None):

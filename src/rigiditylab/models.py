@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flex import FlexPath
-from .geometry import Polyhedron, monitor_series
+from .geometry import Polyhedron, monitor_series, path_blocks
 from .surfaces import SimplicialSurface, _canonical_face
 
 FORMAT_VERSION = 1
@@ -351,15 +351,24 @@ def save_report_json(certificate, combinations, monitoring=None, edges=None) -> 
     return json.dumps(report, indent=2) + "\n"
 
 
+def series_csv_blocks(path: FlexPath | None):
+    """The text of :func:`save_series_csv` in pieces: the header lines, then
+    the rows of one block of configurations at a time."""
+    if path is None or path.n_samples == 0:
+        yield f"# format_version: {FORMAT_VERSION}\nt,volume,weighted_angle_sum\n"
+        return
+    cols = [f"phi_{a}_{b}" for a, b in path.surface.edges]
+    yield f"# format_version: {FORMAT_VERSION}\nt,{','.join(cols)},volume,weighted_angle_sum\n"
+    # %-formatting a whole row of Python floats gives format(v, ".17g")'s digits.
+    row = ",".join(["%.17g"] * (len(cols) + 3)) + "\n"
+    for b in path_blocks(path.n_samples):
+        angles = path.lifted_angles[b]
+        volumes, weighted = monitor_series(path.surface, path.configs[b], angles)
+        table = np.column_stack([path.ts[b], angles, volumes, weighted])
+        yield "".join([row % tuple(r) for r in table.tolist()])
+
+
 def save_series_csv(path: FlexPath | None) -> str:
     """Flex time series as CSV: parameter, lifted angle per edge, volume and
     length-weighted angle sum, 17 significant digits."""
-    if path is None or path.n_samples == 0:
-        return f"# format_version: {FORMAT_VERSION}\nt,volume,weighted_angle_sum\n"
-    cols = [f"phi_{a}_{b}" for a, b in path.surface.edges]
-    header = "t," + ",".join(cols) + ",volume,weighted_angle_sum"
-    rows = [f"# format_version: {FORMAT_VERSION}", header]
-    volumes, weighted = monitor_series(path.surface, path.configs, path.lifted_angles)
-    table = np.column_stack([path.ts, path.lifted_angles, volumes, weighted])
-    rows += [",".join(format(v, ".17g") for v in row) for row in table]
-    return "\n".join(rows) + "\n"
+    return "".join(series_csv_blocks(path))

@@ -20,12 +20,14 @@ from rigiditylab.flex import (
     ANGLE_BLOCK,
     MAX_CORRECTOR_ITERS,
     SV_THRESHOLD,
+    TRIVIAL_FLEX_TOL,
     CorrectorDivergenceError,
     DegenerateConfigurationError,
     FaceDegenerationError,
     FlexPath,
     SingularPointError,
     as_config,
+    best_fit_rigid_motion,
     lift_angles,
     squared_length_residual,
 )
@@ -411,7 +413,8 @@ def reference_trace_flex(
             lifted_angles=lift_angles(raw, flags),
             degenerate_flags=flags,
             initial_lengths=initial_lengths,
-            diagnostics=diags,
+            step_sizes=np.array([d["step"] for d in diags], dtype=float),
+            corrector_iters=np.array([d["corrector_iters"] for d in diags], dtype=int),
         )
 
     def tangent_at(y):
@@ -487,3 +490,41 @@ def reference_trace_flex(
             easy_run = 0
 
     return path()
+
+
+# The whole-path stages as they were before they ran block by block: every
+# (K, V, 3) path goes through each kernel in one call.  Tests compare the
+# blocked stages with them bit for bit at and around block boundaries.
+
+
+def whole_path_monitor_series(surface, configs, angles):
+    return (geometry.oriented_volumes(surface, configs),
+            geometry.weighted_angle_sums(surface, configs, angles))
+
+
+def whole_path_series_csv(path) -> str:
+    cols = [f"phi_{a}_{b}" for a, b in path.surface.edges]
+    rows = ["# format_version: 1", "t," + ",".join(cols) + ",volume,weighted_angle_sum"]
+    volumes, weighted = whole_path_monitor_series(path.surface, path.configs, path.lifted_angles)
+    table = np.column_stack([path.ts, path.lifted_angles, volumes, weighted])
+    rows += [",".join(format(v, ".17g") for v in row) for row in table]
+    return "\n".join(rows) + "\n"
+
+
+def whole_path_length_drift(path) -> float:
+    ell = np.sqrt(squared_lengths(path.surface, path.configs))
+    L = path.initial_lengths
+    return float(np.max(np.abs(ell - L) / L, initial=0.0))
+
+
+def whole_path_is_trivial_flex(path) -> bool:
+    if path.n_samples <= 1:
+        return True
+    x0 = path.configs[0]
+    d = x0[:, None] - x0[None]
+    diam = float(np.sqrt(np.vecdot(d, d)).max())
+    rest = path.configs[1:]
+    R, t = best_fit_rigid_motion(x0, rest)
+    moved = x0 @ R.mT + t[:, None, :]
+    worst = float(np.max(np.linalg.norm(moved - rest, axis=-1)))
+    return worst <= TRIVIAL_FLEX_TOL * diam

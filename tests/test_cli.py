@@ -237,24 +237,48 @@ def test_numeric_analyze_golden_in_fresh_process():
     assert proc.stdout == golden.read_bytes()
 
 
-def _oracle_peak_rss_kb(samples: int) -> int:
-    """Peak RSS of a fresh ``oracle`` process, reaped with ``os.wait4``."""
+# Reaps the command given as its arguments with os.wait4 and prints the exit
+# code and peak RSS.  A process's ru_maxrss counts the image it was forked
+# from, so the command starts from this small interpreter: started from the
+# test process, every command would peak at least at the test process's size.
+RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(*args) -> int:
+    """Peak RSS of a fresh command-line process on one BLAS thread."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONPATH=path, RIGIDITYLAB_LOG="error", **threads)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "rigiditylab.cli", "oracle", "--model", "octahedron",
-         "--samples", str(samples)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    launched = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-m", "rigiditylab.cli", *args],
+        capture_output=True, text=True, env=env, check=True,
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss
+    code, kb = map(int, launched.stdout.split())
+    assert code == 0
+    return kb
 
 
 def test_oracle_memory_does_not_grow_with_samples():
     """Directions are drawn one block at a time, so a million samples peak
     at about the resident size of a single one."""
-    grown_kb = _oracle_peak_rss_kb(10**6) - _oracle_peak_rss_kb(1)
-    assert grown_kb <= 4 * 1024
+    def peak(samples):
+        return _peak_rss_kb("oracle", "--model", "octahedron", "--samples", str(samples))
+
+    assert peak(10**6) - peak(1) <= 4 * 1024
+
+
+def test_flex_memory_grows_only_with_the_path(tmp_path):
+    """Every whole-path stage runs in blocks and the series goes to its file
+    block by block, so 3000 steps peak within 5 MB of 60 steps, which fit in
+    one block."""
+    def peak(steps):
+        return _peak_rss_kb("flex", "--model", "bricard-default", "--steps", str(steps),
+                            "--out-csv", str(tmp_path / "series.csv"))
+
+    assert peak(3000) - peak(60) <= 5 * 1024

@@ -48,7 +48,12 @@ CASES = {
         ["flex", "--model", "bricard-default", "--steps", "60"],
         ("--out-json", "--out-csv"),
     ),
-    "oracle-octahedron": (["oracle", "--model", "octahedron", "--samples", "2000"], ()),
+    # 601 samples: two full blocks of 256 configurations and a partial third.
+    "flex-bricard-default-600": (
+        ["flex", "--model", "bricard-default", "--steps", "600"],
+        ("--out-json", "--out-csv"),
+    ),
+    "oracle-octahedron":(["oracle", "--model", "octahedron", "--samples", "2000"], ()),
     # A Bricard octahedron from perfbench.inputs.bricard_spec(random.Random(2026)),
     # as the benchmark's command-line workload flexes it: numeric mode, OFF input.
     "flex-numeric-bricard-off": (

@@ -1,0 +1,178 @@
+"""Whole-path stages run block by block.
+
+Each stage that walks a whole flex path takes PATH_BLOCK configurations at a
+time.  On paths that end just before, at and just after a block boundary,
+and two blocks further on, each stage gives the bytes of its one-pass form in
+``oracles.py``.  Its memory is the path's own plus a fixed amount.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rigiditylab import (
+    CorrectorDivergenceError,
+    FlexPath,
+    invariant_combinations,
+    is_trivial_flex,
+    make_bricard_type1,
+    monitor_flex,
+    q_basis,
+    save_series_csv,
+    trace_flex,
+)
+from rigiditylab.geometry import PATH_BLOCK, monitor_series
+from rigiditylab.models import series_csv_blocks
+
+from oracles import (
+    reference_trace_flex,
+    whole_path_is_trivial_flex,
+    whole_path_length_drift,
+    whole_path_monitor_series,
+    whole_path_series_csv,
+)
+
+SIZES = (PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 3)
+PATH_ARRAYS = ("configs", "ts", "raw_angles", "lifted_angles", "degenerate_flags",
+               "step_sizes", "corrector_iters")
+MB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def bricard_long():
+    P = make_bricard_type1()
+    return P, trace_flex(P.vertex_array(), P.surface, n_steps=max(SIZES) - 1)
+
+
+def head(path, k, last=None):
+    """The first k samples of ``path``; ``last`` replaces the k-th configuration."""
+    configs = path.configs[:k].copy()
+    if last is not None:
+        configs[-1] = last
+    return FlexPath(
+        surface=path.surface,
+        ts=path.ts[:k],
+        configs=configs,
+        raw_angles=path.raw_angles[:k],
+        lifted_angles=path.lifted_angles[:k],
+        degenerate_flags=path.degenerate_flags[:k],
+        initial_lengths=path.initial_lengths,
+    )
+
+
+def rigid_path(path, k):
+    """k rigid motions of the first configuration of ``path``."""
+    x0 = path.configs[0]
+    configs = []
+    for angle in np.linspace(0.0, 0.5, k):
+        c, s = np.cos(angle), np.sin(angle)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        configs.append(x0 @ R.T + np.array([0.1, -0.2, 0.05]) * angle)
+    return FlexPath(
+        surface=path.surface,
+        ts=np.linspace(0.0, 1.0, k),
+        configs=np.array(configs),
+        raw_angles=path.raw_angles[:k],
+        lifted_angles=path.lifted_angles[:k],
+        degenerate_flags=path.degenerate_flags[:k],
+        initial_lengths=path.initial_lengths,
+    )
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_trace_across_blocks(bricard_long, k):
+    """The tracer's sample blocks hold what a list of samples holds."""
+    P, long = bricard_long
+    path = trace_flex(P.vertex_array(), P.surface, n_steps=k - 1)
+    ref = reference_trace_flex(P.vertex_array(), P.surface, n_steps=k - 1)
+    for name in PATH_ARRAYS:
+        a, b = getattr(path, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert path.diagnostics == ref.diagnostics
+    assert path.configs.flags.c_contiguous
+    assert path.configs.tobytes() == long.configs[:k].tobytes()
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_monitor_series_across_blocks(bricard_long, k):
+    path = head(bricard_long[1], k)
+    got = monitor_series(path.surface, path.configs, path.lifted_angles)
+    want = whole_path_monitor_series(path.surface, path.configs, path.lifted_angles)
+    for a, b in zip(got, want):
+        assert a.shape == (k,) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_series_csv_across_blocks(bricard_long, k):
+    path = head(bricard_long[1], k)
+    pieces = list(series_csv_blocks(path))
+    assert len(pieces) == 1 + -(-k // PATH_BLOCK)  # the header, then one per block
+    assert "".join(pieces) == save_series_csv(path) == whole_path_series_csv(path)
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_length_drift_across_blocks(bricard_long, k):
+    path = head(bricard_long[1], k)
+    assert path.length_drift() == whole_path_length_drift(path)
+    # A stretched last sample sets the maximum from the last block.
+    stretched = head(bricard_long[1], k, last=1.001 * path.configs[-1])
+    assert stretched.length_drift() == whole_path_length_drift(stretched) > 1e-4
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_trivial_flex_across_blocks(bricard_long, k):
+    long = bricard_long[1]
+    rigid = rigid_path(long, k)
+    # A flexed last sample makes the path nontrivial from the last block.
+    bent = rigid_path(long, k)
+    bent.configs[-1] = long.configs[k - 1]
+    for path, trivial in ((head(long, k), False), (rigid, True), (bent, False)):
+        assert is_trivial_flex(path) == whole_path_is_trivial_flex(path) == trivial
+
+
+def test_trace_never_sizes_a_buffer_from_n_steps(bricard):
+    """A corrector that never converges ends a trace of 10**12 requested
+    steps with its one-sample path, not with a MemoryError."""
+    with pytest.raises(CorrectorDivergenceError) as exc:
+        trace_flex(bricard.vertex_array(), bricard.surface, n_steps=10**12, tol=1e-300)
+    assert exc.value.path.n_samples == 1
+
+
+# Memory of each whole-path stage on the default spec's full flex cycle.
+
+
+@pytest.fixture(scope="module")
+def bricard_cycle():
+    P = make_bricard_type1()
+    path = trace_flex(P.vertex_array(), P.surface, n_steps=3300)
+    combos = invariant_combinations(q_basis(P.exact_edge_lengths()), path.raw_angles[0])
+    return P, path, combos
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` holds at once, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", ["monitor_flex", "is_trivial_flex", "length_drift"])
+def test_stage_memory_is_fixed(bricard_cycle, stage):
+    P, path, combos = bricard_cycle
+    run = {
+        "monitor_flex": lambda: monitor_flex(path, combos, P),
+        "is_trivial_flex": lambda: is_trivial_flex(path),
+        "length_drift": path.length_drift,
+    }[stage]
+    assert path.n_samples == 3301
+    peak, _ = traced_peak(run)
+    assert peak <= 1 * MB
+
+
+def test_series_csv_memory_is_its_output(bricard_cycle):
+    peak, text = traced_peak(lambda: save_series_csv(bricard_cycle[1]))
+    assert peak <= len(text) + 1.5 * MB
