@@ -35,7 +35,6 @@ SV_THRESHOLD = 1e-8
 LIFT_AMBIGUITY_TOL = 1e-9
 MAX_CORRECTOR_ITERS = 25
 TRIVIAL_FLEX_TOL = 1e-7
-ANGLE_BLOCK = PATH_BLOCK  # configurations per stored sample block and angle evaluation
 
 
 class DegenerateConfigurationError(Exception):
@@ -157,26 +156,6 @@ def _kernel(A: np.ndarray) -> np.ndarray:
     return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
 
 
-class _BorderedJacobian:
-    """The (E+6, 3*nv) matrix J = [R(y); T.T] of a surface, zeroed once.
-
-    R is the rigidity matrix, rewritten in place at each configuration; the
-    six border rows hold the transposed rigid-motion basis T.
-    """
-
-    def __init__(self, surface, nv: int):
-        self.scatter = _RigidityScatter(surface, nv)
-        self.motions = _MotionBasis(nv)
-        n_edges = self.scatter.n_edges
-        self.J = np.zeros((n_edges + 6, 3 * nv))
-        self.border = self.J[n_edges:]
-
-    def kernel_beyond_trivial(self, y) -> np.ndarray:
-        self.scatter(self.J, y)
-        self.border[:] = self.motions(y).T
-        return _kernel(self.J)
-
-
 def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     """Jacobian of the squared edge lengths, shape (n_edges, 3*n_vertices).
 
@@ -203,8 +182,7 @@ def trivial_motion_basis(x) -> np.ndarray:
 
 def _kernel_beyond_trivial(x, surface):
     """Kernel vectors of the rigidity matrix orthogonal to rigid motions."""
-    x = as_config(x)
-    return _BorderedJacobian(surface, x.shape[0]).kernel_beyond_trivial(x)
+    return _kernel(np.vstack([rigidity_matrix(x, surface), trivial_motion_basis(x).T]))
 
 
 def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
@@ -347,25 +325,30 @@ def trace_flex(
     # already exist, so a step leaves no new small object behind.
     sizes: list[float] = []
     iters: list[int] = []
-    # Accepted samples, ANGLE_BLOCK to an array; sample k is row k % ANGLE_BLOCK
-    # of block k // ANGLE_BLOCK, and blocks are added as the path grows.
+    # Accepted samples, PATH_BLOCK to an array; sample k is row k % PATH_BLOCK
+    # of block k // PATH_BLOCK, and blocks are added as the path grows.
     store: list[np.ndarray] = []
 
     def keep(y):  # y is sample len(sizes): the start or the last step's end
-        k = len(sizes) % ANGLE_BLOCK
+        k = len(sizes) % PATH_BLOCK
         if k == 0:
-            store.append(np.empty((ANGLE_BLOCK, nv, 3)))
+            store.append(np.empty((PATH_BLOCK, nv, 3)))
         store[-1][k] = y
 
     keep(x)
-    # One bordered Jacobian serves every corrector iteration and tangent.
-    jac = _BorderedJacobian(surface, nv)
-    res = np.empty(len(jac.J))  # [g; slice residual], written in place
+    # One bordered Jacobian J = [R(y); T.T], zeroed once, serves every
+    # corrector iteration and tangent: the rigidity matrix R is rewritten in
+    # place at each configuration, the six border rows hold the transposed
+    # rigid-motion basis T.
+    scatter, motions = _RigidityScatter(surface, nv), _MotionBasis(nv)
+    J = np.zeros((len(targets_sq) + 6, 3 * nv))
+    border = J[len(targets_sq) :]
+    res = np.empty(len(J))  # [g; slice residual], written in place
     g, slice_res = res[: len(targets_sq)], res[len(targets_sq) :]
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
-        configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % ANGLE_BLOCK + 1]])
+        configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % PATH_BLOCK + 1]])
         store.clear()
         # Row-major, so each configuration's angles are contiguous; the
         # batched kernel itself returns column-major arrays.
@@ -392,7 +375,9 @@ def trace_flex(
         )
 
     def tangent_at(y):
-        kernel = jac.kernel_beyond_trivial(y)
+        scatter(J, y)
+        border[:] = motions(y).T
+        kernel = _kernel(J)
         if kernel.shape[1] != 1:
             raise SingularPointError(
                 f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
@@ -417,8 +402,8 @@ def trace_flex(
                 f"step size underflow at accepted step {len(sizes)}", path=path()
             )
         x_pred = x + h * tangent.reshape(nv, 3)
-        T_pred = jac.motions(x_pred)
-        jac.border[:] = T_pred.T
+        T_pred = motions(x_pred)
+        border[:] = T_pred.T
         y = x_pred  # no array is changed in place below
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
@@ -428,8 +413,8 @@ def trace_flex(
                 ok = True
                 gn_iters = it
                 break
-            jac.scatter(jac.J, y)
-            delta, *_ = np.linalg.lstsq(jac.J, -res, rcond=None)
+            scatter(J, y)
+            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
             y = y + delta.reshape(nv, 3)
             if not np.isfinite(y).all():
                 break

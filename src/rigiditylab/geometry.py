@@ -41,16 +41,15 @@ class DegenerateFaceError(Exception):
 class Polyhedron:
     """Vertex coordinates realizing a combinatorial surface.
 
-    ``coords`` maps vertex id to a point in R^3.  ``exact_coords`` optionally
-    carries the same points as exact rationals (used for exact length
-    algebra); ``exact_lengths`` optionally declares exact edge lengths
-    directly, in canonical edge order.
+    The points live in one (n_vertices, 3) float array in canonical vertex
+    order, which every kernel reads; ``coords`` maps each vertex id to its
+    row of that array, a view.  ``exact_coords`` optionally carries the same
+    points as exact rationals, the only source of exact edge lengths.
     """
 
     surface: SimplicialSurface
     coords: dict
     exact_coords: dict | None = None
-    exact_lengths: list | None = None
     _vertex_array: np.ndarray = field(init=False, repr=False)
     _exact_length_cache: list | None = field(
         init=False, repr=False, compare=False, default=None
@@ -68,10 +67,8 @@ class Polyhedron:
         for v, p in coords.items():
             if p.shape != (3,):
                 raise ValueError(f"vertex {v}: expected a 3-vector, got shape {p.shape}")
-        self.coords = coords
-        self._vertex_array = np.array(
-            [coords[v] for v in self.surface.vertices], dtype=float
-        )
+        self._vertex_array = np.array([coords[v] for v in self.surface.vertices])
+        self.coords = dict(zip(self.surface.vertices, self._vertex_array))
 
     def point(self, vertex: int) -> np.ndarray:
         return self.coords[vertex]
@@ -84,15 +81,13 @@ class Polyhedron:
         return float(edge_length_vector(self).max())
 
     def exact_edge_lengths(self):
-        """Exact edge lengths in canonical edge order, if exact data exists.
+        """Exact edge lengths in canonical edge order, from ``exact_coords``.
 
         Computed once per polyhedron; every call returns a new list.  The
         rational coordinates are scaled by the lcm D of their denominators to
         integer points X_v, so edge (a, b) has squared length
         sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
         """
-        if self.exact_lengths is not None:
-            return list(self.exact_lengths)
         if self.exact_coords is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
         if self._exact_length_cache is None:

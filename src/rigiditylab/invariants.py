@@ -112,9 +112,9 @@ def rigidity_certificate(
 ) -> RigidityCertificate:
     """Decide rigidity from rational (in)dependence of the edge lengths.
 
-    Exact mode requires exact lengths on the polyhedron (from exact
-    coordinates or declared); they are cross-checked against the float edge
-    lengths so a declared set cannot silently disagree with the geometry.
+    Exact mode requires exact lengths on the polyhedron (from its exact
+    coordinates); they are cross-checked against the float edge lengths,
+    so exact points that differ from the float ones cannot go unnoticed.
     Numeric mode runs the lattice-reduction relation search on the float
     lengths and can only ever certify rigidity "up to height".
     """

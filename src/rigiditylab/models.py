@@ -56,8 +56,10 @@ def _to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _float_coords(exact: dict) -> dict:
-    return {v: np.array([float(c) for c in p]) for v, p in exact.items()}
+def _exact_polyhedron(faces, points: dict) -> Polyhedron:
+    """Polyhedron on exact rational points (ints or Fractions), which are
+    also its float coordinates: numpy rounds each to the nearest float."""
+    return Polyhedron(SimplicialSurface(faces), points, exact_coords=points)
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,7 @@ def make_bricard_type1(spec: BricardSpec = DEFAULT_BRICARD_SPEC) -> Polyhedron:
     for face in BRICARD_FACES:
         if _exact_cross_is_zero(*(exact[v] for v in face)):
             raise DegenerateSpecError(f"face {face} is degenerate")
-    surface = SimplicialSurface(BRICARD_FACES)
-    return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
+    return _exact_polyhedron(BRICARD_FACES, exact)
 
 
 def half_turn_edge_pairs(surface: SimplicialSurface | None = None) -> list[tuple[int, int]]:
@@ -137,16 +138,9 @@ def half_turn_edge_pairs(surface: SimplicialSurface | None = None) -> list[tuple
 
 def make_regular_octahedron() -> Polyhedron:
     """Octahedron with vertices at the signed unit axis points."""
-    exact = {
-        0: (Fraction(1), Fraction(0), Fraction(0)),
-        1: (Fraction(0), Fraction(1), Fraction(0)),
-        2: (Fraction(0), Fraction(0), Fraction(1)),
-        3: (Fraction(0), Fraction(0), Fraction(-1)),
-        4: (Fraction(0), Fraction(-1), Fraction(0)),
-        5: (Fraction(-1), Fraction(0), Fraction(0)),
-    }
-    surface = SimplicialSurface(OCTAHEDRON_FACES)
-    return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
+    points = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1),
+              3: (0, 0, -1), 4: (0, -1, 0), 5: (-1, 0, 0)}
+    return _exact_polyhedron(OCTAHEDRON_FACES, points)
 
 
 def make_triangulated_cube() -> Polyhedron:
@@ -168,25 +162,15 @@ def make_triangulated_cube() -> Polyhedron:
     faces = []
     for v0, v1, v2, v3 in squares:
         faces += [(v0, v1, v2), (v0, v2, v3)]
-    exact = {
-        v: (Fraction(v & 1), Fraction((v >> 1) & 1), Fraction((v >> 2) & 1))
-        for v in range(8)
-    }
-    surface = SimplicialSurface(faces)
-    return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
+    points = {v: (v & 1, (v >> 1) & 1, (v >> 2) & 1) for v in range(8)}
+    return _exact_polyhedron(faces, points)
 
 
 def make_regular_tetrahedron() -> Polyhedron:
     """Regular tetrahedron on alternating cube corners, edge length 2*sqrt(2)."""
-    exact = {
-        0: (Fraction(1), Fraction(1), Fraction(1)),
-        1: (Fraction(1), Fraction(-1), Fraction(-1)),
-        2: (Fraction(-1), Fraction(1), Fraction(-1)),
-        3: (Fraction(-1), Fraction(-1), Fraction(1)),
-    }
+    points = {0: (1, 1, 1), 1: (1, -1, -1), 2: (-1, 1, -1), 3: (-1, -1, 1)}
     faces = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
-    surface = SimplicialSurface(faces)
-    return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
+    return _exact_polyhedron(faces, points)
 
 
 @lru_cache(maxsize=1)
@@ -202,9 +186,7 @@ def make_distinct_length_octahedron() -> Polyhedron:
         4: (1, -2, -2),
         5: (2, 2, 3),
     }
-    exact = {v: tuple(Fraction(c) for c in p) for v, p in points.items()}
-    surface = SimplicialSurface(OCTAHEDRON_FACES)
-    return Polyhedron(surface, _float_coords(exact), exact_coords=exact)
+    return _exact_polyhedron(OCTAHEDRON_FACES, points)
 
 
 BUILTIN_MODELS = {
@@ -307,16 +289,11 @@ def save_off(P: Polyhedron) -> str:
 # ---------------------------------------------------------------------------
 
 
-def save_report_json(certificate, combinations, monitoring=None, edges=None) -> str:
+def save_report_json(certificate, combinations, monitoring=None, *, edges) -> str:
     """Analysis report as deterministic JSON.
 
-    ``edges`` (canonical edge list) translates edge indices into vertex
-    pairs; without it indices are emitted as-is.
+    ``edges`` (canonical edge list) translates edge indices into vertex pairs.
     """
-
-    def edge_name(i):
-        return list(edges[i]) if edges is not None else i
-
     relations = []
     if certificate.evidence.relation is not None:
         relations.append(list(certificate.evidence.relation))
@@ -343,7 +320,7 @@ def save_report_json(certificate, combinations, monitoring=None, edges=None) -> 
         "mode": certificate.mode,
         "height": certificate.height,
         "relations": relations,
-        "constant_angle_edges": [edge_name(i) for i in certificate.constant_angle_edges],
+        "constant_angle_edges": [list(edges[i]) for i in certificate.constant_angle_edges],
         "caveat": certificate.caveat,
         "combinations": combs,
         "monitors": monitors,

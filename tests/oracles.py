@@ -17,7 +17,6 @@ from scipy.spatial import ConvexHull
 
 from rigiditylab import geometry, lengths, normalize_sqrt
 from rigiditylab.flex import (
-    ANGLE_BLOCK,
     MAX_CORRECTOR_ITERS,
     SV_THRESHOLD,
     TRIVIAL_FLEX_TOL,
@@ -27,11 +26,10 @@ from rigiditylab.flex import (
     FlexPath,
     SingularPointError,
     as_config,
-    best_fit_rigid_motion,
     lift_angles,
     squared_length_residual,
 )
-from rigiditylab.geometry import face_areas, principal_angles, squared_lengths
+from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles, squared_lengths
 from rigiditylab.surfaces import edge_table
 
 
@@ -402,8 +400,8 @@ def reference_trace_flex(
         configs = np.array(samples)
         raw = np.empty((len(configs), len(surface.edges)))
         flags = np.empty(raw.shape, dtype=bool)
-        for k in range(0, len(configs), ANGLE_BLOCK):
-            block = slice(k, k + ANGLE_BLOCK)
+        for k in range(0, len(configs), PATH_BLOCK):
+            block = slice(k, k + PATH_BLOCK)
             raw[block], flags[block] = principal_angles(surface, configs[block])
         return FlexPath(
             surface=surface,
@@ -517,14 +515,23 @@ def whole_path_length_drift(path) -> float:
     return float(np.max(np.abs(ell - L) / L, initial=0.0))
 
 
+def kabsch_misfit(source, target) -> float:
+    """Largest vertex distance between target and the proper rigid motion of
+    source that fits it best in the least-squares sense (Kabsch)."""
+    p = source - source.mean(axis=0)
+    q = target - target.mean(axis=0)
+    U, _, Vt = np.linalg.svd(p.T @ q)
+    flip = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
+    R = U @ flip @ Vt  # p @ R rotates the source onto the target
+    return float(np.linalg.norm(p @ R - q, axis=1).max())
+
+
 def whole_path_is_trivial_flex(path) -> bool:
+    """Every sample is a rigid motion of the first, by one Kabsch fit per
+    sample; the diameter is the largest pairwise vertex distance."""
     if path.n_samples <= 1:
         return True
     x0 = path.configs[0]
-    d = x0[:, None] - x0[None]
-    diam = float(np.sqrt(np.vecdot(d, d)).max())
-    rest = path.configs[1:]
-    R, t = best_fit_rigid_motion(x0, rest)
-    moved = x0 @ R.mT + t[:, None, :]
-    worst = float(np.max(np.linalg.norm(moved - rest, axis=-1)))
+    diam = max(np.linalg.norm(a - b) for a in x0 for b in x0)
+    worst = max(kabsch_misfit(x0, x) for x in path.configs[1:])
     return worst <= TRIVIAL_FLEX_TOL * diam

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from rigiditylab import (
-    ExactLength,
     FlexPath,
     INCONCLUSIVE,
     InvariantCombination,
@@ -65,11 +62,8 @@ def test_certificate_numeric_mode(distinct_octahedron, octahedron):
 
 
 def test_certificate_rejects_inconsistent_declared_lengths(octahedron):
-    bogus = Polyhedron(
-        octahedron.surface,
-        octahedron.coords,
-        exact_lengths=[ExactLength(Fraction(1), 3)] * 12,
-    )
+    doubled = {v: tuple(2 * c for c in p) for v, p in octahedron.exact_coords.items()}
+    bogus = Polyhedron(octahedron.surface, octahedron.coords, exact_coords=doubled)
     with pytest.raises(ValueError, match="disagrees"):
         rigidity_certificate(bogus, mode="exact")
 

@@ -19,9 +19,9 @@ from oracles import fraction_exact_lengths
 TETRAHEDRON = make_regular_tetrahedron().surface
 
 
-def exact_polyhedron(surface, exact, **kwargs):
+def exact_polyhedron(surface, exact):
     floats = {v: [float(Fraction(c)) for c in p] for v, p in exact.items()}
-    return Polyhedron(surface, floats, exact_coords=exact, **kwargs)
+    return Polyhedron(surface, floats, exact_coords=exact)
 
 
 @pytest.mark.parametrize("seed", [5, 9001])
@@ -79,15 +79,3 @@ def test_no_exact_data_raises_on_every_call(tetrahedron):
     for _ in range(2):
         with pytest.raises(ValueError, match="no exact coordinate or length data"):
             P.exact_edge_lengths()
-
-
-def test_declared_lengths_take_precedence():
-    exact = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
-    stated = [ExactLength(Fraction(1), 3)] * 6
-    P = exact_polyhedron(TETRAHEDRON, exact, exact_lengths=stated)
-    declared = P.exact_lengths
-    first = P.exact_edge_lengths()
-    assert first == declared and first is not declared
-    first.clear()
-    assert P.exact_edge_lengths() == declared
-    assert P.exact_edge_lengths() == stated

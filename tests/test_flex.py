@@ -20,8 +20,8 @@ from rigiditylab import (
     trace_flex,
     trivial_motion_basis,
 )
-from rigiditylab.flex import ANGLE_BLOCK, MAX_CORRECTOR_ITERS, _kernel_beyond_trivial
-from rigiditylab.geometry import principal_angles
+from rigiditylab.flex import MAX_CORRECTOR_ITERS, _kernel_beyond_trivial
+from rigiditylab.geometry import PATH_BLOCK, principal_angles
 
 from oracles import (
     exact_flex_dim,
@@ -119,9 +119,9 @@ def test_trivial_basis_rejects_collinear_input(octahedron):
 def test_path_angles_across_blocks(bricard):
     """Angles computed block by block from the finished path equal the
     per-configuration values bit for bit, in row-major arrays."""
-    path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=ANGLE_BLOCK + 44)
+    path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=PATH_BLOCK + 44)
     one_by_one = [principal_angles(bricard.surface, x) for x in path.configs]
-    assert path.n_samples > ANGLE_BLOCK
+    assert path.n_samples > PATH_BLOCK
     assert np.array_equal(path.raw_angles, np.array([v for v, _ in one_by_one]))
     assert np.array_equal(path.degenerate_flags, np.array([f for _, f in one_by_one]))
     for a in (path.raw_angles, path.degenerate_flags, path.lifted_angles):

@@ -6,10 +6,13 @@ from rigiditylab import (
     Polyhedron,
     SimplicialSurface,
     check_nondegenerate,
+    edge_length_vector,
     edge_lengths,
+    make_regular_octahedron,
     monte_carlo_dihedral,
     oriented_volume,
     principal_dihedral,
+    save_off,
     weighted_angle_sum,
 )
 
@@ -61,6 +64,17 @@ def test_zero_length_edge_allowed_in_lengths():
     S = SimplicialSurface([(0, 1, 2)])
     P = Polyhedron(S, {0: (0, 0, 0), 1: (0, 0, 0), 2: (0, 1, 0)})
     assert edge_lengths(P)[(0, 1)] == 0.0
+
+
+def test_coords_are_views_of_the_one_coordinate_array():
+    P = make_regular_octahedron()  # a fresh model: the edit below changes it
+    for v in P.surface.vertices:
+        assert P.point(v) is P.coords[v]
+        assert np.shares_memory(P.point(v), P._vertex_array)
+    assert not np.shares_memory(P.vertex_array(), P._vertex_array)
+    P.coords[0][0] = 3.0
+    assert save_off(P).splitlines()[3] == "3.0 0.0 0.0"
+    assert edge_length_vector(P)[P.surface.edge_index((0, 1))] == np.sqrt(10.0)
 
 
 def test_cube_true_edge_and_diagonal(cube):

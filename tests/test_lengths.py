@@ -147,6 +147,17 @@ def test_find_relation_examples():
     assert find_integer_relation(["1.0", s2, s3], height=10**6) is None
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the search tries only single rows of the reduced "
+    "basis, and here the relation is the difference of two of them",
+)
+def test_find_relation_that_is_a_sum_of_reduced_rows():
+    # v0 + 2*v1 - v2 == 0 exactly, yet each short reduced row leaves 5e-13.
+    values = ["0.0000000000005", "1.0000000000005", "2.0000000000015"]
+    assert find_integer_relation(values) == (1, 2, -1)
+
+
 def test_find_relation_input_validation():
     with pytest.raises(ValueError):
         find_integer_relation([])

@@ -101,7 +101,6 @@ def test_bricard_mirrored_angle_series(bricard, bricard_path):
 
 def test_distinct_length_octahedron(distinct_octahedron):
     P = distinct_octahedron
-    assert P.exact_lengths is None
     exact = P.exact_edge_lengths()
     radicands = [ell.d for ell in exact]
     assert len(set(radicands)) == 12
