@@ -142,8 +142,9 @@ class _RigidityScatter:
         self.positions = 3 * blocks[:, :, None] + np.arange(3)  # (head/tail, E, 3)
         self.values = np.empty(self.positions.shape)
 
-    def __call__(self, out: np.ndarray, x) -> None:
-        np.multiply(_EDGE_SIGNS, x[self.heads] - x[self.tails], out=self.values)
+    def write(self, out: np.ndarray, d) -> None:
+        """Write the rows for the edge vectors d = x[heads] - x[tails]."""
+        np.multiply(_EDGE_SIGNS, d, out=self.values)
         np.put(out, self.positions, self.values)
 
 
@@ -165,7 +166,7 @@ def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     x = as_config(x)
     scatter = _RigidityScatter(surface, x.shape[0])
     R = np.zeros((scatter.n_edges, 3 * x.shape[0]))
-    scatter(R, x)
+    scatter.write(R, x[scatter.heads] - x[scatter.tails])
     return R
 
 
@@ -374,8 +375,8 @@ def trace_flex(
             corrector_iters=np.array(iters, dtype=int),
         )
 
-    def tangent_at(y):
-        scatter(J, y)
+    def tangent_at(y, dy):  # dy = y[heads] - y[tails]
+        scatter.write(J, dy)
         border[:] = motions(y).T
         kernel = _kernel(J)
         if kernel.shape[1] != 1:
@@ -386,7 +387,8 @@ def trace_flex(
             )
         return kernel[:, 0]
 
-    tangent = tangent_at(x)
+    heads, tails = scatter.heads, scatter.tails
+    tangent = tangent_at(x, x[heads] - x[tails])
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
@@ -407,13 +409,15 @@ def trace_flex(
         y = x_pred  # no array is changed in place below
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
-            np.subtract(squared_lengths(surface, y), targets_sq, out=g)
+            # The edge vectors feed both the residual and the Jacobian.
+            dy = y[heads] - y[tails]
+            np.subtract(np.vecdot(dy, dy), targets_sq, out=g)
             np.matmul(T_pred.T, (y - x_pred).reshape(-1), out=slice_res)
             if np.abs(res).max() <= tol:
                 ok = True
                 gn_iters = it
                 break
-            scatter(J, y)
+            scatter.write(J, dy)
             delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
             y = y + delta.reshape(nv, 3)
             if not np.isfinite(y).all():
@@ -434,7 +438,7 @@ def trace_flex(
         x = y
         keep(x)
 
-        new_tangent = tangent_at(x)
+        new_tangent = tangent_at(x, dy)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         tangent = new_tangent

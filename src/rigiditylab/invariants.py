@@ -90,6 +90,16 @@ class InvariantCombination:
         return float(np.dot(self.coeffs, angles))
 
 
+def _basis_edges(span: SpanBasis) -> list[list[int]]:
+    """The edges on each basis element, in one scan of the coefficients:
+    every length r*sqrt(d) has exactly one nonzero coefficient."""
+    edges: list[list[int]] = [[] for _ in span.basis]
+    for i, row in enumerate(span.coefficients):
+        (j,) = [k for k, c in enumerate(row) if c]
+        edges[j].append(i)
+    return edges
+
+
 def constant_angle_edges(span: SpanBasis) -> tuple[int, ...]:
     """Edges whose length no rational combination of the others can reach.
 
@@ -97,14 +107,7 @@ def constant_angle_edges(span: SpanBasis) -> tuple[int, ...]:
     radicand appears once in the whole length set; their dihedral angles are
     predicted constant along every flex.
     """
-    counts: dict[int, int] = {}
-    owner: dict[int, list[int]] = {}
-    for i, row in enumerate(span.coefficients):
-        (j,) = [k for k, c in enumerate(row) if c != 0]
-        d = span.basis[j].d
-        counts[d] = counts.get(d, 0) + 1
-        owner.setdefault(d, []).append(i)
-    return tuple(sorted(owner[d][0] for d, c in counts.items() if c == 1))
+    return tuple(sorted(edges[0] for edges in _basis_edges(span) if len(edges) == 1))
 
 
 def rigidity_certificate(
@@ -158,8 +161,12 @@ def invariant_combinations(
     """
     initial_angles = np.asarray(initial_angles, dtype=float)
     out = []
-    for j, lam in enumerate(span.basis):
-        coeffs = clear_to_integers([row[j] for row in span.coefficients])
+    for j, (lam, edges) in enumerate(zip(span.basis, _basis_edges(span))):
+        # Zeros add nothing to the lcm and clear to 0.
+        coeffs = [0] * len(span.coefficients)
+        for i, c in zip(edges, clear_to_integers([span.coefficients[i][j] for i in edges])):
+            coeffs[i] = c
+        coeffs = tuple(coeffs)
         out.append(
             InvariantCombination(
                 label=str(lam),

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 MAX_FACTOR_INPUT = 2**63
 TRIAL_LIMIT = 10**6
@@ -252,60 +253,72 @@ def _lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     :func:`find_integer_relation`).  Ties follow the rational formulation:
     size reduction only when |mu| > 1/2, and mu rounded half to even, so
     the reduced basis equals that of exact Fraction Gram-Schmidt.
+
+    Only ``lam[i][j]`` with j < i is ever read.  A swap of rows k-1 and k
+    therefore exchanges the two ``lam`` row objects whole and then sets the
+    new ``lam[k][k - 1]``; what a row holds at j >= i is never used.
     """
     b = [[int(x) for x in row] for row in basis]
     n = len(b)
     if n == 1:
         return b
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
     lam = [[0] * n for _ in range(n)]
-    d = [1, dot(b[0], b[0])] + [0] * (n - 1)
-
-    def size_reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q, r = divmod(2 * lam[k][l] + d[l + 1], 2 * d[l + 1])
-            if r == 0 and q % 2:
-                q -= 1  # an exact half rounds to even
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        m = lam[k][k - 1]
-        dk = (d[k - 1] * d[k + 1] + m * m) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-            lam[i][k - 1] = (dk * t + m * lam[i][k]) // d[k + 1]
-        d[k] = dk
-
+    d = [1, sum(map(mul, b[0], b[0]))] + [0] * (n - 1)
     k = 1
     kmax = 0
     while k < n:
         if k > kmax:
             kmax = k
+            bk, lk = b[k], lam[k]
             for j in range(k + 1):
-                u = dot(b[k], b[j])
+                u = sum(map(mul, bk, b[j]))
+                lj = lam[j]
                 for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
                 if j < k:
-                    lam[k][j] = u
+                    lk[j] = u
                 else:
                     d[k + 1] = u
-        size_reduce(k, k - 1)
-        while 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            swap(k, kmax)
-            k = max(k - 1, 1)
-            size_reduce(k, k - 1)
+        while True:
+            # Size-reduce row k against row k - 1, then test Lovasz.
+            lk, d0, d1, d2 = lam[k], d[k - 1], d[k], d[k + 1]
+            m = lk[k - 1]
+            if 2 * abs(m) > d1:
+                q, r = divmod(2 * m + d1, 2 * d1)
+                if r == 0 and q % 2:
+                    q -= 1  # an exact half rounds to even
+                b[k] = [x - q * y for x, y in zip(b[k], b[k - 1])]
+                m -= q * d1
+                lk[k - 1] = m
+                ll = lam[k - 1]
+                for i in range(k - 1):
+                    lk[i] -= q * ll[i]
+            if 4 * d2 * d0 >= 3 * d1 * d1 - 4 * m * m:
+                break
+            b[k], b[k - 1] = b[k - 1], b[k]
+            lam[k], lam[k - 1] = lam[k - 1], lk
+            lam[k][k - 1] = m
+            dk = (d0 * d2 + m * m) // d1
+            for li in lam[k + 1 : kmax + 1]:
+                t = li[k]
+                li[k] = v = (d2 * li[k - 1] - m * t) // d1
+                li[k - 1] = (dk * t + m * v) // d2
+            d[k] = dk
+            if k > 1:
+                k -= 1
+        bk, lk = b[k], lam[k]
         for l in range(k - 2, -1, -1):
-            size_reduce(k, l)
+            c, dl = lk[l], d[l + 1]
+            if 2 * abs(c) > dl:
+                q, r = divmod(2 * c + dl, 2 * dl)
+                if r == 0 and q % 2:
+                    q -= 1  # an exact half rounds to even
+                bk = [x - q * y for x, y in zip(bk, b[l])]
+                lk[l] = c - q * dl
+                ll = lam[l]
+                for i in range(l):
+                    lk[i] -= q * ll[i]
+        b[k] = bk
         k += 1
     return b
 

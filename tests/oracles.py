@@ -189,6 +189,32 @@ def fraction_lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> li
     return [[int(x) for x in row] for row in b]
 
 
+# The span readers as they were before they shared one scan: every row of
+# the coefficient matrix is read for every basis element, and the radicand
+# counts are kept per radicand, not per column.
+def full_scan_constant_angle_edges(span) -> tuple[int, ...]:
+    """Edges whose radicand occurs once among all the lengths."""
+    counts: dict[int, int] = {}
+    owner: dict[int, list[int]] = {}
+    for i, row in enumerate(span.coefficients):
+        (j,) = [k for k, c in enumerate(row) if c != 0]
+        d = span.basis[j].d
+        counts[d] = counts.get(d, 0) + 1
+        owner.setdefault(d, []).append(i)
+    return tuple(sorted(owner[d][0] for d, c in counts.items() if c == 1))
+
+
+def full_scan_invariant_combinations(span, initial_angles) -> list[tuple]:
+    """(label, coefficients, claimed constant) per basis element, the
+    coefficients cleared over the whole column, zeros included."""
+    initial_angles = np.asarray(initial_angles, dtype=float)
+    out = []
+    for j, lam in enumerate(span.basis):
+        coeffs = fraction_clear_to_integers([row[j] for row in span.coefficients])
+        out.append((str(lam), coeffs, float(np.dot(coeffs, initial_angles))))
+    return out
+
+
 # The relation search as it ran in 50-digit mpmath before it read its values
 # as exact rationals.  It shares the integer LLL with the library, which
 # tests/test_lll.py checks against fraction_lll; the parsing, the lattice

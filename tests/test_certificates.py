@@ -1,7 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
+from perfbench import inputs
 from rigiditylab import (
+    BUILTIN_MODELS,
     FlexPath,
     INCONCLUSIVE,
     InvariantCombination,
@@ -12,11 +16,15 @@ from rigiditylab import (
     half_turn_edge_pairs,
     initial_principal_angles,
     invariant_combinations,
+    make_bricard_type1,
+    make_model,
     monitor_flex,
     normalize_sqrt,
     q_basis,
     rigidity_certificate,
 )
+
+from oracles import full_scan_constant_angle_edges, full_scan_invariant_combinations
 
 
 def test_constant_edges_all_distinct():
@@ -98,6 +106,27 @@ def test_combinations_bricard_pairs(bricard):
 def test_combination_coefficients_nonzero_integers():
     with pytest.raises(AssertionError):
         InvariantCombination(label="x", coeffs=(0, 0), claimed_constant=0.0)
+
+
+def test_span_readers_match_full_scan():
+    models = [make_model(name) for name in sorted(BUILTIN_MODELS)]
+    for seed in (3, 17):
+        rng = random.Random(seed)
+        for _ in range(4):
+            models += [
+                inputs.rational_octahedron(rng),
+                inputs.rational_cube(rng),
+                make_bricard_type1(inputs.bricard_spec(rng)),
+            ]
+    for P in models:
+        span = q_basis(P.exact_edge_lengths())
+        angles = initial_principal_angles(P)
+        assert constant_angle_edges(span) == full_scan_constant_angle_edges(span)
+        got = [(c.label, c.coeffs, c.claimed_constant.hex())
+               for c in invariant_combinations(span, angles)]
+        want = [(label, coeffs, constant.hex())
+                for label, coeffs, constant in full_scan_invariant_combinations(span, angles)]
+        assert got == want
 
 
 def test_branch_shift_changes_value_by_multiple_of_two_pi(bricard):

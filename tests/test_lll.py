@@ -56,6 +56,19 @@ def test_matches_fraction_lll_on_relation_lattices():
         assert _lll_reduce(rows) == fraction_lll(rows)
 
 
+def test_matches_fraction_lll_on_larger_bases():
+    # Generic bases of 6 to 10 rows with entries up to 1e4, beyond what
+    # integer_bases draws: swaps two or more rows below kmax and long
+    # size-reduction chains.
+    rng = random.Random(21)
+    for n in range(6, 11):
+        for _ in range(3):
+            m = n + rng.randint(0, 2)
+            rows = [[rng.randint(-10**4, 10**4) for _ in range(m)] for _ in range(n)]
+            assert rational_rank([[Fraction(x) for x in row] for row in rows]) == n
+            assert _lll_reduce(rows) == fraction_lll(rows)
+
+
 @st.composite
 def integer_bases(draw):
     n = draw(st.integers(2, 5))
