@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from .geometry import (
     PATH_BLOCK,
@@ -81,6 +83,42 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
     return Polyhedron(surface, {v: x[i] for i, v in enumerate(surface.vertices)})
 
 
+# The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
+# np.linalg.qr, svd and lstsq do (same gufuncs, signatures, input copies,
+# error states and LinAlgError handlers), so their results equal the public
+# functions' to the bit without the wrappers' dtype checks, triu and result
+# copies.
+_QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
+_SVD_F, _LSTSQ = _umath_linalg.svd_f, _umath_linalg.lstsq
+_lapack_errors = partial(
+    np.errstate, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+def _qr(a: np.ndarray):
+    """Q of np.linalg.qr(a) for a float (m, n) matrix, m >= n, and |diag R|."""
+    a = a.copy()  # factored in place into R above the diagonal and reflectors below
+    with _lapack_errors(call=_linalg._raise_linalgerror_qr):
+        tau = _QR_R_RAW(a, signature="d->d")
+    with _lapack_errors(call=_linalg._raise_linalgerror_qr):
+        q = _QR_REDUCED(a, tau, signature="dd->d")
+    return q, np.abs(a.diagonal())
+
+
+def _svd(a: np.ndarray):
+    """np.linalg.svd(a) of a float matrix: u, s, vt."""
+    with _lapack_errors(call=_linalg._raise_linalgerror_svd_nonconvergence):
+        return _SVD_F(a, signature="d->ddd")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
+    """Solution of np.linalg.lstsq(a, b, rcond=None) for a float (m, n) matrix
+    and an (m, 1) column b, given rcond = eps * max(m, n)."""
+    with _lapack_errors(call=_linalg._raise_linalgerror_lstsq):
+        x, _, _, _ = _LSTSQ(a, b, rcond, signature="ddd->ddid")
+    return x
+
+
 # Rotation k is e_k x c.  Columns 0-2 of cz hold c, columns 3-5 the signed
 # zeros 0*c; component i of rotation k is cz[:, PLUS[i][k]] - cz[:, MINUS[i][k]],
 # np.cross's products.
@@ -116,8 +154,7 @@ class _MotionBasis:
         # check that buffers take's output.
         np.take(self.cz, _ROT_PAIRS, axis=1, out=self.rot, mode="clip")
         np.subtract(self.rot[:, 0], self.rot[:, 1], out=self.basis[:, :, 3:])
-        q, r = np.linalg.qr(self.basis.reshape(3 * self.nv, 6))
-        diag = np.abs(r.diagonal())
+        q, diag = _qr(self.basis.reshape(3 * self.nv, 6))
         if np.minimum.reduce(diag) <= 1e-12 * max(np.maximum.reduce(diag), 1.0):
             raise DegenerateConfigurationError("vertices are collinear")
         return q
@@ -150,7 +187,7 @@ class _RigidityScatter:
 
 def _kernel(A: np.ndarray) -> np.ndarray:
     """Right singular vectors of A beyond its numerical rank, as columns."""
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = _svd(A)
     cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     null_dim = A.shape[1] - rank
@@ -304,7 +341,11 @@ def trace_flex(
 
     Each step costs its LAPACK calls and little else: one bordered Jacobian,
     set up once per trace, is refilled in place for every least-squares
-    correction and for the SVD that gives the next tangent.
+    correction and for the SVD that gives the next tangent.  These calls and
+    the rigid-motion QRs bypass numpy.linalg's Python wrappers, which cost
+    about a fifth of a step on these small matrices, and go straight to the
+    same LAPACK gufuncs with the same arguments, so every result is the
+    public functions' to the bit.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -344,6 +385,7 @@ def trace_flex(
     scatter, motions = _RigidityScatter(surface, nv), _MotionBasis(nv)
     J = np.zeros((len(targets_sq) + 6, 3 * nv))
     border = J[len(targets_sq) :]
+    rcond = np.finfo(float).eps * max(J.shape)  # np.linalg.lstsq's rcond=None
     res = np.empty(len(J))  # [g; slice residual], written in place
     g, slice_res = res[: len(targets_sq)], res[len(targets_sq) :]
 
@@ -418,7 +460,7 @@ def trace_flex(
                 gn_iters = it
                 break
             scatter.write(J, dy)
-            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
+            delta = _lstsq(J, -res[:, None], rcond)
             y = y + delta.reshape(nv, 3)
             if not np.isfinite(y).all():
                 break

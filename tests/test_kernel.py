@@ -20,6 +20,7 @@ from rigiditylab import (
     make_triangulated_cube,
     monitor_flex,
     q_basis,
+    rigidity_matrix,
     save_series_csv,
     trivial_motion_basis,
     validate_complex,
@@ -31,6 +32,7 @@ from rigiditylab.geometry import (
     squared_lengths,
     weighted_angle_sums,
 )
+from rigiditylab.flex import _lstsq, _qr, _svd
 from rigiditylab.models import OCTAHEDRON_FACES
 
 TWO_PI = 2.0 * math.pi
@@ -199,7 +201,46 @@ def test_trivial_basis_equals_cross_product_construction():
             basis[k::3, k] = 1.0
             axis = np.broadcast_to(np.eye(3)[k], centered.shape)
             basis[:, 3 + k] = np.cross(axis, centered).reshape(-1)
-        assert np.array_equal(trivial_motion_basis(x), np.linalg.qr(basis)[0])
+        q, r = np.linalg.qr(basis)
+        assert np.array_equal(trivial_motion_basis(x), q)
+        q_direct, diag = _qr(basis)
+        assert q_direct.tobytes() == q.tobytes()
+        assert diag.tobytes() == np.abs(r.diagonal()).tobytes()
+
+
+def bordered_jacobians(bricard_path):
+    """[R; T.T] at every tenth configuration of the path (one flex beyond the
+    rigid motions, so rank-deficient) and at the cube."""
+    cube = make_triangulated_cube()
+    configs = [(bricard_path.surface, x) for x in bricard_path.configs[::10]]
+    for surface, x in [*configs, (cube.surface, cube.vertex_array())]:
+        yield np.vstack([rigidity_matrix(x, surface), trivial_motion_basis(x).T])
+
+
+def test_direct_lapack_calls_equal_numpy_linalg(bricard_path):
+    rng = np.random.default_rng(11)
+    for J in bordered_jacobians(bricard_path):
+        for got, want in zip(_svd(J), np.linalg.svd(J)):
+            assert got.tobytes() == want.tobytes()
+        b = rng.normal(size=len(J))
+        rcond = np.finfo(float).eps * max(J.shape)
+        want = np.linalg.lstsq(J, b, rcond=None)[0]
+        assert _lstsq(J, b[:, None], rcond)[:, 0].tobytes() == want.tobytes()
+
+
+def test_direct_lapack_calls_raise_on_nan(bricard_path):
+    J = next(bordered_jacobians(bricard_path))
+    J[3, 4] = np.nan
+    b = np.ones(len(J))
+    rcond = np.finfo(float).eps * max(J.shape)
+    for direct, public in [(lambda: _svd(J), lambda: np.linalg.svd(J)),
+                           (lambda: _lstsq(J, b[:, None], rcond),
+                            lambda: np.linalg.lstsq(J, b, rcond=None))]:
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            direct()
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            public()
+        assert str(got.value) == str(want.value)
 
 
 def test_series_csv_columns_equal_monitor_series(bricard, bricard_path):
