@@ -1,11 +1,12 @@
 # Rational linear algebra over edge lengths
 #
-# Lengths of the form r*sqrt(d) (r rational, d squarefree) admit exact
-# independence tests: square roots of distinct squarefree integers are
-# linearly independent over the rationals, so grouping by radicand settles
-# everything.  For lengths given only as decimals, a lattice reduction
-# searches for small integer relations instead; finding none up to a
-# coefficient height is evidence, not proof.
+# Lengths of the form r*sqrt(d) (r rational, d a positive integer) admit
+# exact independence tests: sqrt(a) and sqrt(b) are rational multiples of
+# each other iff a*b is a square, and square roots from distinct classes of
+# that relation are linearly independent over the rationals, so grouping the
+# lengths into those classes settles everything.  For lengths given only as
+# decimals, a lattice reduction searches for small integer relations
+# instead; finding none up to a coefficient height is evidence, not proof.
 
 from decimal import Context
 from fractions import Fraction

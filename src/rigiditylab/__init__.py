@@ -13,7 +13,6 @@ from .surfaces import (
     SimplicialSurface,
     ValidationReport,
     orient,
-    skeleton,
     validate_complex,
 )
 from .geometry import (
@@ -33,7 +32,6 @@ from .lengths import (
     INDEPENDENT_EXACT,
     INDEPENDENT_UP_TO_HEIGHT,
     ExactLength,
-    FactorizationTooLargeError,
     SpanBasis,
     find_integer_relation,
     is_q_independent,

@@ -38,7 +38,7 @@ from .invariants import (
     monitor_flex,
     rigidity_certificate,
 )
-from .lengths import FactorizationTooLargeError, q_basis
+from .lengths import q_basis
 from .surfaces import NonOrientableError, validate_complex
 
 logger = logging.getLogger("rigiditylab")
@@ -243,7 +243,6 @@ def main(argv=None) -> int:
     except (
         models.ParseError,
         NonOrientableError,
-        FactorizationTooLargeError,
         SingularPointError,
         CorrectorDivergenceError,
         FaceDegenerationError,

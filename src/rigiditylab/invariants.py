@@ -1,12 +1,12 @@
 """Rigidity certificates and flex-invariant angle combinations.
 
 A polyhedron whose edge lengths are linearly independent over the rationals
-is rigid; independence of exact lengths is decided by radicand bookkeeping,
-and for numeric lengths a lattice search gives a "presumed" verdict
-qualified by the coefficient height it checked.  Whenever lengths are
-rationally dependent, each basis element of their rational span yields an
-integer combination of lifted dihedral angles that must stay constant along
-any flex; monitoring those combinations (plus enclosed volume and the
+is rigid; exact lengths are independent iff no two are rational multiples
+of each other, and for numeric lengths a lattice search gives a "presumed"
+verdict qualified by the coefficient height it checked.  Whenever lengths
+are rationally dependent, each basis element of their rational span yields
+an integer combination of lifted dihedral angles that must stay constant
+along any flex; monitoring those combinations (plus enclosed volume and the
 length-weighted angle sum) is the numerical check of that prediction.
 """
 
@@ -101,12 +101,9 @@ def _basis_edges(span: SpanBasis) -> list[list[int]]:
 
 
 def constant_angle_edges(span: SpanBasis) -> tuple[int, ...]:
-    """Edges whose length no rational combination of the others can reach.
-
-    With lengths in the form r*sqrt(d) these are exactly the edges whose
-    radicand appears once in the whole length set; their dihedral angles are
-    predicted constant along every flex.
-    """
+    """Edges whose length no rational combination of the others can reach,
+    the sole members of their length classes (one basis element each);
+    their dihedral angles are predicted constant along every flex."""
     return tuple(sorted(edges[0] for edges in _basis_edges(span) if len(edges) == 1))
 
 

@@ -1,13 +1,15 @@
 """Exact and heuristic rational linear algebra over edge lengths.
 
 Exact mode works with lengths of the form r*sqrt(d), r a positive rational
-and d a squarefree positive integer.  Square roots of distinct squarefree
-integers are linearly independent over the rationals, so grouping lengths by
-radicand yields a basis of their rational span and decides independence
-exactly.  For lengths known only numerically, an integer-only LLL lattice
-reduction looks for small integer relations among the exact rationals their
-decimal or float forms denote; absence of a relation up to a coefficient
-height bound is reported as such, never as a proof of independence.
+and d a positive integer.  sqrt(a) and sqrt(b) are rational multiples of
+each other iff a*b is a square, and distinct classes of that relation are
+linearly independent over the rationals (Besicovitch 1940), so one integer
+square root per pair of class representatives yields a basis of the
+lengths' rational span and decides independence exactly.  For lengths known
+only numerically, an integer-only LLL lattice reduction looks for small
+integer relations among the exact rationals their decimal or float forms
+denote; absence of a relation up to a coefficient height bound is reported
+as such, never as a proof of independence.
 """
 
 from __future__ import annotations
@@ -15,67 +17,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from operator import mul
 
-MAX_FACTOR_INPUT = 2**63
-TRIAL_LIMIT = 10**6
 # Lattice column scale of find_integer_relation, and the inverse of the
 # relative residual its accepted relations must meet.
 RELATION_SCALE = 10**12
 RELATION_TIGHT = 10**25
 
 
-class FactorizationTooLargeError(Exception):
-    """Input exceeds the desk-scale factorization budget."""
-
-
-@cache
-def _small_primes(limit: int) -> tuple[int, ...]:
-    """Primes up to ``limit``, sieved once per limit."""
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray(2) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, f in enumerate(sieve) if f)
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 2**64."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+_SMALL_PRIMES = _primes_below(1000)
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Write n = s**2 * d with d squarefree; returns (s, d)."""
+    """Write n = s**2 * d; returns (s, d).
+
+    Trial division by the primes below 1000 leaves a cofactor free of them,
+    which goes to s if it is a perfect square and to d otherwise.  Below
+    1009**3 such a cofactor is 1, a prime, a product of two distinct primes
+    or a prime squared, so d is squarefree; above it, d may keep the square
+    of a prime above 1000.
+    """
     if n <= 0:
         raise ValueError("expected a positive integer")
-    if n >= MAX_FACTOR_INPUT:
-        raise FactorizationTooLargeError(f"{n} exceeds the factorization budget")
     s, d, c = 1, 1, n
-    # Trial division needs primes p with p*p <= c <= n only.  The power of
-    # two above isqrt(n) bounds them, so a table is sieved at most once per
-    # doubling and only inputs that reach it pay for the 1e6 one.
-    for p in _small_primes(min(TRIAL_LIMIT, 2 ** math.isqrt(n).bit_length())):
+    for p in _SMALL_PRIMES:
         if p * p > c:
             break
         if c % p:
@@ -87,31 +60,14 @@ def _square_split(n: int) -> tuple[int, int]:
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-    if c > 1:
-        prime = _is_prime(c)
-        if c < TRIAL_LIMIT**2 and not prime:
-            # Trial division already removed every factor below sqrt(c).
-            raise AssertionError(f"unexpected composite cofactor {c}")
-        if prime:
-            d *= c
-        else:
-            r = math.isqrt(c)
-            if r * r == c:
-                s *= r
-            elif c < TRIAL_LIMIT**3:
-                # All prime factors exceed 1e6, so a non-square below 1e18
-                # is a product of two distinct primes, hence squarefree.
-                d *= c
-            else:
-                raise FactorizationTooLargeError(
-                    f"cannot certify the squarefree part of {c}"
-                )
-    return s, d
+    r = math.isqrt(c)
+    return (s * r, d) if r * r == c else (s, d * c)
 
 
 @dataclass(frozen=True)
 class ExactLength:
-    """A length r*sqrt(d) with r rational and d a squarefree positive integer."""
+    """A length r*sqrt(d) with r rational and d a positive integer, which
+    :func:`normalize_sqrt` makes squarefree when it is small enough."""
 
     r: Fraction
     d: int
@@ -121,7 +77,7 @@ class ExactLength:
             raise ValueError("radicand must be positive")
 
     def value(self) -> float:
-        return float(self.r) * math.sqrt(self.d)
+        return math.sqrt(self.squared())
 
     def squared(self) -> Fraction:
         return self.r * self.r * self.d
@@ -136,9 +92,8 @@ class ExactLength:
 def normalize_sqrt(q) -> ExactLength:
     """Canonical form r*sqrt(d) of sqrt(q) for a positive rational q.
 
-    sqrt(num/den) = sqrt(num*den)/den, and the integer radicand splits into
-    a square part and a squarefree part by trial division up to 1e6 plus a
-    deterministic primality test on the cofactor.
+    sqrt(num/den) = sqrt(num*den)/den, and :func:`_square_split` moves the
+    squares it finds in num*den into r; d is squarefree below 1009**3.
     """
     q = Fraction(q)
     if q <= 0:
@@ -148,13 +103,33 @@ def normalize_sqrt(q) -> ExactLength:
     return ExactLength(Fraction(s, den), d)
 
 
+def _classes(lengths: list[ExactLength]) -> list[tuple[int, dict[int, Fraction]]]:
+    """Classes (d, {i: c_i}) of rational multiples, length i = c_i*sqrt(d).
+
+    d is the radicand of the class's first member.  Length i joins the first
+    class with d*d_i a square, as sqrt(d_i) = isqrt(d*d_i)/d*sqrt(d), or else
+    opens its own; members stay in index order.
+    """
+    classes: list[tuple[int, dict[int, Fraction]]] = []
+    for i, ell in enumerate(lengths):
+        for d, members in classes:
+            m = d * ell.d
+            root = math.isqrt(m)
+            if root * root == m:
+                members[i] = ell.r * root / d
+                break
+        else:
+            classes.append((ell.d, {i: ell.r}))
+    return classes
+
+
 @dataclass
 class SpanBasis:
     """Basis of the rational span of a length set, with coefficients.
 
-    ``basis[j]`` is sqrt(d_j) for the distinct radicands d_j in increasing
-    order; ``coefficients[i][j]`` is the rational coefficient of length i on
-    basis element j.  Every row reconstructs its length exactly.
+    ``basis[j]`` is sqrt(d_j) for one radicand d_j per length class, in
+    increasing order; ``coefficients[i][j]`` is the rational coefficient of
+    length i on basis element j.  Every row reconstructs its length exactly.
     """
 
     basis: list[ExactLength]
@@ -162,18 +137,15 @@ class SpanBasis:
 
 
 def q_basis(lengths: list[ExactLength]) -> SpanBasis:
-    """Basis {sqrt(d)} over the distinct radicands, plus the coefficient matrix."""
+    """Basis {sqrt(d)} over the length classes, plus the coefficient matrix."""
     if not lengths:
         raise ValueError("empty length list")
-    radicands = sorted({ell.d for ell in lengths})
-    col = {d: j for j, d in enumerate(radicands)}
-    basis = [ExactLength(Fraction(1), d) for d in radicands]
-    coefficients = []
-    for ell in lengths:
-        row = [Fraction(0)] * len(radicands)
-        row[col[ell.d]] = ell.r
-        coefficients.append(row)
-    return SpanBasis(basis, coefficients)
+    classes = sorted(_classes(lengths), key=lambda cls: cls[0])
+    coefficients = [[Fraction(0)] * len(classes) for _ in lengths]
+    for j, (_, members) in enumerate(classes):
+        for i, c in members.items():
+            coefficients[i][j] = c
+    return SpanBasis([ExactLength(Fraction(1), d) for d, _ in classes], coefficients)
 
 
 INDEPENDENT_EXACT = "independent_exact"
@@ -208,38 +180,33 @@ def clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
 
 
 def is_q_independent(lengths: list[ExactLength]) -> IndependenceVerdict:
-    """Exact independence test: independent iff all radicands are distinct.
+    """Exact independence test: independent iff every length class has one member.
 
-    Two lengths sharing a radicand d, r1*sqrt(d) and r2*sqrt(d), satisfy the
-    integer relation (r2, -r1) after clearing denominators; the first such
-    pair is returned as the witness.
+    The first length to join an earlier class, c_j*sqrt(d), and that class's
+    first member, c_0*sqrt(d), satisfy the integer relation (c_j, -c_0)
+    after clearing denominators; it is returned as the witness.
     """
-    seen: dict[int, int] = {}
-    for i, ell in enumerate(lengths):
-        if ell.d in seen:
-            j = i
-            i0 = seen[ell.d]
-            coeffs = [Fraction(0)] * len(lengths)
-            coeffs[i0] = lengths[j].r
-            coeffs[j] = -lengths[i0].r
-            relation = clear_to_integers(coeffs)
-            g = math.gcd(*(abs(c) for c in relation if c)) if any(relation) else 1
-            relation = tuple(c // g for c in relation)
-            return IndependenceVerdict(DEPENDENT, relation=relation)
-        seen[ell.d] = i
-    return IndependenceVerdict(INDEPENDENT_EXACT)
+    pairs = [list(m.items())[:2] for _, m in _classes(lengths) if len(m) > 1]
+    if not pairs:
+        return IndependenceVerdict(INDEPENDENT_EXACT)
+    (i0, c0), (j, cj) = min(pairs, key=lambda pair: pair[1][0])
+    coeffs = [Fraction(0)] * len(lengths)
+    coeffs[i0], coeffs[j] = cj, -c0
+    relation = clear_to_integers(coeffs)
+    g = math.gcd(*relation)
+    return IndependenceVerdict(DEPENDENT, relation=tuple(c // g for c in relation))
 
 
 def relation_residual_exact(lengths: list[ExactLength], relation) -> bool:
     """True iff the relation annihilates the lengths exactly.
 
-    The combination sum(c_i * r_i * sqrt(d_i)) vanishes iff the rational
-    coefficient of every radicand group vanishes.
+    The combination sum(rel_i * c_i * sqrt(d)) vanishes iff its rational
+    coefficient on every length class vanishes.
     """
-    groups: dict[int, Fraction] = {}
-    for c, ell in zip(relation, lengths):
-        groups[ell.d] = groups.get(ell.d, Fraction(0)) + c * ell.r
-    return all(v == 0 for v in groups.values())
+    return all(
+        sum(relation[i] * c for i, c in members.items()) == 0
+        for _, members in _classes(lengths)
+    )
 
 
 def _lll_reduce(basis: list[list[int]]) -> list[list[int]]:

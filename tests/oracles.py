@@ -7,7 +7,6 @@ expected angles from closed forms.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -252,62 +251,9 @@ def mpmath_integer_relation(values, height: int = 10**6):
 
 
 # The code that the cold-start work replaced, kept as it was so that tests can
-# require equal results: the full 1e6 prime table, one Monte-Carlo draw per
-# edge, and the full 720-point closing scan.  They share the library's
-# helpers on purpose; they check that nothing moved, not that it is right.
-
-
-@functools.cache
-def _full_prime_table() -> tuple[int, ...]:
-    """Primes up to TRIAL_LIMIT, sieved once."""
-    sieve = bytearray([1]) * (lengths.TRIAL_LIMIT + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(lengths.TRIAL_LIMIT**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, f in enumerate(sieve) if f)
-
-
-def full_table_square_split(n: int) -> tuple[int, int]:
-    """Write n = s**2 * d with d squarefree; returns (s, d)."""
-    TRIAL_LIMIT = lengths.TRIAL_LIMIT
-    if n <= 0:
-        raise ValueError("expected a positive integer")
-    if n >= lengths.MAX_FACTOR_INPUT:
-        raise lengths.FactorizationTooLargeError(f"{n} exceeds the factorization budget")
-    s, d, c = 1, 1, n
-    for p in _full_prime_table():
-        if p * p > c:
-            break
-        if c % p:
-            continue
-        e = 0
-        while c % p == 0:
-            c //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    if c > 1:
-        prime = lengths._is_prime(c)
-        if c < TRIAL_LIMIT**2 and not prime:
-            # Trial division already removed every factor below sqrt(c).
-            raise AssertionError(f"unexpected composite cofactor {c}")
-        if prime:
-            d *= c
-        else:
-            r = math.isqrt(c)
-            if r * r == c:
-                s *= r
-            elif c < TRIAL_LIMIT**3:
-                # All prime factors exceed 1e6, so a non-square below 1e18
-                # is a product of two distinct primes, hence squarefree.
-                d *= c
-            else:
-                raise lengths.FactorizationTooLargeError(
-                    f"cannot certify the squarefree part of {c}"
-                )
-    return s, d
+# require equal results: one Monte-Carlo draw per edge.  It shares the
+# library's helpers on purpose; it checks that nothing moved, not that it is
+# right.
 
 
 def per_edge_monte_carlo_dihedral(

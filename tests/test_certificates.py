@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from rigiditylab import (
     FlexPath,
     INCONCLUSIVE,
     InvariantCombination,
+    OCTAHEDRON_FACES,
     Polyhedron,
     RIGID,
     RIGID_PRESUMED,
+    SimplicialSurface,
     constant_angle_edges,
+    edge_length_vector,
     half_turn_edge_pairs,
     initial_principal_angles,
     invariant_combinations,
@@ -74,6 +78,50 @@ def test_certificate_rejects_inconsistent_declared_lengths(octahedron):
     bogus = Polyhedron(octahedron.surface, octahedron.coords, exact_coords=doubled)
     with pytest.raises(ValueError, match="disagrees"):
         rigidity_certificate(bogus, mode="exact")
+
+
+# A Bricard type-1 octahedron found by collocation, vertex i on row i, read
+# as the exact decimals printed: squared lengths with up to 68 digits.
+FLEXIBLE_OCTAHEDRON_DECIMALS = """
+-0.2833082234230908 0.21324557506731326 0.10964250098753983
+-1.9145649441110815 0.5549549427177971 0.175588971164231
+-0.4983818977036038 0.9797079457980331 -0.6305723653916457
+-0.05753885363425368 1.839915692799422 0.608887356948591
+0.44320255578664824 3.067826167305465 -0.4290815937513143
+0.8997407687834291 1.577820620494147 0.16553513004259843
+"""
+
+
+def _exact_octahedron(points: dict) -> Polyhedron:
+    return Polyhedron(SimplicialSurface(OCTAHEDRON_FACES), points, exact_coords=points)
+
+
+def test_certificate_exact_on_full_precision_decimals():
+    rows = FLEXIBLE_OCTAHEDRON_DECIMALS.strip().splitlines()
+    P = _exact_octahedron(
+        {v: tuple(Fraction(t) for t in row.split()) for v, row in enumerate(rows)}
+    )
+    # The decimals only approximate the flexible octahedron; as exact
+    # rationals its twelve lengths are independent, so the paper's test
+    # certifies that nearby polyhedron rigid.
+    cert = rigidity_certificate(P, mode="exact")
+    assert cert.verdict == RIGID
+    assert cert.constant_angle_edges == tuple(range(12))
+
+
+@pytest.mark.parametrize("digits", [160, 400])
+def test_certificate_exact_on_long_coordinates(digits):
+    rng = random.Random(digits)
+    scale = 10**digits
+    P = _exact_octahedron({
+        v: tuple(Fraction(rng.randint(-scale, scale), scale // 10) for _ in range(3))
+        for v in range(6)
+    })
+    cert = rigidity_certificate(P, mode="exact")
+    assert cert.verdict == RIGID
+    assert cert.constant_angle_edges == tuple(range(12))
+    lengths = P.exact_edge_lengths()
+    assert [ell.value() for ell in lengths] == pytest.approx(edge_length_vector(P), rel=1e-12)
 
 
 def test_combinations_regular_octahedron(octahedron):

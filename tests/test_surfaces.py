@@ -5,9 +5,9 @@ from rigiditylab import (
     NonOrientableError,
     SimplicialSurface,
     orient,
-    skeleton,
     validate_complex,
 )
+from rigiditylab.surfaces import skeleton
 from rigiditylab.models import BRICARD_FACES, OCTAHEDRON_FACES
 
 from oracles import PROJECTIVE_PLANE_FACES
