@@ -143,18 +143,22 @@ class _MotionBasis:
             self.basis[:, i, i] = 1.0
         self.cz = np.empty((nv, 6))
         self.rot = np.empty((nv, *_ROT_PAIRS.shape))
+        # Views into the buffers above, taken once.
+        self.c, self.zeros = self.cz[:, :3], self.cz[:, 3:]
+        self.plus, self.minus = self.rot[:, 0], self.rot[:, 1]
+        self.rotations = self.basis[:, :, 3:]
+        self.matrix = self.basis.reshape(3 * nv, 6)
 
     def __call__(self, x) -> np.ndarray:
         if self.nv < 3:
             raise DegenerateConfigurationError("vertices are collinear")
-        c = self.cz[:, :3]
-        np.subtract(x, np.add.reduce(x, axis=0) / self.nv, out=c)  # x - x.mean(axis=0), bit for bit
-        np.multiply(0.0, c, out=self.cz[:, 3:])
+        np.subtract(x, np.add.reduce(x, axis=0) / self.nv, out=self.c)  # x - x.mean(axis=0), bit for bit
+        np.multiply(0.0, self.c, out=self.zeros)
         # The table is in range by construction; "clip" skips the bounds
         # check that buffers take's output.
-        np.take(self.cz, _ROT_PAIRS, axis=1, out=self.rot, mode="clip")
-        np.subtract(self.rot[:, 0], self.rot[:, 1], out=self.basis[:, :, 3:])
-        q, diag = _qr(self.basis.reshape(3 * self.nv, 6))
+        self.cz.take(_ROT_PAIRS, axis=1, out=self.rot, mode="clip")
+        np.subtract(self.plus, self.minus, out=self.rotations)
+        q, diag = _qr(self.matrix)
         if np.minimum.reduce(diag) <= 1e-12 * max(np.maximum.reduce(diag), 1.0):
             raise DegenerateConfigurationError("vertices are collinear")
         return q
@@ -388,6 +392,7 @@ def trace_flex(
     rcond = np.finfo(float).eps * max(J.shape)  # np.linalg.lstsq's rcond=None
     res = np.empty(len(J))  # [g; slice residual], written in place
     g, slice_res = res[: len(targets_sq)], res[len(targets_sq) :]
+    rhs = np.empty((len(J), 1))  # -res, the corrector's right-hand side
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
@@ -460,7 +465,8 @@ def trace_flex(
                 gn_iters = it
                 break
             scatter.write(J, dy)
-            delta = _lstsq(J, -res[:, None], rcond)
+            np.negative(res, out=rhs[:, 0])
+            delta = _lstsq(J, rhs, rcond)
             y = y + delta.reshape(nv, 3)
             if not np.isfinite(y).all():
                 break
