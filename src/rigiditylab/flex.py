@@ -3,9 +3,12 @@
 Configurations live in R^(3v).  The rigidity matrix is the Jacobian of the
 squared edge lengths; its kernel beyond the six rigid motions measures
 infinitesimal flexibility.  Flexes are traced by adaptive predictor-corrector
-continuation: the predictor follows a unit kernel vector orthogonal to the
-rigid motions, the corrector projects back onto the constraint set by
-Gauss-Newton inside the affine slice orthogonal to the rigid motions.
+continuation: the predictor is second order, along a unit kernel vector
+orthogonal to the rigid motions and bent by that vector's change over the
+last step; the corrector projects back onto the constraint set by
+Gauss-Newton inside the affine slice orthogonal to the rigid motions.  A
+step costs one rigid-motion QR, one SVD and, on a smooth flex, one
+least-squares solve.
 The tracer keeps only configurations, in fixed-size blocks; dihedral angles
 are computed from the finished path and unwrapped into continuous lifted
 series.  Every whole-path pass runs over blocks of PATH_BLOCK configurations,
@@ -343,13 +346,21 @@ def trace_flex(
     every residual is at most ``tol``, positive and finite, by default
     1e-11 times the squared longest edge.
 
-    Each step costs its LAPACK calls and little else: one bordered Jacobian,
-    set up once per trace, is refilled in place for every least-squares
-    correction and for the SVD that gives the next tangent.  These calls and
-    the rigid-motion QRs bypass numpy.linalg's Python wrappers, which cost
-    about a fifth of a step on these small matrices, and go straight to the
-    same LAPACK gufuncs with the same arguments, so every result is the
-    public functions' to the bit.
+    The predictor is x + h*t + (h*h/2)*kappa, where t is the unit tangent
+    and kappa = (t - t_prev) / h_prev is the tangent's change over the last
+    accepted step (zero before the first), so the corrector starts O(h^3)
+    from the curve and one Gauss-Newton step usually meets ``tol``.
+
+    Each step costs its LAPACK calls and little else: one QR for the rigid
+    motions at the predicted point, one least-squares solve per corrector
+    iteration (about one on the Bricard cycle) and one SVD for the next
+    tangent.  One bordered Jacobian, set up once per trace, is refilled in
+    place for all of them; its border rows, the rigid motions at the
+    predicted point, also border the tangent's SVD at the accepted point,
+    which lies O(h^3) away.  These calls bypass numpy.linalg's Python
+    wrappers, which cost about a fifth of a step on these small matrices,
+    and go straight to the same LAPACK gufuncs with the same arguments, so
+    every result is the public functions' to the bit.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -422,9 +433,8 @@ def trace_flex(
             corrector_iters=np.array(iters, dtype=int),
         )
 
-    def tangent_at(y, dy):  # dy = y[heads] - y[tails]
+    def tangent_at(dy):  # dy = y[heads] - y[tails]; the caller sets the border rows
         scatter.write(J, dy)
-        border[:] = motions(y).T
         kernel = _kernel(J)
         if kernel.shape[1] != 1:
             raise SingularPointError(
@@ -435,7 +445,8 @@ def trace_flex(
         return kernel[:, 0]
 
     heads, tails = scatter.heads, scatter.tails
-    tangent = tangent_at(x, x[heads] - x[tails])
+    border[:] = motions(x).T
+    tangent = tangent_at(x[heads] - x[tails])
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
@@ -445,12 +456,13 @@ def trace_flex(
 
     h = step
     easy_run = 0
+    kappa = np.zeros_like(tangent)  # the tangent's change per unit step; Euler first
     while len(sizes) < n_steps:
         if h < step * 2.0**-24:
             raise CorrectorDivergenceError(
                 f"step size underflow at accepted step {len(sizes)}", path=path()
             )
-        x_pred = x + h * tangent.reshape(nv, 3)
+        x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
         T_pred = motions(x_pred)
         border[:] = T_pred.T
         y = x_pred  # no array is changed in place below
@@ -486,9 +498,11 @@ def trace_flex(
         x = y
         keep(x)
 
-        new_tangent = tangent_at(x, dy)
+        # The border still holds the rigid motions at x_pred, O(h^3) from x.
+        new_tangent = tangent_at(dy)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
+        kappa = (new_tangent - tangent) / h
         tangent = new_tangent
 
         if gn_iters <= 3:

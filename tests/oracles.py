@@ -297,10 +297,11 @@ def per_edge_monte_carlo_dihedral(
     return 2.0 * np.pi * counts / total
 
 
-# The flex tracer as it was before its bordered Jacobian became a reused
-# workspace: every matrix is built afresh, by the (E, V, 3) scatter, the
-# fancy-index motion basis and np.vstack.  Tests compare the library's
-# tracer with it bit for bit.
+# The flex tracer's algorithm without its reused workspace: every matrix is
+# built afresh, by the (E, V, 3) scatter, the fancy-index motion basis and
+# np.vstack.  The predictor is second order, and the tangent at an accepted
+# point is bordered by the rigid motions at its predicted point.  Tests
+# compare the library's tracer with it bit for bit.
 
 
 def reference_rigidity_matrix(x, surface) -> np.ndarray:
@@ -332,10 +333,12 @@ def reference_trivial_motion_basis(x) -> np.ndarray:
     return q
 
 
-def reference_kernel_beyond_trivial(x, surface):
+def reference_kernel_beyond_trivial(x, surface, T=None):
+    """Kernel of [R(x); T.T]; T defaults to the rigid motions at x."""
     x = as_config(x)
     R = reference_rigidity_matrix(x, surface)
-    T = reference_trivial_motion_basis(x)
+    if T is None:
+        T = reference_trivial_motion_basis(x)
     A = np.vstack([R, T.T])
     _, s, vt = np.linalg.svd(A)
     cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
@@ -387,8 +390,8 @@ def reference_trace_flex(
             corrector_iters=np.array([d["corrector_iters"] for d in diags], dtype=int),
         )
 
-    def tangent_at(y):
-        kernel = reference_kernel_beyond_trivial(y, surface)
+    def tangent_at(y, T=None):
+        kernel = reference_kernel_beyond_trivial(y, surface, T)
         if kernel.shape[1] != 1:
             raise SingularPointError(
                 f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
@@ -408,12 +411,13 @@ def reference_trace_flex(
     h = step
     easy_run = 0
     accepted = 0
+    kappa = np.zeros_like(tangent)
     while accepted < n_steps:
         if h < step * 2.0**-24:
             raise CorrectorDivergenceError(
                 f"step size underflow at accepted step {accepted}", path=path()
             )
-        x_pred = x + h * tangent.reshape(nv, 3)
+        x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
         T_pred = reference_trivial_motion_basis(x_pred)
         y = x_pred.copy()
         ok = False
@@ -446,9 +450,10 @@ def reference_trace_flex(
         diags.append({"step": h, "corrector_iters": gn_iters})
         accepted += 1
 
-        new_tangent = tangent_at(x)
+        new_tangent = tangent_at(x, T_pred)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
+        kappa = (new_tangent - tangent) / h
         tangent = new_tangent
 
         if gn_iters <= 3:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,26 @@ def test_flex_writes_series_and_report(tmp_path):
     assert all(c["max_deviation"] is not None for c in report["combinations"])
     lines = out_csv.read_text().strip().split("\n")
     assert len(lines) == 2 + 16  # comment, header, 15 steps + initial sample
+
+
+def test_flex_info_log_reports_corrector_iterations(tmp_path):
+    """RIGIDITYLAB_LOG=info adds one stderr line with the mean corrector
+    iterations per step; stdout and the written files keep their bytes."""
+    outputs = {}
+    for level in ("error", "info"):
+        out_json, out_csv = tmp_path / f"{level}.json", tmp_path / f"{level}.csv"
+        proc = run_cli("flex", "--model", "bricard-default", "--steps", "60",
+                       "--out-json", str(out_json), "--out-csv", str(out_csv),
+                       env_extra={"RIGIDITYLAB_LOG": level})
+        assert proc.returncode == 0
+        outputs[level] = (proc.stdout, out_json.read_bytes(), out_csv.read_bytes(), proc.stderr)
+    assert outputs["info"][:3] == outputs["error"][:3]
+    assert outputs["error"][3] == b""
+    assert re.fullmatch(
+        r"INFO rigiditylab: traced 61 samples, max length drift \d\.\d{3}e-\d\d, "
+        r"mean corrector iterations 1\.0000\n",
+        outputs["info"][3].decode(),
+    )
 
 
 def test_flex_rigid_model_exit_2():

@@ -343,9 +343,10 @@ def test_edge_stub_matrix_matches_reference():
 
 
 def test_lapack_call_counts(bricard, monkeypatch, caplog):
-    """Per accepted step: two QR factorizations (predictor and tangent motion
-    bases), one SVD (tangent) and one least-squares solve per corrector
-    iteration; the initial tangent adds one QR and one SVD."""
+    """Per attempted step: one QR factorization (the rigid motions at the
+    predicted point, which also border the next tangent's SVD) and one
+    least-squares solve per corrector iteration; per accepted step, one SVD
+    (tangent); the initial tangent adds one QR and one SVD."""
     counts = dict.fromkeys(("qr", "svd", "lstsq"), 0)
     for name in counts:
         original = getattr(flex, f"_{name}")
@@ -361,7 +362,7 @@ def test_lapack_call_counts(bricard, monkeypatch, caplog):
     assert failed == 0  # so no failed attempt adds its iterations below
     accepted = path.n_samples - 1
     assert counts == {
-        "qr": 2 * accepted + 1 + failed,
+        "qr": accepted + 1 + failed,
         "svd": accepted + 1,
         "lstsq": sum(d["corrector_iters"] for d in path.diagnostics)
         + MAX_CORRECTOR_ITERS * failed,

@@ -176,3 +176,17 @@ def test_stage_memory_is_fixed(bricard_cycle, stage):
 def test_series_csv_memory_is_its_output(bricard_cycle):
     peak, text = traced_peak(lambda: save_series_csv(bricard_cycle[1]))
     assert peak <= len(text) + 1.5 * MB
+
+
+def test_default_cycle_closes_with_one_corrector_iteration(bricard_cycle):
+    """The second-order predictor leaves a residual that one Newton step
+    removes, and the path still closes where it did: after half the cycle,
+    the nearest return to the start is sample 3252 +- 1, within 1e-3 in the
+    largest vertex distance."""
+    _, path, _ = bricard_cycle
+    misfit = np.max(np.linalg.norm(path.configs - path.configs[0], axis=2), axis=1)
+    half = (path.n_samples - 1) // 2
+    nearest = half + int(np.argmin(misfit[half:]))
+    assert abs(nearest - 3252) <= 1 and misfit[nearest] <= 1e-3
+    assert path.length_drift() <= 1e-10
+    assert np.mean(path.corrector_iters == 1) >= 0.99
