@@ -3,12 +3,14 @@
 Configurations live in R^(3v).  The rigidity matrix is the Jacobian of the
 squared edge lengths; its kernel beyond the six rigid motions measures
 infinitesimal flexibility.  Flexes are traced by adaptive predictor-corrector
-continuation: the predictor is second order, along a unit kernel vector
-orthogonal to the rigid motions and bent by that vector's change over the
-last step; the corrector projects back onto the constraint set by
-Gauss-Newton inside the affine slice orthogonal to the rigid motions.  A
-step costs one rigid-motion QR, one SVD and, on a smooth flex, one
-least-squares solve.
+continuation in slice coordinates: each step factors the rigid motions at
+the predicted point once, and moves only along the 3v - 6 orthonormal
+directions C orthogonal to them.  The predictor is second order, along the
+unit tangent and bent by its change over the last step; the corrector is
+Newton on a square bordered system, the reduced rigidity matrix R*C
+completed by its left null space and closed by the pseudo-arclength row
+(Allgower & Georg), so a step costs one complete QR, one SVD of R*C for the
+next tangent and, on a smooth flex, one LU solve.
 The tracer keeps only configurations, in fixed-size blocks; dihedral angles
 are computed from the finished path and unwrapped into continuous lifted
 series.  Every whole-path pass runs over blocks of PATH_BLOCK configurations,
@@ -25,9 +27,10 @@ import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
 
 from .geometry import (
+    _CROSS_A,
+    _CROSS_B,
     PATH_BLOCK,
     Polyhedron,
-    face_areas,
     path_blocks,
     principal_angles,
     squared_lengths,
@@ -87,24 +90,26 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
 
 
 # The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
-# np.linalg.qr, svd and lstsq do (same gufuncs, signatures, input copies,
+# np.linalg.qr, svd and solve do (same gufuncs, signatures, input copies,
 # error states and LinAlgError handlers), so their results equal the public
 # functions' to the bit without the wrappers' dtype checks, triu and result
 # copies.
 _QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
-_SVD_F, _LSTSQ = _umath_linalg.svd_f, _umath_linalg.lstsq
+_QR_COMPLETE = _umath_linalg.qr_complete
+_SVD_F, _SOLVE1 = _umath_linalg.svd_f, _umath_linalg.solve1
 _lapack_errors = partial(
     np.errstate, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
 
 
-def _qr(a: np.ndarray):
-    """Q of np.linalg.qr(a) for a float (m, n) matrix, m >= n, and |diag R|."""
+def _qr(a: np.ndarray, complete: bool = False):
+    """Q of np.linalg.qr(a), or of mode="complete", for a float (m, n)
+    matrix, m > n, and |diag R|."""
     a = a.copy()  # factored in place into R above the diagonal and reflectors below
     with _lapack_errors(call=_linalg._raise_linalgerror_qr):
         tau = _QR_R_RAW(a, signature="d->d")
     with _lapack_errors(call=_linalg._raise_linalgerror_qr):
-        q = _QR_REDUCED(a, tau, signature="dd->d")
+        q = (_QR_COMPLETE if complete else _QR_REDUCED)(a, tau, signature="dd->d")
     return q, np.abs(a.diagonal())
 
 
@@ -114,12 +119,10 @@ def _svd(a: np.ndarray):
         return _SVD_F(a, signature="d->ddd")
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
-    """Solution of np.linalg.lstsq(a, b, rcond=None) for a float (m, n) matrix
-    and an (m, 1) column b, given rcond = eps * max(m, n)."""
-    with _lapack_errors(call=_linalg._raise_linalgerror_lstsq):
-        x, _, _, _ = _LSTSQ(a, b, rcond, signature="ddd->ddid")
-    return x
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float square matrix and a vector b."""
+    with _lapack_errors(call=_linalg._raise_linalgerror_singular):
+        return _SOLVE1(a, b, signature="dd->d")
 
 
 # Rotation k is e_k x c.  Columns 0-2 of cz hold c, columns 3-5 the signed
@@ -136,7 +139,8 @@ class _MotionBasis:
 
     The (nv, 3, 6) basis scaffold carries its translation columns from the
     start; each call refills the rotation columns in place and factors the
-    scaffold.
+    scaffold.  A complete factorization's last 3*nv - 6 columns span the
+    motions' orthogonal complement.
     """
 
     def __init__(self, nv: int):
@@ -152,7 +156,7 @@ class _MotionBasis:
         self.rotations = self.basis[:, :, 3:]
         self.matrix = self.basis.reshape(3 * nv, 6)
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, complete: bool = False) -> np.ndarray:
         if self.nv < 3:
             raise DegenerateConfigurationError("vertices are collinear")
         np.subtract(x, np.add.reduce(x, axis=0) / self.nv, out=self.c)  # x - x.mean(axis=0), bit for bit
@@ -161,7 +165,7 @@ class _MotionBasis:
         # check that buffers take's output.
         self.cz.take(_ROT_PAIRS, axis=1, out=self.rot, mode="clip")
         np.subtract(self.plus, self.minus, out=self.rotations)
-        q, diag = _qr(self.matrix)
+        q, diag = _qr(self.matrix, complete)
         if np.minimum.reduce(diag) <= 1e-12 * max(np.maximum.reduce(diag), 1.0):
             raise DegenerateConfigurationError("vertices are collinear")
         return q
@@ -327,6 +331,40 @@ def lift_angles(raw: np.ndarray, degenerate: np.ndarray | None = None) -> np.nda
     return lifted
 
 
+def _start_direction(tangent: np.ndarray) -> np.ndarray:
+    """``tangent`` or its negative, whichever has a positive leading entry.
+
+    The leading entry is the first whose magnitude lies within 1e-9
+    (relative) of the largest, so entries tied by symmetry choose the same
+    sign however their last bits round.
+    """
+    mag = np.abs(tangent)
+    lead = int(np.argmax(mag >= (1.0 - 1e-9) * mag.max()))
+    return -tangent if tangent[lead] < 0 else tangent
+
+
+def _side_areas(surface, heads, tails):
+    """face_areas(surface, y) from the edge vectors dy = y[heads] - y[tails].
+
+    Each face (a, b, c)'s sides b - a and c - a are +-dy at one edge each.
+    A sign flips the cross product exactly and leaves its square, so one
+    take of the entries that _cross multiplies gives face_areas' bits.
+    """
+    row = {}
+    for e, ends in enumerate(zip(heads.tolist(), tails.tolist())):
+        row[ends] = row[ends[::-1]] = e
+    entries = np.array([[3 * row[a, b] + _CROSS_A, 3 * row[a, c] + _CROSS_B]
+                        for a, b, c in surface.face_table.tolist()])
+
+    def areas(dy):
+        sides = dy.reshape(-1).take(entries)
+        p = sides[:, 0] * sides[:, 1]
+        n = p[:, :3] - p[:, 3:]
+        return 0.5 * np.sqrt(np.vecdot(n, n))
+
+    return areas
+
+
 def trace_flex(
     x0,
     surface: SimplicialSurface,
@@ -346,21 +384,29 @@ def trace_flex(
     every residual is at most ``tol``, positive and finite, by default
     1e-11 times the squared longest edge.
 
-    The predictor is x + h*t + (h*h/2)*kappa, where t is the unit tangent
-    and kappa = (t - t_prev) / h_prev is the tangent's change over the last
-    accepted step (zero before the first), so the corrector starts O(h^3)
-    from the curve and one Gauss-Newton step usually meets ``tol``.
+    The predictor is x_pred = x + h*t + (h*h/2)*kappa, where t is the unit
+    tangent and kappa = (t - t_prev) / h_prev is the tangent's change over
+    the last accepted step (zero before the first), so the corrector starts
+    O(h^3) from the curve and one Newton step usually meets ``tol``.
 
-    Each step costs its LAPACK calls and little else: one QR for the rigid
-    motions at the predicted point, one least-squares solve per corrector
-    iteration (about one on the Bricard cycle) and one SVD for the next
-    tangent.  One bordered Jacobian, set up once per trace, is refilled in
-    place for all of them; its border rows, the rigid motions at the
-    predicted point, also border the tangent's SVD at the accepted point,
-    which lies O(h^3) away.  These calls bypass numpy.linalg's Python
-    wrappers, which cost about a fifth of a step on these small matrices,
-    and go straight to the same LAPACK gufuncs with the same arguments, so
-    every result is the public functions' to the bit.
+    A step works in slice coordinates: a complete QR of the rigid motions
+    at x_pred gives the orthonormal complement C, shape (3v, 3v - 6), and
+    the corrector moves y = x_pred + C*z.  Each iteration solves the square
+    bordered system [[R(y)*C, W], [t_c, 0]] [z; mu] = [-g; 0], where g is
+    the squared-length residual, t_c = C.T*t makes the pseudo-arclength
+    row t.(y - x_pred) = 0, and W is the left null space of R*C from the
+    last accepted point (one column on a sphere).  A singular system counts
+    as a failed attempt.  At the accepted point, one SVD of R(y)*C gives
+    the next tangent, from the last right singular vector, and the next W.
+    Its cutoff is SV_THRESHOLD * max(s[0], 1), the cutoff of the bordered
+    Jacobian [R; T.T], whose border adds six unit singular values, so the
+    kernel dimension is the same.
+
+    Each step therefore costs one QR, one SVD and, on a smooth flex, one LU
+    solve, on matrices of order 3v - 6 or E + 1 that are set up once per
+    trace and refilled in place.  These calls bypass numpy.linalg's Python
+    wrappers and go straight to the same LAPACK gufuncs with the same
+    arguments, so every result is the public functions' to the bit.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -393,17 +439,20 @@ def trace_flex(
         store[-1][k] = y
 
     keep(x)
-    # One bordered Jacobian J = [R(y); T.T], zeroed once, serves every
-    # corrector iteration and tangent: the rigidity matrix R is rewritten in
-    # place at each configuration, the six border rows hold the transposed
-    # rigid-motion basis T.
+    # One bordered matrix B = [[R*C, W], [t_c, 0]], zeroed once, serves every
+    # corrector iteration and tangent: R*C is rewritten in place at each
+    # configuration, t_c once per step and W after each tangent.  Where the
+    # flex dimension is 1, 3v - 6 <= E + 1 and B is square; elsewhere it may
+    # be wider, and the trace stops at the tangent before B is solved.
     scatter, motions = _RigidityScatter(surface, nv), _MotionBasis(nv)
-    J = np.zeros((len(targets_sq) + 6, 3 * nv))
-    border = J[len(targets_sq) :]
-    rcond = np.finfo(float).eps * max(J.shape)  # np.linalg.lstsq's rcond=None
-    res = np.empty(len(J))  # [g; slice residual], written in place
-    g, slice_res = res[: len(targets_sq)], res[len(targets_sq) :]
-    rhs = np.empty((len(J), 1))  # -res, the corrector's right-hand side
+    heads, tails = scatter.heads, scatter.tails
+    side_areas = _side_areas(surface, heads, tails)
+    n_edges, n_slice = len(targets_sq), 3 * nv - 6
+    R = np.zeros((n_edges, 3 * nv))  # the rigidity matrix, zeros never written
+    B = np.zeros((n_edges + 1, max(n_edges + 1, n_slice)))
+    RC, W, t_c = B[:n_edges, :n_slice], B[:n_edges, n_slice:], B[n_edges, :n_slice]
+    rhs = np.zeros(n_edges + 1)  # [-g; 0], -g written in place
+    neg_g = rhs[:n_edges]
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
@@ -433,26 +482,27 @@ def trace_flex(
             corrector_iters=np.array(iters, dtype=int),
         )
 
-    def tangent_at(dy):  # dy = y[heads] - y[tails]; the caller sets the border rows
-        scatter.write(J, dy)
-        kernel = _kernel(J)
-        if kernel.shape[1] != 1:
+    def tangent_at(dy, C):  # dy = y[heads] - y[tails]; C spans a slice near y
+        scatter.write(R, dy)
+        np.matmul(R, C, out=RC)
+        u, s, vt = _svd(RC)
+        rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
+        if rank != n_slice - 1:
             raise SingularPointError(
-                f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
-                flex_dim=kernel.shape[1],
+                f"kernel dimension beyond rigid motions is {n_slice - rank}, not 1",
+                flex_dim=n_slice - rank,
                 path=path(),
             )
-        return kernel[:, 0]
+        W[:] = u[:, rank:]
+        return C @ vt[rank]
 
-    heads, tails = scatter.heads, scatter.tails
-    border[:] = motions(x).T
-    tangent = tangent_at(x[heads] - x[tails])
+    tangent = tangent_at(x[heads] - x[tails], motions(x, complete=True)[:, 6:])
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
             tangent = -tangent
-    elif tangent[int(np.argmax(np.abs(tangent)))] < 0:
-        tangent = -tangent
+    else:
+        tangent = _start_direction(tangent)
 
     h = step
     easy_run = 0
@@ -463,23 +513,25 @@ def trace_flex(
                 f"step size underflow at accepted step {len(sizes)}", path=path()
             )
         x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
-        T_pred = motions(x_pred)
-        border[:] = T_pred.T
+        C = motions(x_pred, complete=True)[:, 6:]
+        np.matmul(tangent, C, out=t_c)
         y = x_pred  # no array is changed in place below
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
-            # The edge vectors feed both the residual and the Jacobian.
+            # The edge vectors feed the residual, the Jacobian and the areas.
             dy = y[heads] - y[tails]
-            np.subtract(np.vecdot(dy, dy), targets_sq, out=g)
-            np.matmul(T_pred.T, (y - x_pred).reshape(-1), out=slice_res)
-            if np.abs(res).max() <= tol:
+            np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
+            if np.abs(neg_g).max() <= tol:
                 ok = True
                 gn_iters = it
                 break
-            scatter.write(J, dy)
-            np.negative(res, out=rhs[:, 0])
-            delta = _lstsq(J, rhs, rcond)
-            y = y + delta.reshape(nv, 3)
+            scatter.write(R, dy)
+            np.matmul(R, C, out=RC)
+            try:
+                z = _solve(B, rhs)
+            except np.linalg.LinAlgError:
+                break
+            y = y + (C @ z[:n_slice]).reshape(nv, 3)
             if not np.isfinite(y).all():
                 break
         if not ok:
@@ -488,7 +540,7 @@ def trace_flex(
             logger.debug("corrector failed, halving step to %.3e", h)
             continue
 
-        areas = face_areas(surface, y)
+        areas = side_areas(dy)
         if areas.min() <= area_tol:
             fi = int(np.argmin(areas))
             raise FaceDegenerationError(surface.faces[fi], float(areas.min()), path=path())
@@ -498,8 +550,8 @@ def trace_flex(
         x = y
         keep(x)
 
-        # The border still holds the rigid motions at x_pred, O(h^3) from x.
-        new_tangent = tangent_at(dy)
+        # C spans the slice at x_pred, O(h^3) from x.
+        new_tangent = tangent_at(dy, C)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h

@@ -26,7 +26,6 @@ from rigiditylab.flex import (
     SingularPointError,
     as_config,
     lift_angles,
-    squared_length_residual,
 )
 from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles, squared_lengths
 from rigiditylab.surfaces import edge_table
@@ -299,9 +298,10 @@ def per_edge_monte_carlo_dihedral(
 
 # The flex tracer's algorithm without its reused workspace: every matrix is
 # built afresh, by the (E, V, 3) scatter, the fancy-index motion basis and
-# np.vstack.  The predictor is second order, and the tangent at an accepted
-# point is bordered by the rigid motions at its predicted point.  Tests
-# compare the library's tracer with it bit for bit.
+# np.block, and factored by the public numpy.linalg functions.  A step works
+# in the slice coordinates of the complete QR at its predicted point and
+# corrects by Newton on the square bordered system.  Tests compare the
+# library's tracer with it bit for bit.
 
 
 def reference_rigidity_matrix(x, surface) -> np.ndarray:
@@ -315,7 +315,9 @@ def reference_rigidity_matrix(x, surface) -> np.ndarray:
     return R.reshape(len(ends), -1)
 
 
-def reference_trivial_motion_basis(x) -> np.ndarray:
+def reference_trivial_motion_basis(x, mode="reduced") -> np.ndarray:
+    """Q of the rigid motions at x; with mode="complete", its last 3n - 6
+    columns span their orthogonal complement."""
     x = as_config(x)
     nv = x.shape[0]
     if nv < 3:
@@ -326,20 +328,17 @@ def reference_trivial_motion_basis(x) -> np.ndarray:
     cz = np.concatenate([centered.T, 0.0 * centered.T])
     rot = cz[[5, 3, 1, 2, 3, 4, 5, 0, 4]] - cz[[4, 2, 3, 4, 5, 0, 1, 5, 3]]
     basis[:, :, 3:] = rot.reshape(3, 3, nv).T
-    q, r = np.linalg.qr(basis.reshape(3 * nv, 6))
+    q, r = np.linalg.qr(basis.reshape(3 * nv, 6), mode=mode)
     diag = np.abs(np.diagonal(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise DegenerateConfigurationError("vertices are collinear")
     return q
 
 
-def reference_kernel_beyond_trivial(x, surface, T=None):
-    """Kernel of [R(x); T.T]; T defaults to the rigid motions at x."""
+def reference_kernel_beyond_trivial(x, surface):
+    """Kernel of [R(x); T.T], T the rigid motions at x."""
     x = as_config(x)
-    R = reference_rigidity_matrix(x, surface)
-    if T is None:
-        T = reference_trivial_motion_basis(x)
-    A = np.vstack([R, T.T])
+    A = np.vstack([reference_rigidity_matrix(x, surface), reference_trivial_motion_basis(x).T])
     _, s, vt = np.linalg.svd(A)
     cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > cutoff))
@@ -390,23 +389,32 @@ def reference_trace_flex(
             corrector_iters=np.array([d["corrector_iters"] for d in diags], dtype=int),
         )
 
-    def tangent_at(y, T=None):
-        kernel = reference_kernel_beyond_trivial(y, surface, T)
-        if kernel.shape[1] != 1:
+    def slice_basis(y):
+        return reference_trivial_motion_basis(y, mode="complete")[:, 6:]
+
+    def tangent_at(y, C):
+        """The unit tangent at y and the left null space of R(y)*C."""
+        u, s, vt = np.linalg.svd(reference_rigidity_matrix(y, surface) @ C)
+        rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
+        flex_dim = C.shape[1] - rank
+        if flex_dim != 1:
             raise SingularPointError(
-                f"kernel dimension beyond rigid motions is {kernel.shape[1]}, not 1",
-                flex_dim=kernel.shape[1],
+                f"kernel dimension beyond rigid motions is {flex_dim}, not 1",
+                flex_dim=flex_dim,
                 path=path(),
             )
-        return kernel[:, 0]
+        return C @ vt[rank], u[:, rank:]
 
-    tangent = tangent_at(x)
+    tangent, W = tangent_at(x, slice_basis(x))
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
             tangent = -tangent
-    elif tangent[int(np.argmax(np.abs(tangent)))] < 0:
-        tangent = -tangent
+    else:
+        mag = np.abs(tangent)
+        lead = next(i for i, m in enumerate(mag) if m >= (1.0 - 1e-9) * mag.max())
+        if tangent[lead] < 0:
+            tangent = -tangent
 
     h = step
     easy_run = 0
@@ -418,20 +426,22 @@ def reference_trace_flex(
                 f"step size underflow at accepted step {accepted}", path=path()
             )
         x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
-        T_pred = reference_trivial_motion_basis(x_pred)
+        C = slice_basis(x_pred)
+        border = np.concatenate([tangent @ C, np.zeros(W.shape[1])])[None]
         y = x_pred.copy()
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
-            g = squared_length_residual(y, surface, targets_sq)
-            slice_res = T_pred.T @ (y - x_pred).reshape(-1)
-            res = np.concatenate([g, slice_res])
-            if np.max(np.abs(g)) <= tol and np.max(np.abs(slice_res)) <= tol:
+            neg_g = targets_sq - squared_lengths(surface, y)
+            if np.max(np.abs(neg_g)) <= tol:
                 ok = True
                 gn_iters = it
                 break
-            J = np.vstack([reference_rigidity_matrix(y, surface), T_pred.T])
-            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
-            y = y + delta.reshape(nv, 3)
+            B = np.block([[reference_rigidity_matrix(y, surface) @ C, W], [border]])
+            try:
+                z = np.linalg.solve(B, np.concatenate([neg_g, [0.0]]))
+            except np.linalg.LinAlgError:
+                break
+            y = y + (C @ z[: C.shape[1]]).reshape(nv, 3)
             if not np.all(np.isfinite(y)):
                 break
         if not ok:
@@ -450,7 +460,7 @@ def reference_trace_flex(
         diags.append({"step": h, "corrector_iters": gn_iters})
         accepted += 1
 
-        new_tangent = tangent_at(x, T_pred)
+        new_tangent, W = tangent_at(x, C)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h

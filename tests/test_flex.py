@@ -10,19 +10,22 @@ from rigiditylab import (
     DegenerateConfigurationError,
     FlexPath,
     LiftAmbiguityError,
+    SimplicialSurface,
     SingularPointError,
     best_fit_rigid_motion,
     infinitesimal_flex_dim,
     is_trivial_flex,
     lift_angles,
     make_bricard_type1,
+    polyhedron_from_config,
     rigidity_matrix,
     trace_flex,
     trivial_motion_basis,
 )
 from rigiditylab import flex
-from rigiditylab.flex import MAX_CORRECTOR_ITERS, _kernel_beyond_trivial
-from rigiditylab.geometry import PATH_BLOCK, principal_angles
+from rigiditylab.flex import MAX_CORRECTOR_ITERS, _kernel_beyond_trivial, _start_direction
+from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles
+from rigiditylab.models import OCTAHEDRON_FACES
 
 from oracles import (
     exact_flex_dim,
@@ -257,17 +260,64 @@ def test_accepted_steps_move_about_their_size(bricard_path):
     assert step_move_ratios(bricard_path).min() >= 0.5
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the corrector accepts a point however far it lies "
-    "from the predictor, so steps of h = 128 move only 4.2-8.7",
-)
 def test_step_cap_bounds_accepted_steps(bricard):
     path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=12, step=256.0)
     assert step_move_ratios(path).min() >= 0.5
 
 
-# The tracer reuses one bordered Jacobian, refilled in place.  The reference
+# Two octahedra (OCTAHEDRON_FACES, vertex i on row i) on which a
+# minimum-norm corrector, free to move along the flex, stepped back and
+# forth: a genuine Bricard type-1 octahedron, where the path zig-zagged and
+# drifted 0.055 in 1000 steps, and a nearly flat asymmetric one, where it
+# stood still (2.2e-7).  The pseudo-arclength row keeps every step going
+# forward.
+ZIGZAG = np.array([
+    [-0.2833082234230908, 0.21324557506731326, 0.10964250098753983],
+    [-1.9145649441110815, 0.5549549427177971, 0.175588971164231],
+    [-0.4983818977036038, 0.9797079457980331, -0.6305723653916457],
+    [-0.05753885363425368, 1.839915692799422, 0.608887356948591],
+    [0.44320255578664824, 3.067826167305465, -0.4290815937513143],
+    [0.8997407687834291, 1.577820620494147, 0.16553513004259843],
+])
+STALL = np.array([
+    [-0.05428910526659912, 0.2968083719909556, 0.2646561643014911],
+    [-1.450170938484149, -0.06424086807288931, -0.019070139289368224],
+    [-0.025207319922007813, 1.2757137343671312, -0.5133691142880428],
+    [-1.3583410397033164, 0.022208549841149, -0.05094087170251718],
+    [-1.5965226572012545, -0.20156943971373414, 0.03164840260715853],
+    [-0.1843805761225096, 2.668940007388191, 0.28707555837127857],
+])
+
+
+@pytest.mark.parametrize("x0, displacement", [(ZIGZAG, 0.5), (STALL, 0.1)],
+                         ids=["zigzag", "stall"])
+def test_flex_never_reverses(x0, displacement):
+    path = trace_flex(x0, SimplicialSurface(OCTAHEDRON_FACES), n_steps=1000)
+    moves = np.diff(path.configs, axis=0).reshape(1000, -1)
+    assert np.count_nonzero(np.vecdot(moves[1:], moves[:-1]) < 0) == 0
+    assert np.abs(path.configs[-1] - path.configs[0]).max() >= displacement
+
+
+def test_start_direction_ignores_rounding_of_ties(bricard):
+    """The default spec's start tangent has two entries of equal magnitude
+    and opposite sign, the half-turn images of one motion; nudging either
+    by one ulp does not change the direction chosen."""
+    tangent = _kernel_beyond_trivial(bricard.vertex_array(), bricard.surface)[:, 0]
+    i, j = sorted(np.argsort(np.abs(tangent))[-2:])
+    assert np.sign(tangent[i]) == -np.sign(tangent[j])
+    for a in (-np.inf, 0.0, np.inf):
+        for b in (-np.inf, 0.0, np.inf):
+            nudged = tangent.copy()
+            if a:
+                nudged[i] = np.nextafter(nudged[i], a)
+            if b:
+                nudged[j] = np.nextafter(nudged[j], b)
+            for t in (nudged, -nudged):
+                chosen = _start_direction(t)
+                assert chosen[i] > 0 and np.abs(chosen).tobytes() == np.abs(t).tobytes()
+
+
+# The tracer reuses one bordered matrix, refilled in place.  The reference
 # tracer builds every matrix afresh; both must agree to the last bit.
 
 PATH_ARRAYS = ("configs", "ts", "raw_angles", "lifted_angles", "degenerate_flags")
@@ -303,11 +353,24 @@ def test_trace_matches_reference_through_halving(bricard):
     assert_same_path(path, ref)
 
 
+@pytest.fixture
+def two_octahedra(octahedron):
+    """Two disjoint octahedra: 30 slice directions against 24 edges, and a
+    kernel of dimension 6 (their relative rigid motions)."""
+    faces = octahedron.surface.faces
+    surface = SimplicialSurface([*faces, *(tuple(v + 6 for v in f) for f in faces)])
+    x = octahedron.vertex_array()
+    return polyhedron_from_config(surface, np.vstack([x, 1.3 * x + [5.0, 0.2, 0.1]]))
+
+
 @pytest.mark.parametrize(
     "model, kwargs, error",
     [
         ("octahedron", {"n_steps": 5}, SingularPointError),
-        ("bricard", {"n_steps": 5, "tol": 1e-300}, CorrectorDivergenceError),
+        # Newton meets tol = 1e-300 on the first seven steps, with exactly
+        # zero residuals, and then no step size works.
+        ("bricard", {"n_steps": 50, "tol": 1e-300}, CorrectorDivergenceError),
+        ("two_octahedra", {"n_steps": 5}, SingularPointError),
     ],
 )
 def test_trace_failures_match_reference(model, kwargs, error, request):
@@ -343,11 +406,11 @@ def test_edge_stub_matrix_matches_reference():
 
 
 def test_lapack_call_counts(bricard, monkeypatch, caplog):
-    """Per attempted step: one QR factorization (the rigid motions at the
-    predicted point, which also border the next tangent's SVD) and one
-    least-squares solve per corrector iteration; per accepted step, one SVD
-    (tangent); the initial tangent adds one QR and one SVD."""
-    counts = dict.fromkeys(("qr", "svd", "lstsq"), 0)
+    """Per attempted step: one complete QR (the slice at the predicted point)
+    and one LU solve of the bordered system per corrector iteration; per
+    accepted step, one SVD (the tangent and the next left null space); the
+    start adds one QR and one SVD."""
+    counts = dict.fromkeys(("qr", "svd", "solve"), 0)
     for name in counts:
         original = getattr(flex, f"_{name}")
 
@@ -364,6 +427,43 @@ def test_lapack_call_counts(bricard, monkeypatch, caplog):
     assert counts == {
         "qr": accepted + 1 + failed,
         "svd": accepted + 1,
-        "lstsq": sum(d["corrector_iters"] for d in path.diagnostics)
+        "solve": sum(d["corrector_iters"] for d in path.diagnostics)
         + MAX_CORRECTOR_ITERS * failed,
     }
+
+
+def fail_once(solve, call):
+    """``solve`` that raises LinAlgError on its ``call``-th call."""
+    calls = 0
+
+    def patched(*args):
+        nonlocal calls
+        calls += 1
+        if calls == call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    return patched
+
+
+def test_failed_solve_halves_the_step(bricard, monkeypatch):
+    """A singular bordered system fails its attempt like a diverging
+    iterate: the step halves and the trace goes on.  Each default step
+    takes one solve, so the fifth solve belongs to the fifth step."""
+    monkeypatch.setattr(flex, "_solve", fail_once(flex._solve, 5))
+    monkeypatch.setattr(np.linalg, "solve", fail_once(np.linalg.solve, 5))
+    path, ref = traced_pair(bricard, n_steps=20)
+    assert path.n_samples == 21
+    assert path.step_sizes[3] == 0.01 and path.step_sizes[4] == 0.005
+    assert_same_path(path, ref)
+
+
+def test_side_areas_equal_face_areas(octahedron, cube, bricard_path):
+    """Signed zeros included: the regular models have equal coordinates."""
+    cases = [(P.surface, P.vertex_array()) for P in (octahedron, cube)]
+    cases += [(bricard_path.surface, x) for x in bricard_path.configs[::15]]
+    for surface, x in cases:
+        ends = surface.edge_table
+        areas = flex._side_areas(surface, ends[:, 0], ends[:, 1])
+        want = face_areas(surface, x)
+        assert areas(x[ends[:, 0]] - x[ends[:, 1]]).tobytes() == want.tobytes()

@@ -32,7 +32,7 @@ from rigiditylab.geometry import (
     squared_lengths,
     weighted_angle_sums,
 )
-from rigiditylab.flex import _lstsq, _qr, _svd
+from rigiditylab.flex import _qr, _solve, _svd
 from rigiditylab.models import OCTAHEDRON_FACES
 
 TWO_PI = 2.0 * math.pi
@@ -206,41 +206,53 @@ def test_trivial_basis_equals_cross_product_construction():
         q_direct, diag = _qr(basis)
         assert q_direct.tobytes() == q.tobytes()
         assert diag.tobytes() == np.abs(r.diagonal()).tobytes()
+        q_complete, diag = _qr(basis, complete=True)
+        assert q_complete.tobytes() == np.linalg.qr(basis, mode="complete").Q.tobytes()
+        assert diag.tobytes() == np.abs(r.diagonal()).tobytes()
 
 
-def bordered_jacobians(bricard_path):
-    """[R; T.T] at every tenth configuration of the path (one flex beyond the
-    rigid motions, so rank-deficient) and at the cube."""
+def bordered_systems(bricard_path):
+    """The corrector's square matrix [[R*C, W], [t_c, 0]] at every tenth
+    configuration of the path and at the cube, where C spans the complement
+    of the rigid motions, W the left null space of R*C and t_c its kernel."""
     cube = make_triangulated_cube()
     configs = [(bricard_path.surface, x) for x in bricard_path.configs[::10]]
     for surface, x in [*configs, (cube.surface, cube.vertex_array())]:
-        yield np.vstack([rigidity_matrix(x, surface), trivial_motion_basis(x).T])
+        C = np.linalg.qr(trivial_motion_basis(x), mode="complete").Q[:, 6:]
+        RC = rigidity_matrix(x, surface) @ C
+        u, _, vt = np.linalg.svd(RC)
+        yield np.block([[RC, u[:, -1:]], [vt[-1], 0.0]])
 
 
 def test_direct_lapack_calls_equal_numpy_linalg(bricard_path):
     rng = np.random.default_rng(11)
-    for J in bordered_jacobians(bricard_path):
-        for got, want in zip(_svd(J), np.linalg.svd(J)):
+    for B in bordered_systems(bricard_path):
+        for got, want in zip(_svd(B), np.linalg.svd(B)):
             assert got.tobytes() == want.tobytes()
-        b = rng.normal(size=len(J))
-        rcond = np.finfo(float).eps * max(J.shape)
-        want = np.linalg.lstsq(J, b, rcond=None)[0]
-        assert _lstsq(J, b[:, None], rcond)[:, 0].tobytes() == want.tobytes()
+        b = rng.normal(size=len(B))
+        assert _solve(B, b).tobytes() == np.linalg.solve(B, b).tobytes()
 
 
 def test_direct_lapack_calls_raise_on_nan(bricard_path):
-    J = next(bordered_jacobians(bricard_path))
-    J[3, 4] = np.nan
-    b = np.ones(len(J))
-    rcond = np.finfo(float).eps * max(J.shape)
-    for direct, public in [(lambda: _svd(J), lambda: np.linalg.svd(J)),
-                           (lambda: _lstsq(J, b[:, None], rcond),
-                            lambda: np.linalg.lstsq(J, b, rcond=None))]:
-        with pytest.raises(np.linalg.LinAlgError) as got:
-            direct()
-        with pytest.raises(np.linalg.LinAlgError) as want:
-            public()
-        assert str(got.value) == str(want.value)
+    B = next(bordered_systems(bricard_path))
+    B[3, 4] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _svd(B)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.svd(B)
+    assert str(got.value) == str(want.value)
+
+
+def test_direct_solve_raises_on_singular_matrix(bricard_path):
+    """LU solving carries NaNs through; it fails on an exact zero pivot."""
+    B = next(bordered_systems(bricard_path))
+    B[5] = 0.0
+    b = np.ones(len(B))
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _solve(B, b)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.solve(B, b)
+    assert str(got.value) == str(want.value)
 
 
 def test_series_csv_columns_equal_monitor_series(bricard, bricard_path):

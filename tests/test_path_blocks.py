@@ -22,6 +22,7 @@ from rigiditylab import (
     save_series_csv,
     trace_flex,
 )
+from rigiditylab import flex
 from rigiditylab.geometry import PATH_BLOCK, monitor_series
 from rigiditylab.models import series_csv_blocks
 
@@ -131,9 +132,15 @@ def test_trivial_flex_across_blocks(bricard_long, k):
         assert is_trivial_flex(path) == whole_path_is_trivial_flex(path) == trivial
 
 
-def test_trace_never_sizes_a_buffer_from_n_steps(bricard):
+def test_trace_never_sizes_a_buffer_from_n_steps(bricard, monkeypatch):
     """A corrector that never converges ends a trace of 10**12 requested
     steps with its one-sample path, not with a MemoryError."""
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # Every solve fails, and no predicted point meets tol on its own.
+    monkeypatch.setattr(flex, "_solve", singular)
     with pytest.raises(CorrectorDivergenceError) as exc:
         trace_flex(bricard.vertex_array(), bricard.surface, n_steps=10**12, tol=1e-300)
     assert exc.value.path.n_samples == 1
