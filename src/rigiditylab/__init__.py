@@ -45,7 +45,6 @@ from .flex import (
     FlexPath,
     LiftAmbiguityError,
     SingularPointError,
-    best_fit_rigid_motion,
     infinitesimal_flex_dim,
     is_trivial_flex,
     lift_angles,

@@ -292,12 +292,13 @@ def _wrap_to_pi(delta: np.ndarray) -> np.ndarray:
 def lift_angles(raw: np.ndarray, degenerate: np.ndarray | None = None) -> np.ndarray:
     """Unwrap principal-value series into continuous lifted series.
 
-    ``raw`` has shape (K, n_edges) with values in [0, 2*pi).  Each lifted
-    series starts at the raw value at the first sample and accumulates
-    increments wrapped into (-pi, pi].  Samples flagged degenerate carry the
-    artificial principal value 0; they are bridged by skipping them in the
-    unwrap and filling linearly between their lifted neighbours, which picks
-    the 0 / 2*pi branch consistent with continuity.
+    ``raw`` has shape (K, n_edges), or (K,) for one edge, with values in
+    [0, 2*pi); ``degenerate`` has the same shape.  Each lifted series starts
+    at the raw value at the first sample and accumulates increments wrapped
+    into (-pi, pi].  Samples flagged degenerate carry the artificial
+    principal value 0; they are bridged by skipping them in the unwrap and
+    filling linearly between their lifted neighbours, which picks the
+    0 / 2*pi branch consistent with continuity.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim == 1:
@@ -305,6 +306,7 @@ def lift_angles(raw: np.ndarray, degenerate: np.ndarray | None = None) -> np.nda
     K, E = raw.shape
     if degenerate is None:
         degenerate = np.zeros_like(raw, dtype=bool)
+    degenerate = np.reshape(degenerate, raw.shape)
     lifted = np.empty_like(raw)
     for e in range(E):
         good = np.flatnonzero(~degenerate[:, e])
@@ -568,44 +570,15 @@ def trace_flex(
     return path()
 
 
-def best_fit_rigid_motion(source: np.ndarray, target: np.ndarray):
-    """Rotation (det +1) and translation minimizing |R*source + t - target|.
-
-    ``target`` is one configuration (V,3) or a stack (K,V,3); for a stack,
-    R is (K,3,3) and t is (K,3), one orthogonal Procrustes fit per slice
-    from a single batched SVD.
-    """
-    src = as_config(source)
-    dst = as_config(target)
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=-2)
-    H = (src - c_src).T @ (dst - c_dst[..., None, :])
-    U, _, Vt = np.linalg.svd(H)
-    V = Vt.mT
-    d = np.sign(np.linalg.det(V @ U.mT))
-    V[..., :, 2] *= d[..., None]
-    R = V @ U.mT
-    t = c_dst - R @ c_src
-    return R, t
-
-
 def is_trivial_flex(path: FlexPath) -> bool:
     """True when every sample is a rigid motion of the first one.
 
-    Each sample is aligned to the initial configuration by orthogonal
-    Procrustes (proper rotations only); the path is trivial iff the largest
-    vertex misfit stays below TRIVIAL_FLEX_TOL times the configuration
-    diameter.
+    Edge lengths and oriented dihedral angles fix a closed triangulated
+    surface up to proper congruence, so the path is trivial iff no lifted
+    angle moves by more than TRIVIAL_FLEX_TOL radians and no edge length
+    drifts by more than TRIVIAL_FLEX_TOL of its initial value.  Both halves
+    are needed: a scaled sample keeps every angle, a mirrored one every
+    length.
     """
-    if path.n_samples <= 1:
-        return True
-    x0 = path.configs[0]
-    d = x0[:, None] - x0[None]
-    diam = float(np.sqrt(np.vecdot(d, d)).max())
-    rest = path.configs[1:]
-    worst = 0.0
-    for b in path_blocks(len(rest)):
-        R, t = best_fit_rigid_motion(x0, rest[b])
-        moved = x0 @ R.mT + t[:, None, :]
-        worst = np.max(np.linalg.norm(moved - rest[b], axis=-1), initial=worst)
-    return float(worst) <= TRIVIAL_FLEX_TOL * diam
+    spread = np.ptp(path.lifted_angles, axis=0).max()
+    return spread <= TRIVIAL_FLEX_TOL and path.length_drift() <= TRIVIAL_FLEX_TOL

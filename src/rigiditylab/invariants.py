@@ -198,6 +198,8 @@ def monitor_flex(
     For each combination the maximal absolute deviation of its lifted-angle
     sum from the claimed constant is recorded, together with the deviations
     of the enclosed oriented volume and of the length-weighted angle sum.
+    ``P`` is unused; it stays only because the CLI, the Bricard demo and the
+    benchmark harness pass it, and goes at the next change to the harness.
     """
     if path.n_samples == 0:
         raise ValueError("empty path")

@@ -12,7 +12,6 @@ from rigiditylab import (
     LiftAmbiguityError,
     SimplicialSurface,
     SingularPointError,
-    best_fit_rigid_motion,
     infinitesimal_flex_dim,
     is_trivial_flex,
     lift_angles,
@@ -188,13 +187,15 @@ def test_lift_ambiguous_jump_rejected():
 
 
 def test_lift_bridges_degenerate_samples():
-    raw = np.array([[0.3], [0.0], [TWO_PI - 0.1]])
-    flags = np.array([[False], [True], [False]])
-    lifted = lift_angles(raw, flags)[:, 0]
-    # the middle sample interpolates between 0.3 and -0.1 on the lifted line
-    assert lifted[0] == pytest.approx(0.3)
-    assert lifted[2] == pytest.approx(-0.1, abs=1e-12)
-    assert lifted[1] == pytest.approx(0.1, abs=1e-12)
+    raw = np.array([0.3, 0.0, TWO_PI - 0.1])
+    flags = np.array([False, True, False])
+    # One edge's series, as a column and as a 1-D array with 1-D flags.
+    for shape in ((3, 1), (3,)):
+        lifted = lift_angles(raw.reshape(shape), flags.reshape(shape))[:, 0]
+        # the middle sample interpolates between 0.3 and -0.1 on the lifted line
+        assert lifted[0] == pytest.approx(0.3)
+        assert lifted[2] == pytest.approx(-0.1, abs=1e-12)
+        assert lifted[1] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_lift_refinement_consistency(bricard_path):
@@ -223,18 +224,6 @@ def test_trivial_flex_detection(octahedron):
         initial_lengths=np.full(E, np.sqrt(2)),
     )
     assert is_trivial_flex(path)
-
-
-def test_batched_rigid_fit_matches_single_fits(bricard_path):
-    x0 = bricard_path.configs[0]
-    # The mirror image forces the det sign correction onto its slice.
-    targets = np.concatenate([bricard_path.configs, -bricard_path.configs[-1:]])
-    R, t = best_fit_rigid_motion(x0, targets)
-    assert R.shape == (len(targets), 3, 3) and t.shape == (len(targets), 3)
-    assert np.allclose(np.linalg.det(R), 1.0)
-    for k, target in enumerate(targets):
-        Rk, tk = best_fit_rigid_motion(x0, target)
-        assert np.array_equal(R[k], Rk) and np.array_equal(t[k], tk)
 
 
 def test_single_sample_path_trivial(bricard_path):

@@ -16,6 +16,7 @@ from rigiditylab import (
     FlexPath,
     invariant_combinations,
     is_trivial_flex,
+    lift_angles,
     make_bricard_type1,
     monitor_flex,
     q_basis,
@@ -23,7 +24,7 @@ from rigiditylab import (
     trace_flex,
 )
 from rigiditylab import flex
-from rigiditylab.geometry import PATH_BLOCK, monitor_series
+from rigiditylab.geometry import PATH_BLOCK, monitor_series, principal_angles
 from rigiditylab.models import series_csv_blocks
 
 from oracles import (
@@ -62,21 +63,26 @@ def head(path, k, last=None):
     )
 
 
-def rigid_path(path, k):
-    """k rigid motions of the first configuration of ``path``."""
+def rigid_path(path, k, last=None):
+    """k rigid motions of the first configuration of ``path``, with their own
+    angles; ``last`` replaces the k-th configuration."""
     x0 = path.configs[0]
     configs = []
     for angle in np.linspace(0.0, 0.5, k):
         c, s = np.cos(angle), np.sin(angle)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         configs.append(x0 @ R.T + np.array([0.1, -0.2, 0.05]) * angle)
+    if last is not None:
+        configs[-1] = last
+    configs = np.array(configs)
+    raw, flags = principal_angles(path.surface, configs)
     return FlexPath(
         surface=path.surface,
         ts=np.linspace(0.0, 1.0, k),
-        configs=np.array(configs),
-        raw_angles=path.raw_angles[:k],
-        lifted_angles=path.lifted_angles[:k],
-        degenerate_flags=path.degenerate_flags[:k],
+        configs=configs,
+        raw_angles=raw,
+        lifted_angles=lift_angles(raw, flags),
+        degenerate_flags=flags,
         initial_lengths=path.initial_lengths,
     )
 
@@ -124,11 +130,13 @@ def test_length_drift_across_blocks(bricard_long, k):
 @pytest.mark.parametrize("k", SIZES)
 def test_trivial_flex_across_blocks(bricard_long, k):
     long = bricard_long[1]
-    rigid = rigid_path(long, k)
-    # A flexed last sample makes the path nontrivial from the last block.
-    bent = rigid_path(long, k)
-    bent.configs[-1] = long.configs[k - 1]
-    for path, trivial in ((head(long, k), False), (rigid, True), (bent, False)):
+    x0 = long.configs[0]
+    # A flexed, mirrored or scaled last sample makes the path nontrivial from
+    # the last block: the mirror keeps every length, the scaling every angle.
+    cases = [(head(long, k), False), (rigid_path(long, k), True)]
+    for last in (long.configs[k - 1], x0 * [1.0, 1.0, -1.0], 1.001 * x0):
+        cases.append((rigid_path(long, k, last=last), False))
+    for path, trivial in cases:
         assert is_trivial_flex(path) == whole_path_is_trivial_flex(path) == trivial
 
 
