@@ -11,17 +11,17 @@ Newton on a square bordered system, the reduced rigidity matrix R*C
 completed by its left null space and closed by the pseudo-arclength row
 (Allgower & Georg), so a step costs one complete QR, one SVD of R*C for the
 next tangent and, on a smooth flex, one LU solve.
-The tracer keeps only configurations, in fixed-size blocks; dihedral angles
-are computed from the finished path and unwrapped into continuous lifted
-series.  Every whole-path pass runs over blocks of PATH_BLOCK configurations,
-so its memory is the path's own plus a fixed amount.
+A traced path is its configurations and step record; dihedral angles,
+lifted series, arc lengths and monitor series are derived from them once,
+on first read.  Every whole-path pass runs over blocks of PATH_BLOCK
+configurations, so its memory is the path's own plus a fixed amount.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
@@ -31,9 +31,11 @@ from .geometry import (
     _CROSS_B,
     PATH_BLOCK,
     Polyhedron,
+    oriented_volumes,
     path_blocks,
     principal_angles,
     squared_lengths,
+    weighted_angle_sums,
 )
 from .surfaces import SimplicialSurface, edge_table
 
@@ -243,36 +245,72 @@ def squared_length_residual(x, surface, targets_sq) -> np.ndarray:
     return squared_lengths(surface, as_config(x)) - targets_sq
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlexPath:
-    """Sampled one-parameter deformation with continuous lifted angles.
+    """Sampled one-parameter deformation: configurations and step record.
 
-    ``ts`` is arc-length-proportional, rescaled to [0, 1].  ``configs`` has
-    shape (K, n_vertices, 3); ``raw_angles`` and ``lifted_angles`` have shape
-    (K, n_edges) in canonical edge order.  ``step_sizes`` and
-    ``corrector_iters`` have shape (K - 1,): the size of each accepted step
-    and the corrector iterations it took.
+    ``configs`` has shape (K, n_vertices, 3); ``step_sizes`` and
+    ``corrector_iters``, shape (K - 1,), hold each accepted step's size and
+    corrector iterations.  Every other series derives from ``configs`` once,
+    on first read; angle series have shape (K, n_edges), canonical edge order.
     """
 
     surface: SimplicialSurface
-    ts: np.ndarray
     configs: np.ndarray
-    raw_angles: np.ndarray
-    lifted_angles: np.ndarray
-    degenerate_flags: np.ndarray
-    initial_lengths: np.ndarray
     step_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
     corrector_iters: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def n_samples(self) -> int:
-        return len(self.ts)
+        return len(self.configs)
 
     @property
     def diagnostics(self) -> list[dict]:
         """One ``{"step", "corrector_iters"}`` dict per accepted step."""
         return [{"step": h, "corrector_iters": n}
                 for h, n in zip(self.step_sizes.tolist(), self.corrector_iters.tolist())]
+
+    @cached_property
+    def ts(self) -> np.ndarray:
+        """Arc-length parameter of each sample, rescaled to [0, 1]."""
+        x = self.configs
+        arcs = np.empty(len(x[1:]))  # step k's length, |sample k+1 - sample k|
+        for b in path_blocks(len(x)):
+            d = (x[1:][b] - x[:-1][b]).reshape(-1, 3 * x.shape[1])
+            arcs[b] = np.sqrt(np.vecdot(d, d))  # np.linalg.norm's arithmetic
+        ts = np.concatenate([[0.0], np.cumsum(arcs)])
+        return ts / ts[-1] if ts[-1] > 0 else ts
+
+    @cached_property
+    def _principal(self) -> tuple[np.ndarray, np.ndarray]:
+        # Row-major, unlike the kernel's own output: each sample's angles are contiguous.
+        raw = np.empty((self.n_samples, len(self.surface.edges)))
+        flags = np.empty(raw.shape, dtype=bool)
+        for b in path_blocks(self.n_samples):
+            raw[b], flags[b] = principal_angles(self.surface, self.configs[b])
+        return raw, flags
+
+    raw_angles = property(lambda self: self._principal[0], doc="Principal values in [0, 2*pi).")
+    degenerate_flags = property(lambda self: self._principal[1], doc="Where a value is 0 by fiat.")
+
+    @cached_property
+    def lifted_angles(self) -> np.ndarray:
+        """Continuous lifts of the principal values, see :func:`lift_angles`."""
+        return lift_angles(self.raw_angles, self.degenerate_flags)
+
+    @cached_property
+    def initial_lengths(self) -> np.ndarray:
+        return np.sqrt(squared_lengths(self.surface, self.configs[0]))
+
+    @cached_property
+    def monitor_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """Oriented volume and length-weighted lifted-angle sum per sample."""
+        x, angles = self.configs, self.lifted_angles
+        volumes, weighted = np.empty(len(x)), np.empty(len(x))
+        for b in path_blocks(len(x)):
+            volumes[b] = oriented_volumes(self.surface, x[b])
+            weighted[b] = weighted_angle_sums(self.surface, x[b], angles[b])
+        return volumes, weighted
 
     def length_drift(self) -> float:
         """Maximum relative edge-length drift over the whole path."""
@@ -382,9 +420,11 @@ def trace_flex(
     aborts with :class:`SingularPointError` when the kernel dimension leaves
     1, with :class:`FaceDegenerationError` when a face area collapses, and
     with :class:`CorrectorDivergenceError` when no step size works; the
-    partial path is attached to the exception.  The corrector stops when
-    every residual is at most ``tol``, positive and finite, by default
-    1e-11 times the squared longest edge.
+    partial path is attached to the exception.  A path, whole or partial,
+    is its configurations and step record, and the tracer computes no angle
+    past the start check.  The corrector stops when every residual is at
+    most ``tol``, positive and finite, by default 1e-11 times the squared
+    longest edge.
 
     The predictor is x_pred = x + h*t + (h*h/2)*kappa, where t is the unit
     tangent and kappa = (t - t_prev) / h_prev is the tangent's change over
@@ -405,10 +445,8 @@ def trace_flex(
     kernel dimension is the same.
 
     Each step therefore costs one QR, one SVD and, on a smooth flex, one LU
-    solve, on matrices of order 3v - 6 or E + 1 that are set up once per
-    trace and refilled in place.  These calls bypass numpy.linalg's Python
-    wrappers and go straight to the same LAPACK gufuncs with the same
-    arguments, so every result is the public functions' to the bit.
+    solve, on matrices set up once per trace and refilled in place, by the
+    LAPACK gufuncs of numpy.linalg with its arguments (see ``_qr``).
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -419,8 +457,7 @@ def trace_flex(
     x = as_config(x0).copy()
     nv = x.shape[0]
     targets_sq = squared_lengths(surface, x)
-    initial_lengths = np.sqrt(targets_sq)
-    max_len = float(initial_lengths.max())
+    max_len = float(np.sqrt(targets_sq).max())
     if tol is None:
         tol = 1e-11 * max_len**2
     area_tol = 1e-12 * max_len**2
@@ -460,29 +497,7 @@ def trace_flex(
         # The path ends the trace, so its copy replaces the blocks.
         configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % PATH_BLOCK + 1]])
         store.clear()
-        # Row-major, so each configuration's angles are contiguous; the
-        # batched kernel itself returns column-major arrays.
-        raw = np.empty((len(configs), len(surface.edges)))
-        flags = np.empty(raw.shape, dtype=bool)
-        arcs = np.empty(len(sizes))  # step k's length, |sample k+1 - sample k|
-        for b in path_blocks(len(configs)):
-            raw[b], flags[b] = principal_angles(surface, configs[b])
-            d = (configs[1:][b] - configs[:-1][b]).reshape(-1, 3 * nv)
-            arcs[b] = np.sqrt(np.vecdot(d, d))  # np.linalg.norm's arithmetic
-        ts = np.concatenate([[0.0], np.cumsum(arcs)])
-        if ts[-1] > 0:
-            ts = ts / ts[-1]
-        return FlexPath(
-            surface=surface,
-            ts=ts,
-            configs=configs,
-            raw_angles=raw,
-            lifted_angles=lift_angles(raw, flags),
-            degenerate_flags=flags,
-            initial_lengths=initial_lengths,
-            step_sizes=np.array(sizes, dtype=float),
-            corrector_iters=np.array(iters, dtype=int),
-        )
+        return FlexPath(surface, configs, np.array(sizes, dtype=float), np.array(iters, dtype=int))
 
     def tangent_at(dy, C):  # dy = y[heads] - y[tails]; C spans a slice near y
         scatter.write(R, dy)

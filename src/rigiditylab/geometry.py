@@ -185,17 +185,6 @@ def path_blocks(n: int):
     return (slice(k, k + PATH_BLOCK) for k in range(0, n, PATH_BLOCK))
 
 
-def monitor_series(surface, configs, angles) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented volume and length-weighted angle sum of every configuration
-    of a (K, V, 3) path, block by block; the one source of both series for
-    the flex monitor and the CSV."""
-    volumes, weighted = np.empty(len(configs)), np.empty(len(configs))
-    for b in path_blocks(len(configs)):
-        volumes[b] = oriented_volumes(surface, configs[b])
-        weighted[b] = weighted_angle_sums(surface, configs[b], angles[b])
-    return volumes, weighted
-
-
 def _edge_frames(surface, x, edges=None):
     """Unit edge directions (..., E, 3), in-face unit directions and unit
     normals of the two incident faces (..., E, 2, 3), at every edge or at the

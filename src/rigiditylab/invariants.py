@@ -12,12 +12,12 @@ length-weighted angle sum) is the numerical check of that prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .flex import FlexPath
-from .geometry import Polyhedron, edge_length_vector, monitor_series, principal_angles
+from .geometry import Polyhedron, edge_length_vector, principal_angles
 from .lengths import (
     DEPENDENT,
     INDEPENDENT_EXACT,
@@ -184,8 +184,6 @@ class MonitoringReport:
     volume_initial: float
     weighted_angle_sum_initial: float
     n_samples: int
-    volume_series: np.ndarray = field(repr=False, default=None)
-    weighted_angle_sum_series: np.ndarray = field(repr=False, default=None)
 
 
 def monitor_flex(
@@ -208,7 +206,7 @@ def monitor_flex(
         series = path.lifted_angles @ np.asarray(comb.coeffs, dtype=float)
         comb_dev.append(float(np.max(np.abs(series - comb.claimed_constant))))
 
-    volumes, weighted = monitor_series(path.surface, path.configs, path.lifted_angles)
+    volumes, weighted = path.monitor_series
     return MonitoringReport(
         combination_deviations=comb_dev,
         volume_deviation=float(np.max(np.abs(volumes - volumes[0]))),
@@ -216,8 +214,6 @@ def monitor_flex(
         volume_initial=float(volumes[0]),
         weighted_angle_sum_initial=float(weighted[0]),
         n_samples=path.n_samples,
-        volume_series=volumes,
-        weighted_angle_sum_series=weighted,
     )
 
 

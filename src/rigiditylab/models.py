@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flex import FlexPath
-from .geometry import Polyhedron, monitor_series, path_blocks
+from .geometry import Polyhedron, path_blocks
 from .surfaces import SimplicialSurface, _canonical_face
 
 FORMAT_VERSION = 1
@@ -338,10 +338,9 @@ def series_csv_blocks(path: FlexPath | None):
     yield f"# format_version: {FORMAT_VERSION}\nt,{','.join(cols)},volume,weighted_angle_sum\n"
     # %-formatting a whole row of Python floats gives format(v, ".17g")'s digits.
     row = ",".join(["%.17g"] * (len(cols) + 3)) + "\n"
+    volumes, weighted = path.monitor_series
     for b in path_blocks(path.n_samples):
-        angles = path.lifted_angles[b]
-        volumes, weighted = monitor_series(path.surface, path.configs[b], angles)
-        table = np.column_stack([path.ts[b], angles, volumes, weighted])
+        table = np.column_stack([path.ts[b], path.lifted_angles[b], volumes[b], weighted[b]])
         yield "".join([row % tuple(r) for r in table.tolist()])
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,6 @@ from rigiditylab.flex import (
     CorrectorDivergenceError,
     DegenerateConfigurationError,
     FaceDegenerationError,
-    FlexPath,
     SingularPointError,
     as_config,
     lift_angles,
@@ -348,7 +348,9 @@ def reference_kernel_beyond_trivial(x, surface):
 
 def reference_trace_flex(
     x0, surface, direction_hint=None, n_steps=200, step=0.01, tol=None
-) -> FlexPath:
+) -> SimpleNamespace:
+    """The traced path's configurations, steps and series, every series
+    computed here, in the attributes of a FlexPath."""
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if n_steps < 0:
@@ -377,16 +379,10 @@ def reference_trace_flex(
         for k in range(0, len(configs), PATH_BLOCK):
             block = slice(k, k + PATH_BLOCK)
             raw[block], flags[block] = principal_angles(surface, configs[block])
-        return FlexPath(
-            surface=surface,
-            ts=ts,
-            configs=configs,
-            raw_angles=raw,
-            lifted_angles=lift_angles(raw, flags),
-            degenerate_flags=flags,
-            initial_lengths=initial_lengths,
-            step_sizes=np.array([d["step"] for d in diags], dtype=float),
-            corrector_iters=np.array([d["corrector_iters"] for d in diags], dtype=int),
+        return SimpleNamespace(
+            configs=configs, ts=ts, raw_angles=raw, degenerate_flags=flags,
+            lifted_angles=lift_angles(raw, flags), initial_lengths=initial_lengths,
+            diagnostics=list(diags),
         )
 
     def slice_basis(y):
@@ -475,6 +471,16 @@ def reference_trace_flex(
             easy_run = 0
 
     return path()
+
+
+def assert_same_path(path, ref):
+    """``path``'s configurations, derived series and steps have the bytes of
+    the reference's own."""
+    for name in ("configs", "ts", "raw_angles", "degenerate_flags", "lifted_angles",
+                 "initial_lengths"):
+        a, b = getattr(path, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert path.diagnostics == ref.diagnostics
 
 
 # The whole-path stages as they were before they ran block by block: every

@@ -193,29 +193,13 @@ def test_branch_shift_changes_value_by_multiple_of_two_pi(bricard):
 
 def test_monitor_trivial_rotation_path(octahedron):
     x0 = octahedron.vertex_array()
-    configs, raws = [], []
-    from rigiditylab import all_dihedrals, polyhedron_from_config
-
+    configs = []
     for angle in (0.0, 0.4, 0.8):
         c, s = np.cos(angle), np.sin(angle)
-        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        x = x0 @ R.T
-        configs.append(x)
-        raws.append(
-            [d.principal_value for d in all_dihedrals(polyhedron_from_config(octahedron.surface, x))]
-        )
-    raw = np.array(raws)
-    path = FlexPath(
-        surface=octahedron.surface,
-        ts=np.linspace(0, 1, 3),
-        configs=np.array(configs),
-        raw_angles=raw,
-        lifted_angles=raw.copy(),
-        degenerate_flags=np.zeros_like(raw, dtype=bool),
-        initial_lengths=np.full(12, np.sqrt(2)),
-    )
+        configs.append(x0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T)
+    path = FlexPath(octahedron.surface, np.array(configs))
     span = q_basis(octahedron.exact_edge_lengths())
-    combs = invariant_combinations(span, raw[0])
+    combs = invariant_combinations(span, initial_principal_angles(octahedron))
     report = monitor_flex(path, combs, octahedron)
     assert max(report.combination_deviations) <= 1e-9
     assert report.volume_deviation <= 1e-9

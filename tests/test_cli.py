@@ -272,10 +272,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _peak_rss_kb(*args) -> int:
     """Peak RSS of a fresh command-line process on one BLAS thread."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = dict(os.environ, PYTHONPATH=path, RIGIDITYLAB_LOG="error", **threads)
+    env = dict(os.environ, RIGIDITYLAB_LOG="error", **threads)
     launched = subprocess.run(
         [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-m", "rigiditylab.cli", *args],
         capture_output=True, text=True, env=env, check=True,

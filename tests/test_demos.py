@@ -1,6 +1,5 @@
 """Every demo script runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # bricard_flex.py writes its CSV to the working directory.
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()

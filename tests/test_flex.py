@@ -27,6 +27,7 @@ from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles
 from rigiditylab.models import OCTAHEDRON_FACES
 
 from oracles import (
+    assert_same_path,
     exact_flex_dim,
     reference_kernel_beyond_trivial,
     reference_rigidity_matrix,
@@ -213,30 +214,11 @@ def test_trivial_flex_detection(octahedron):
         c, s = np.cos(angle), np.sin(angle)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         configs.append(x0 @ R.T + np.array([0.1, -0.2, 0.05]) * angle)
-    E = octahedron.surface.n_edges
-    path = FlexPath(
-        surface=octahedron.surface,
-        ts=np.linspace(0, 1, 4),
-        configs=np.array(configs),
-        raw_angles=np.zeros((4, E)),
-        lifted_angles=np.zeros((4, E)),
-        degenerate_flags=np.zeros((4, E), dtype=bool),
-        initial_lengths=np.full(E, np.sqrt(2)),
-    )
-    assert is_trivial_flex(path)
+    assert is_trivial_flex(FlexPath(octahedron.surface, np.array(configs)))
 
 
 def test_single_sample_path_trivial(bricard_path):
-    single = FlexPath(
-        surface=bricard_path.surface,
-        ts=bricard_path.ts[:1],
-        configs=bricard_path.configs[:1],
-        raw_angles=bricard_path.raw_angles[:1],
-        lifted_angles=bricard_path.lifted_angles[:1],
-        degenerate_flags=bricard_path.degenerate_flags[:1],
-        initial_lengths=bricard_path.initial_lengths,
-    )
-    assert is_trivial_flex(single)
+    assert is_trivial_flex(FlexPath(bricard_path.surface, bricard_path.configs[:1]))
 
 
 def step_move_ratios(path):
@@ -307,16 +289,8 @@ def test_start_direction_ignores_rounding_of_ties(bricard):
 
 
 # The tracer reuses one bordered matrix, refilled in place.  The reference
-# tracer builds every matrix afresh; both must agree to the last bit.
-
-PATH_ARRAYS = ("configs", "ts", "raw_angles", "lifted_angles", "degenerate_flags")
-
-
-def assert_same_path(path, ref):
-    for name in PATH_ARRAYS:
-        a, b = getattr(path, name), getattr(ref, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert path.diagnostics == ref.diagnostics
+# tracer builds every matrix afresh and derives its own series; both must
+# agree to the last bit.
 
 
 def traced_pair(P, **kwargs):
@@ -362,16 +336,26 @@ def two_octahedra(octahedron):
         ("two_octahedra", {"n_steps": 5}, SingularPointError),
     ],
 )
-def test_trace_failures_match_reference(model, kwargs, error, request):
+def test_trace_failures_match_reference(model, kwargs, error, request, spy):
+    """A failed trace takes no angle past its start check; the partial path it
+    attaches derives the reference's series, and those of the path rebuilt
+    from its configurations and step record."""
     P = request.getfixturevalue(model)
     x0 = P.vertex_array()
+    angles = spy("principal_angles")
     with pytest.raises(error) as got:
         trace_flex(x0, P.surface, **kwargs)
+    assert len(angles) == 1
     with pytest.raises(error) as want:
         reference_trace_flex(x0, P.surface, **kwargs)
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "flex_dim", None) == getattr(want.value, "flex_dim", None)
-    assert_same_path(got.value.path, want.value.path)
+    path = got.value.path
+    assert_same_path(path, want.value.path)
+    rebuilt = FlexPath(P.surface, path.configs, path.step_sizes, path.corrector_iters)
+    assert_same_path(path, rebuilt)
+    for a, b in zip(path.monitor_series, rebuilt.monitor_series):
+        assert a.shape == (path.n_samples,) and a.tobytes() == b.tobytes()
 
 
 def test_flex_matrices_match_reference(octahedron, cube, bricard_path):

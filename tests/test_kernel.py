@@ -35,6 +35,8 @@ from rigiditylab.geometry import (
 from rigiditylab.flex import _qr, _solve, _svd
 from rigiditylab.models import OCTAHEDRON_FACES
 
+from oracles import whole_path_monitor_series
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -256,6 +258,7 @@ def test_direct_solve_raises_on_singular_matrix(bricard_path):
 
 
 def test_series_csv_columns_equal_monitor_series(bricard, bricard_path):
+    """The CSV's monitor columns are the one-pass series and set the report's deviations."""
     combos = invariant_combinations(
         q_basis(bricard.exact_edge_lengths()), initial_principal_angles(bricard)
     )
@@ -263,10 +266,14 @@ def test_series_csv_columns_equal_monitor_series(bricard, bricard_path):
     lines = save_series_csv(bricard_path).splitlines()
     header = lines[1].split(",")
     rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
-    volume = [r[header.index("volume")] for r in rows]
-    weighted = [r[header.index("weighted_angle_sum")] for r in rows]
-    assert volume == report.volume_series.tolist()
-    assert weighted == report.weighted_angle_sum_series.tolist()
+    volume = np.array([r[header.index("volume")] for r in rows])
+    weighted = np.array([r[header.index("weighted_angle_sum")] for r in rows])
+    path = bricard_path
+    want = whole_path_monitor_series(path.surface, path.configs, path.lifted_angles)
+    assert volume.tobytes() == want[0].tobytes()
+    assert weighted.tobytes() == want[1].tobytes()
+    assert report.volume_deviation == np.max(np.abs(volume - volume[0]))
+    assert report.weighted_angle_sum_deviation == np.max(np.abs(weighted - weighted[0]))
 
 
 def test_length_drift_matches_direct_recomputation(bricard_path):

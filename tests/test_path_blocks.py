@@ -16,7 +16,6 @@ from rigiditylab import (
     FlexPath,
     invariant_combinations,
     is_trivial_flex,
-    lift_angles,
     make_bricard_type1,
     monitor_flex,
     q_basis,
@@ -24,10 +23,11 @@ from rigiditylab import (
     trace_flex,
 )
 from rigiditylab import flex
-from rigiditylab.geometry import PATH_BLOCK, monitor_series, principal_angles
+from rigiditylab.geometry import PATH_BLOCK
 from rigiditylab.models import series_csv_blocks
 
 from oracles import (
+    assert_same_path,
     reference_trace_flex,
     whole_path_is_trivial_flex,
     whole_path_length_drift,
@@ -36,8 +36,6 @@ from oracles import (
 )
 
 SIZES = (PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 3)
-PATH_ARRAYS = ("configs", "ts", "raw_angles", "lifted_angles", "degenerate_flags",
-               "step_sizes", "corrector_iters")
 MB = 1 << 20
 
 
@@ -52,20 +50,12 @@ def head(path, k, last=None):
     configs = path.configs[:k].copy()
     if last is not None:
         configs[-1] = last
-    return FlexPath(
-        surface=path.surface,
-        ts=path.ts[:k],
-        configs=configs,
-        raw_angles=path.raw_angles[:k],
-        lifted_angles=path.lifted_angles[:k],
-        degenerate_flags=path.degenerate_flags[:k],
-        initial_lengths=path.initial_lengths,
-    )
+    return FlexPath(path.surface, configs)
 
 
 def rigid_path(path, k, last=None):
-    """k rigid motions of the first configuration of ``path``, with their own
-    angles; ``last`` replaces the k-th configuration."""
+    """k rigid motions of the first configuration of ``path``; ``last``
+    replaces the k-th configuration."""
     x0 = path.configs[0]
     configs = []
     for angle in np.linspace(0.0, 0.5, k):
@@ -74,17 +64,7 @@ def rigid_path(path, k, last=None):
         configs.append(x0 @ R.T + np.array([0.1, -0.2, 0.05]) * angle)
     if last is not None:
         configs[-1] = last
-    configs = np.array(configs)
-    raw, flags = principal_angles(path.surface, configs)
-    return FlexPath(
-        surface=path.surface,
-        ts=np.linspace(0.0, 1.0, k),
-        configs=configs,
-        raw_angles=raw,
-        lifted_angles=lift_angles(raw, flags),
-        degenerate_flags=flags,
-        initial_lengths=path.initial_lengths,
-    )
+    return FlexPath(path.surface, np.array(configs))
 
 
 @pytest.mark.parametrize("k", SIZES)
@@ -92,11 +72,7 @@ def test_trace_across_blocks(bricard_long, k):
     """The tracer's sample blocks hold what a list of samples holds."""
     P, long = bricard_long
     path = trace_flex(P.vertex_array(), P.surface, n_steps=k - 1)
-    ref = reference_trace_flex(P.vertex_array(), P.surface, n_steps=k - 1)
-    for name in PATH_ARRAYS:
-        a, b = getattr(path, name), getattr(ref, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert path.diagnostics == ref.diagnostics
+    assert_same_path(path, reference_trace_flex(P.vertex_array(), P.surface, n_steps=k - 1))
     assert path.configs.flags.c_contiguous
     assert path.configs.tobytes() == long.configs[:k].tobytes()
 
@@ -104,7 +80,7 @@ def test_trace_across_blocks(bricard_long, k):
 @pytest.mark.parametrize("k", SIZES)
 def test_monitor_series_across_blocks(bricard_long, k):
     path = head(bricard_long[1], k)
-    got = monitor_series(path.surface, path.configs, path.lifted_angles)
+    got = path.monitor_series
     want = whole_path_monitor_series(path.surface, path.configs, path.lifted_angles)
     for a, b in zip(got, want):
         assert a.shape == (k,) and a.tobytes() == b.tobytes()
@@ -138,6 +114,22 @@ def test_trivial_flex_across_blocks(bricard_long, k):
         cases.append((rigid_path(long, k, last=last), False))
     for path, trivial in cases:
         assert is_trivial_flex(path) == whole_path_is_trivial_flex(path) == trivial
+
+
+def test_each_block_is_evaluated_once(spy):
+    """Tracing 600 steps, then monitoring, writing the CSV and the triviality
+    test take the angles and the volumes of each block of the path once; the
+    trace itself takes the angles of its start only."""
+    P = make_bricard_type1()
+    angles, volumes = spy("principal_angles"), spy("oriented_volumes")
+    path = trace_flex(P.vertex_array(), P.surface, n_steps=600)
+    monitor_flex(path, [], P)
+    save_series_csv(path)
+    is_trivial_flex(path)
+    blocks = [path.configs[k : k + PATH_BLOCK].tobytes() for k in range(0, 601, PATH_BLOCK)]
+    assert path.n_samples == 601 and len(blocks) == 3
+    assert [x.tobytes() for x in angles] == [P.vertex_array().tobytes(), *blocks]
+    assert [x.tobytes() for x in volumes] == blocks
 
 
 def test_trace_never_sizes_a_buffer_from_n_steps(bricard, monkeypatch):
