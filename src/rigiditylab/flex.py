@@ -3,14 +3,14 @@
 Configurations live in R^(3v).  The rigidity matrix is the Jacobian of the
 squared edge lengths; its kernel beyond the six rigid motions measures
 infinitesimal flexibility.  Flexes are traced by adaptive predictor-corrector
-continuation in slice coordinates: each step factors the rigid motions at
-the predicted point once, and moves only along the 3v - 6 orthonormal
-directions C orthogonal to them.  The predictor is second order, along the
-unit tangent and bent by its change over the last step; the corrector is
-Newton on a square bordered system, the reduced rigidity matrix R*C
-completed by its left null space and closed by the pseudo-arclength row
-(Allgower & Georg), so a step costs one complete QR, one SVD of R*C for the
-next tangent and, on a smooth flex, one LU solve.
+continuation that moves only within the slice of the rigid motions at the
+predicted point.  The predictor is second order, along the unit tangent and
+bent by its change over the last step; the corrector is Newton on a square
+bordered system (Allgower & Georg): the rigidity matrix completed by the
+self-stresses, closed by the six rigid motions and the pseudo-arclength
+row.  On a smooth flex a step costs one LU solve of that matrix and one
+inverse, which gives the next tangent and self-stresses; an SVD decides the
+kernel dimension at the start and where a screen on the inverse fires.
 A traced path is its configurations and step record; dihedral angles,
 lifted series, arc lengths and monitor series are derived from them once,
 on first read.  Every whole-path pass runs over blocks of PATH_BLOCK
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
@@ -92,39 +92,21 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
 
 
 # The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
-# np.linalg.qr, svd and solve do (same gufuncs, signatures, input copies,
+# np.linalg.svd, solve (for a vector b) and inv do (same gufuncs, signatures,
 # error states and LinAlgError handlers), so their results equal the public
-# functions' to the bit without the wrappers' dtype checks, triu and result
-# copies.
-_QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
-_QR_COMPLETE = _umath_linalg.qr_complete
-_SVD_F, _SOLVE1 = _umath_linalg.svd_f, _umath_linalg.solve1
-_lapack_errors = partial(
-    np.errstate, invalid="call", over="ignore", divide="ignore", under="ignore"
-)
+# functions' to the bit without the wrappers' dtype checks and result copies.
+def _lapack(gufunc, signature: str, handler):
+    def call(*args):
+        with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            return gufunc(*args, signature=signature)
+
+    return call
 
 
-def _qr(a: np.ndarray, complete: bool = False):
-    """Q of np.linalg.qr(a), or of mode="complete", for a float (m, n)
-    matrix, m > n, and |diag R|."""
-    a = a.copy()  # factored in place into R above the diagonal and reflectors below
-    with _lapack_errors(call=_linalg._raise_linalgerror_qr):
-        tau = _QR_R_RAW(a, signature="d->d")
-    with _lapack_errors(call=_linalg._raise_linalgerror_qr):
-        q = (_QR_COMPLETE if complete else _QR_REDUCED)(a, tau, signature="dd->d")
-    return q, np.abs(a.diagonal())
-
-
-def _svd(a: np.ndarray):
-    """np.linalg.svd(a) of a float matrix: u, s, vt."""
-    with _lapack_errors(call=_linalg._raise_linalgerror_svd_nonconvergence):
-        return _SVD_F(a, signature="d->ddd")
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for a float square matrix and a vector b."""
-    with _lapack_errors(call=_linalg._raise_linalgerror_singular):
-        return _SOLVE1(a, b, signature="dd->d")
+_svd = _lapack(_umath_linalg.svd_f, "d->ddd", _linalg._raise_linalgerror_svd_nonconvergence)
+_solve = _lapack(_umath_linalg.solve1, "dd->d", _linalg._raise_linalgerror_singular)
+_inv = _lapack(_umath_linalg.inv, "d->d", _linalg._raise_linalgerror_singular)
 
 
 # Rotation k is e_k x c.  Columns 0-2 of cz hold c, columns 3-5 the signed
@@ -136,41 +118,36 @@ _ROT_PAIRS = np.array([
 ])
 
 
-class _MotionBasis:
-    """Orthonormal rigid motions of nv-vertex configurations.
+class _MotionRows:
+    """The rigid motions of nv-vertex configurations as the rows of a zeroed
+    (6, 3*nv) view: three translations, written once, and the rotations
+    about the centroid, which each call refills in place."""
 
-    The (nv, 3, 6) basis scaffold carries its translation columns from the
-    start; each call refills the rotation columns in place and factors the
-    scaffold.  A complete factorization's last 3*nv - 6 columns span the
-    motions' orthogonal complement.
-    """
-
-    def __init__(self, nv: int):
-        self.nv = nv
-        self.basis = np.zeros((nv, 3, 6))
-        for i in range(3):
-            self.basis[:, i, i] = 1.0
-        self.cz = np.empty((nv, 6))
-        self.rot = np.empty((nv, *_ROT_PAIRS.shape))
-        # Views into the buffers above, taken once.
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.nv = rows, rows.shape[1] // 3
+        for k in range(3):
+            rows[k, k::3] = 1.0
+        self.cz = np.empty((self.nv, 6))
         self.c, self.zeros = self.cz[:, :3], self.cz[:, 3:]
-        self.plus, self.minus = self.rot[:, 0], self.rot[:, 1]
-        self.rotations = self.basis[:, :, 3:]
-        self.matrix = self.basis.reshape(3 * nv, 6)
+        # Entry 3*v + i of rotation k takes flat positions 6*v + PAIRS[i][k] of cz.
+        vertices = 6 * np.arange(self.nv)[:, None]
+        self.pairs = (_ROT_PAIRS.transpose(0, 2, 1)[:, :, None] + vertices).reshape(2, 3, -1)
 
-    def __call__(self, x, complete: bool = False) -> np.ndarray:
-        if self.nv < 3:
-            raise DegenerateConfigurationError("vertices are collinear")
+    def __call__(self, x) -> np.ndarray:
         np.subtract(x, np.add.reduce(x, axis=0) / self.nv, out=self.c)  # x - x.mean(axis=0), bit for bit
         np.multiply(0.0, self.c, out=self.zeros)
-        # The table is in range by construction; "clip" skips the bounds
-        # check that buffers take's output.
-        self.cz.take(_ROT_PAIRS, axis=1, out=self.rot, mode="clip")
-        np.subtract(self.plus, self.minus, out=self.rotations)
-        q, diag = _qr(self.matrix, complete)
-        if np.minimum.reduce(diag) <= 1e-12 * max(np.maximum.reduce(diag), 1.0):
-            raise DegenerateConfigurationError("vertices are collinear")
-        return q
+        np.subtract(*self.cz.take(self.pairs), out=self.rows[3:])
+        return self.rows
+
+
+def _motion_qr(rows: np.ndarray, mode: str) -> np.ndarray:
+    """Q of np.linalg.qr(rows.T, mode), ``rows`` the six rigid motions;
+    collinear vertices zero the rotation about their line, and R's diagonal."""
+    q, r = np.linalg.qr(rows.T, mode=mode)
+    diag = np.abs(r.diagonal())
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        raise DegenerateConfigurationError("vertices are collinear")
+    return q
 
 
 # Edge (i, j) writes 2*d in vertex i's block and -2*d in vertex j's block,
@@ -179,32 +156,28 @@ _EDGE_SIGNS = np.array([2.0, -2.0])[:, None, None]
 
 
 class _RigidityScatter:
-    """Writes the rigidity matrix into the first E rows of a row-major
-    (rows, 3*nv) matrix, through flat positions built once; the zero entries
-    are never written."""
+    """Writes the rigidity matrix into the first E rows and 3*nv columns of a
+    row-major matrix ``width`` columns wide, through flat positions built
+    once; the zero entries are never written."""
 
-    def __init__(self, surface, nv: int):
+    def __init__(self, surface, width: int):
         ends = edge_table(surface)
         self.n_edges = len(ends)
         self.heads, self.tails = ends[:, 0], ends[:, 1]
-        # Entry k of vertex v's block in row e sits at 3*(nv*e + v) + k.
-        blocks = ends.T + nv * np.arange(self.n_edges)
-        self.positions = 3 * blocks[:, :, None] + np.arange(3)  # (head/tail, E, 3)
+        # Coordinate k of edge e's head (tail) is entry entries[0 (1), e, k] of
+        # x.reshape(-1); its block in row e starts at width*e + 3*vertex.
+        self.entries = 3 * ends.T[:, :, None] + np.arange(3)  # (head/tail, E, 3)
+        self.positions = self.entries + width * np.arange(self.n_edges)[:, None]
         self.values = np.empty(self.positions.shape)
+
+    def edge_vectors(self, x) -> np.ndarray:
+        """x[heads] - x[tails] for an (nv, 3) configuration x."""
+        return np.subtract(*x.take(self.entries))
 
     def write(self, out: np.ndarray, d) -> None:
         """Write the rows for the edge vectors d = x[heads] - x[tails]."""
         np.multiply(_EDGE_SIGNS, d, out=self.values)
         np.put(out, self.positions, self.values)
-
-
-def _kernel(A: np.ndarray) -> np.ndarray:
-    """Right singular vectors of A beyond its numerical rank, as columns."""
-    _, s, vt = _svd(A)
-    cutoff = SV_THRESHOLD * s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    null_dim = A.shape[1] - rank
-    return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
 
 
 def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
@@ -214,26 +187,30 @@ def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     negative in vertex j's block.
     """
     x = as_config(x)
-    scatter = _RigidityScatter(surface, x.shape[0])
-    R = np.zeros((scatter.n_edges, 3 * x.shape[0]))
-    scatter.write(R, x[scatter.heads] - x[scatter.tails])
+    scatter = _RigidityScatter(surface, x.size)
+    R = np.zeros((scatter.n_edges, x.size))
+    scatter.write(R, scatter.edge_vectors(x))
     return R
 
 
 def trivial_motion_basis(x) -> np.ndarray:
     """Orthonormal basis of the rigid motions at x, shape (3n, 6).
 
-    Three translations and three rotations linearized about the centroid.
-    Collinear vertices zero the rotation about their line, which shows as a
-    vanishing diagonal entry of the QR factor.
+    Three translations and three rotations linearized about the centroid;
+    collinear vertices raise :class:`DegenerateConfigurationError`.
     """
     x = as_config(x)
-    return _MotionBasis(x.shape[0])(x)
+    if x.shape[0] < 3:
+        raise DegenerateConfigurationError("vertices are collinear")
+    return _motion_qr(_MotionRows(np.zeros((6, x.size)))(x), "reduced")
 
 
 def _kernel_beyond_trivial(x, surface):
-    """Kernel vectors of the rigidity matrix orthogonal to rigid motions."""
-    return _kernel(np.vstack([rigidity_matrix(x, surface), trivial_motion_basis(x).T]))
+    """Kernel vectors of the rigidity matrix orthogonal to rigid motions:
+    the right singular vectors of [R; T.T] beyond its numerical rank."""
+    A = np.vstack([rigidity_matrix(x, surface), trivial_motion_basis(x).T])
+    _, s, vt = np.linalg.svd(A)
+    return vt[np.count_nonzero(s > SV_THRESHOLD * s[0]) :].T
 
 
 def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
@@ -405,6 +382,22 @@ def _side_areas(surface, heads, tails):
     return areas
 
 
+def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
+    """Whether the rank test must decide at the square bordered matrix
+    M = [[R, W], [T.T, 0], [t, 0]], R with n3 columns and W unit columns:
+    kappa_F(M) >= 1/SV_THRESHOLD, border multipliers mu (M^-1's last column
+    below row n3) with sum |mu_i| >= SV_THRESHOLD, or a NaN.  It fires
+    wherever that test finds no unique tangent.  A kernel of R*C of
+    dimension 2 has s[-2] <= SV_THRESHOLD*max(s[0], 1): M maps some unit
+    [d; 0] to |R*d| <= s[-2], and [t; 0] and C's first singular vector to at
+    least 1 and s[0].  Full rank has s[-1] > SV_THRESHOLD*max(s[0], 1), and
+    the last column [v; mu], t.v = 1, has s[-1] <= |R*v| = |W*mu| <= sum |mu_i|.
+    """
+    m, n = M.reshape(-1), inverse.reshape(-1)
+    return not (np.dot(m, m) * np.dot(n, n) < SV_THRESHOLD**-2
+                and np.abs(inverse[n3:, -1]).sum() < SV_THRESHOLD)
+
+
 def trace_flex(
     x0,
     surface: SimplicialSurface,
@@ -431,22 +424,20 @@ def trace_flex(
     the last accepted step (zero before the first), so the corrector starts
     O(h^3) from the curve and one Newton step usually meets ``tol``.
 
-    A step works in slice coordinates: a complete QR of the rigid motions
-    at x_pred gives the orthonormal complement C, shape (3v, 3v - 6), and
-    the corrector moves y = x_pred + C*z.  Each iteration solves the square
-    bordered system [[R(y)*C, W], [t_c, 0]] [z; mu] = [-g; 0], where g is
-    the squared-length residual, t_c = C.T*t makes the pseudo-arclength
-    row t.(y - x_pred) = 0, and W is the left null space of R*C from the
-    last accepted point (one column on a sphere).  A singular system counts
-    as a failed attempt.  At the accepted point, one SVD of R(y)*C gives
-    the next tangent, from the last right singular vector, and the next W.
-    Its cutoff is SV_THRESHOLD * max(s[0], 1), the cutoff of the bordered
-    Jacobian [R; T.T], whose border adds six unit singular values, so the
-    kernel dimension is the same.
-
-    Each step therefore costs one QR, one SVD and, on a smooth flex, one LU
-    solve, on matrices set up once per trace and refilled in place, by the
-    LAPACK gufuncs of numpy.linalg with its arguments (see ``_qr``).
+    A step stays in the slice T.T*(y - x_pred) = 0, T the rigid motions at
+    x_pred, and on the row t.(y - x_pred) = 0 (Allgower & Georg): each
+    corrector iteration solves M*[dy; mu] = [-g; 0; 0], g the squared-length
+    residual, M = [[R(y), W], [T.T, 0], [t, 0]] and W the self-stresses from
+    the last accepted point (one column on a sphere); a singular M fails the
+    attempt.  At the accepted point the inverse of M gives the next tangent,
+    its last column's first 3v entries normalized (t.v = 1 keeps the sign),
+    and the next W, its rows at W's columns normalized.  At the start, and
+    where the screen on M^-1 fires (see ``_screen``), a complete QR of T
+    gives the slice basis C and an SVD of R*C decides the kernel dimension
+    with the cutoff SV_THRESHOLD * max(s[0], 1), that of [R; T.T], whose
+    border adds six unit singular values; where it is 1, that SVD gives the
+    tangent and W.  A smooth step thus costs one LU solve and one inverse of
+    M, refilled in place, by numpy.linalg's LAPACK gufuncs (see ``_solve``).
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -478,19 +469,16 @@ def trace_flex(
         store[-1][k] = y
 
     keep(x)
-    # One bordered matrix B = [[R*C, W], [t_c, 0]], zeroed once, serves every
-    # corrector iteration and tangent: R*C is rewritten in place at each
-    # configuration, t_c once per step and W after each tangent.  Where the
-    # flex dimension is 1, 3v - 6 <= E + 1 and B is square; elsewhere it may
-    # be wider, and the trace stops at the tangent before B is solved.
-    scatter, motions = _RigidityScatter(surface, nv), _MotionBasis(nv)
-    heads, tails = scatter.heads, scatter.tails
-    side_areas = _side_areas(surface, heads, tails)
-    n_edges, n_slice = len(targets_sq), 3 * nv - 6
-    R = np.zeros((n_edges, 3 * nv))  # the rigidity matrix, zeros never written
-    B = np.zeros((n_edges + 1, max(n_edges + 1, n_slice)))
-    RC, W, t_c = B[:n_edges, :n_slice], B[:n_edges, n_slice:], B[n_edges, :n_slice]
-    rhs = np.zeros(n_edges + 1)  # [-g; 0], -g written in place
+    # One bordered matrix M = [[R, W], [T.T, 0], [t, 0]], zeroed once, serves
+    # every iteration and tangent: R is rewritten at each configuration, T's
+    # rotations and t at each step, W at each tangent.  With flex dimension 1,
+    # 3v <= E + 7 and M is square; a wider M stops the trace at the start.
+    n_edges, n3 = len(targets_sq), 3 * nv
+    M = np.zeros((n_edges + 7, max(n_edges + 7, n3)))
+    scatter, motions = _RigidityScatter(surface, M.shape[1]), _MotionRows(M[n_edges:-1, :n3])
+    R, W, t_row = M[:n_edges, :n3], M[:n_edges, n3:], M[-1, :n3]
+    side_areas = _side_areas(surface, scatter.heads, scatter.tails)
+    rhs = np.zeros(n_edges + 7)  # [-g; 0; 0], -g written in place
     neg_g = rhs[:n_edges]
 
     def path():
@@ -499,21 +487,33 @@ def trace_flex(
         store.clear()
         return FlexPath(surface, configs, np.array(sizes, dtype=float), np.array(iters, dtype=int))
 
-    def tangent_at(dy, C):  # dy = y[heads] - y[tails]; C spans a slice near y
-        scatter.write(R, dy)
-        np.matmul(R, C, out=RC)
-        u, s, vt = _svd(RC)
+    def rank_test():
+        """The unit tangent and W from one SVD of R*C, C from T in M."""
+        C = _motion_qr(motions.rows, "complete")[:, 6:]
+        u, s, vt = _svd(R @ C)
         rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
-        if rank != n_slice - 1:
-            raise SingularPointError(
-                f"kernel dimension beyond rigid motions is {n_slice - rank}, not 1",
-                flex_dim=n_slice - rank,
-                path=path(),
-            )
+        if (dim := n3 - 6 - rank) != 1:
+            raise SingularPointError(f"kernel dimension beyond rigid motions is {dim}, not 1",
+                                     flex_dim=dim, path=path())
         W[:] = u[:, rank:]
         return C @ vt[rank]
 
-    tangent = tangent_at(x[heads] - x[tails], motions(x, complete=True)[:, 6:])
+    def tangent_at(dy):  # dy, y's edge vectors; T and t in M are y's step's
+        scatter.write(M, dy)
+        try:
+            inverse = _inv(M)
+        except np.linalg.LinAlgError:
+            return rank_test()
+        if _screen(M, inverse, n3):
+            return rank_test()
+        stress = inverse[n3:, :n_edges]
+        np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
+        v = inverse[:n3, -1]
+        return v / np.sqrt(np.dot(v, v))
+
+    motions(x)
+    scatter.write(M, scatter.edge_vectors(x))
+    tangent = rank_test()
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
@@ -530,25 +530,24 @@ def trace_flex(
                 f"step size underflow at accepted step {len(sizes)}", path=path()
             )
         x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
-        C = motions(x_pred, complete=True)[:, 6:]
-        np.matmul(tangent, C, out=t_c)
+        motions(x_pred)
+        t_row[:] = tangent
         y = x_pred  # no array is changed in place below
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
             # The edge vectors feed the residual, the Jacobian and the areas.
-            dy = y[heads] - y[tails]
+            dy = scatter.edge_vectors(y)
             np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
             if np.abs(neg_g).max() <= tol:
                 ok = True
                 gn_iters = it
                 break
-            scatter.write(R, dy)
-            np.matmul(R, C, out=RC)
+            scatter.write(M, dy)
             try:
-                z = _solve(B, rhs)
+                d = _solve(M, rhs)
             except np.linalg.LinAlgError:
                 break
-            y = y + (C @ z[:n_slice]).reshape(nv, 3)
+            y = y + d[:n3].reshape(nv, 3)
             if not np.isfinite(y).all():
                 break
         if not ok:
@@ -567,8 +566,8 @@ def trace_flex(
         x = y
         keep(x)
 
-        # C spans the slice at x_pred, O(h^3) from x.
-        new_tangent = tangent_at(dy, C)
+        # T in M is x_pred's, O(h^3) from x.
+        new_tangent = tangent_at(dy)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h

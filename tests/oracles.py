@@ -297,11 +297,13 @@ def per_edge_monte_carlo_dihedral(
 
 
 # The flex tracer's algorithm without its reused workspace: every matrix is
-# built afresh, by the (E, V, 3) scatter, the fancy-index motion basis and
-# np.block, and factored by the public numpy.linalg functions.  A step works
-# in the slice coordinates of the complete QR at its predicted point and
-# corrects by Newton on the square bordered system.  Tests compare the
-# library's tracer with it bit for bit.
+# built afresh, by the (E, V, 3) scatter, np.cross, the fancy-index motion
+# basis and np.block, and factored by the public numpy.linalg functions.  A
+# step corrects by Newton on the full-coordinate bordered system
+# [[R, W], [T.T, 0], [t, 0]], T the rigid motions at its predicted point,
+# and takes the next tangent and self-stresses from that matrix's inverse,
+# unless the screen fires.  Tests compare the library's tracer with it bit
+# for bit.
 
 
 def reference_rigidity_matrix(x, surface) -> np.ndarray:
@@ -346,6 +348,42 @@ def reference_kernel_beyond_trivial(x, surface):
     return vt[A.shape[1] - null_dim :].T if null_dim else np.zeros((A.shape[1], 0))
 
 
+def reference_motion_rows(x) -> np.ndarray:
+    """The six rigid motions at x as the rows of a (6, 3n) matrix: the
+    translations, then the rotations e_k x (x_i - centroid)."""
+    x = as_config(x)
+    centered = x - x.mean(axis=0)
+    rows = np.zeros((6, x.size))
+    for k in range(3):
+        rows[k, k::3] = 1.0
+        rows[3 + k] = np.cross(np.eye(3)[k], centered).reshape(-1)
+    return rows
+
+
+def reference_screen(M, inverse, n3) -> bool:
+    """Whether the rank test must decide at the bordered matrix M: its
+    Frobenius condition number reaches 1/SV_THRESHOLD, the border
+    multipliers (the last column of M^-1 below row n3) sum to SV_THRESHOLD
+    in absolute value, or either is NaN."""
+    kappa = np.linalg.norm(M) * np.linalg.norm(inverse)
+    multipliers = np.sum(np.abs(inverse[n3:, -1]))
+    return not (kappa < 1.0 / SV_THRESHOLD and multipliers < SV_THRESHOLD)
+
+
+def reference_rank_test(R, motion_rows):
+    """Kernel dimension beyond rigid motions of R on the complement of the
+    motions, from one SVD with the cutoff SV_THRESHOLD * max(s[0], 1); with
+    the unit kernel vector and the left null space."""
+    Q, Rf = np.linalg.qr(motion_rows.T, mode="complete")
+    diag = np.abs(np.diagonal(Rf))
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        raise DegenerateConfigurationError("vertices are collinear")
+    C = Q[:, 6:]
+    u, s, vt = np.linalg.svd(R @ C)
+    rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
+    return C.shape[1] - rank, C @ vt[-1], u[:, rank:]
+
+
 def reference_trace_flex(
     x0, surface, direction_hint=None, n_steps=200, step=0.01, tol=None
 ) -> SimpleNamespace:
@@ -385,23 +423,19 @@ def reference_trace_flex(
             diagnostics=list(diags),
         )
 
-    def slice_basis(y):
-        return reference_trivial_motion_basis(y, mode="complete")[:, 6:]
-
-    def tangent_at(y, C):
+    def rank_tested(y, motion_rows):
         """The unit tangent at y and the left null space of R(y)*C."""
-        u, s, vt = np.linalg.svd(reference_rigidity_matrix(y, surface) @ C)
-        rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
-        flex_dim = C.shape[1] - rank
+        flex_dim, kernel, stresses = reference_rank_test(
+            reference_rigidity_matrix(y, surface), motion_rows)
         if flex_dim != 1:
             raise SingularPointError(
                 f"kernel dimension beyond rigid motions is {flex_dim}, not 1",
                 flex_dim=flex_dim,
                 path=path(),
             )
-        return C @ vt[rank], u[:, rank:]
+        return kernel, stresses
 
-    tangent, W = tangent_at(x, slice_basis(x))
+    tangent, W = rank_tested(x, reference_motion_rows(x))
     if direction_hint is not None:
         hint = np.asarray(direction_hint, dtype=float).reshape(-1)
         if float(np.dot(tangent, hint)) < 0:
@@ -412,6 +446,7 @@ def reference_trace_flex(
         if tangent[lead] < 0:
             tangent = -tangent
 
+    n3 = 3 * nv
     h = step
     easy_run = 0
     accepted = 0
@@ -422,8 +457,15 @@ def reference_trace_flex(
                 f"step size underflow at accepted step {accepted}", path=path()
             )
         x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
-        C = slice_basis(x_pred)
-        border = np.concatenate([tangent @ C, np.zeros(W.shape[1])])[None]
+        motion_rows = reference_motion_rows(x_pred)
+        zeros = np.zeros((7, W.shape[1]))
+
+        def bordered(y):
+            return np.block([
+                [reference_rigidity_matrix(y, surface), W],
+                [np.vstack([motion_rows, tangent]), zeros],
+            ])
+
         y = x_pred.copy()
         ok = False
         for it in range(MAX_CORRECTOR_ITERS):
@@ -432,12 +474,11 @@ def reference_trace_flex(
                 ok = True
                 gn_iters = it
                 break
-            B = np.block([[reference_rigidity_matrix(y, surface) @ C, W], [border]])
             try:
-                z = np.linalg.solve(B, np.concatenate([neg_g, [0.0]]))
+                d = np.linalg.solve(bordered(y), np.concatenate([neg_g, np.zeros(7)]))
             except np.linalg.LinAlgError:
                 break
-            y = y + (C @ z[: C.shape[1]]).reshape(nv, 3)
+            y = y + d[:n3].reshape(nv, 3)
             if not np.all(np.isfinite(y)):
                 break
         if not ok:
@@ -456,7 +497,19 @@ def reference_trace_flex(
         diags.append({"step": h, "corrector_iters": gn_iters})
         accepted += 1
 
-        new_tangent, W = tangent_at(x, C)
+        M = bordered(x)
+        try:
+            inverse = np.linalg.inv(M)
+            fired = reference_screen(M, inverse, n3)
+        except np.linalg.LinAlgError:
+            fired = True
+        if fired:
+            new_tangent, W = rank_tested(x, motion_rows)
+        else:
+            stress = inverse[n3:, : len(targets_sq)]
+            W = (stress / np.sqrt(np.vecdot(stress, stress))[:, None]).T
+            v = inverse[:n3, -1]
+            new_tangent = v / np.sqrt(np.dot(v, v))
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h

@@ -22,10 +22,16 @@ from rigiditylab import (
     trivial_motion_basis,
 )
 from rigiditylab import flex
-from rigiditylab.flex import MAX_CORRECTOR_ITERS, _kernel_beyond_trivial, _start_direction
+from rigiditylab.flex import (
+    MAX_CORRECTOR_ITERS,
+    SV_THRESHOLD,
+    _kernel_beyond_trivial,
+    _start_direction,
+)
 from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles
 from rigiditylab.models import OCTAHEDRON_FACES
 
+import oracles
 from oracles import (
     assert_same_path,
     exact_flex_dim,
@@ -378,31 +384,168 @@ def test_edge_stub_matrix_matches_reference():
     assert R.tobytes() == reference_rigidity_matrix(x, stub).tobytes()
 
 
+def counting(counts, name, function):
+    """``function``, counting its calls in ``counts[name]``."""
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
 def test_lapack_call_counts(bricard, monkeypatch, caplog):
-    """Per attempted step: one complete QR (the slice at the predicted point)
-    and one LU solve of the bordered system per corrector iteration; per
-    accepted step, one SVD (the tangent and the next left null space); the
-    start adds one QR and one SVD."""
-    counts = dict.fromkeys(("qr", "svd", "solve"), 0)
-    for name in counts:
-        original = getattr(flex, f"_{name}")
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(flex, f"_{name}", counted)
+    """The start takes one complete QR and one SVD (the rank test).  Past
+    it, each accepted step takes one inverse of the bordered matrix (the
+    tangent, the next self-stresses and the screen) and each corrector
+    iteration one LU solve; no QR and no SVD."""
+    counts = dict.fromkeys(("svd", "inv", "solve", "qr"), 0)
+    for name in ("svd", "inv", "solve"):
+        monkeypatch.setattr(flex, f"_{name}", counting(counts, name, getattr(flex, f"_{name}")))
+    monkeypatch.setattr(np.linalg, "qr", counting(counts, "qr", np.linalg.qr))
     with caplog.at_level("DEBUG", logger="rigiditylab"):
         path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=200)
     failed = sum("corrector failed" in r.getMessage() for r in caplog.records)
     assert failed == 0  # so no failed attempt adds its iterations below
-    accepted = path.n_samples - 1
     assert counts == {
-        "qr": accepted + 1 + failed,
-        "svd": accepted + 1,
+        "svd": 1,
+        "inv": path.n_samples - 1,
         "solve": sum(d["corrector_iters"] for d in path.diagnostics)
         + MAX_CORRECTOR_ITERS * failed,
+        "qr": 1,
     }
+
+
+# The screen decides when the rank test runs past the start.  Forcing it to
+# fire at accepted step k covers both outcomes of the rank test there.
+
+
+def fire_at(screen, call):
+    """``screen`` that fires on its ``call``-th call."""
+    calls = 0
+
+    def patched(*args):
+        nonlocal calls
+        calls += 1
+        return calls == call or screen(*args)
+
+    return patched
+
+
+def moved_singular_values(svd, call, flex_dim):
+    """``svd`` whose ``call``-th singular values read a kernel of dimension
+    ``flex_dim``, 0 or 2, to the rank test."""
+    calls = 0
+
+    def patched(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        u, s, vt = svd(*args, **kwargs)
+        if calls == call:
+            s = s.copy()
+            if flex_dim == 0:
+                s[-1] = s[0]
+            else:
+                s[-2:] = 0.0
+        return u, s, vt
+
+    return patched
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 37])
+def test_screen_fired_mid_path_goes_on_by_svd(bricard, monkeypatch, k, singular):
+    """Where the screen fires, or the bordered matrix has no inverse, and
+    the rank test finds dimension 1, the trace takes that SVD's tangent and
+    left null space and goes on, as the reference does under the same
+    patch."""
+    counts = {"svd": 0}
+    monkeypatch.setattr(flex, "_svd", counting(counts, "svd", flex._svd))
+    if singular:
+        monkeypatch.setattr(flex, "_inv", fail_once(flex._inv, k))
+        monkeypatch.setattr(np.linalg, "inv", fail_once(np.linalg.inv, k))
+    else:
+        monkeypatch.setattr(flex, "_screen", fire_at(flex._screen, k))
+        monkeypatch.setattr(oracles, "reference_screen", fire_at(oracles.reference_screen, k))
+    path, ref = traced_pair(bricard, n_steps=60)
+    assert counts["svd"] == 2 and path.n_samples == 61
+    assert_same_path(path, ref)
+
+
+@pytest.mark.parametrize("flex_dim", [0, 2])
+@pytest.mark.parametrize("k", [1, 37])
+def test_singular_point_mid_path(bricard, monkeypatch, spy, k, flex_dim):
+    """Where the screen fires and the rank test finds another dimension, the
+    trace raises with the reference's message and kernel dimension and a
+    partial path of k + 1 samples, and takes no angle past its start."""
+    monkeypatch.setattr(flex, "_svd", moved_singular_values(flex._svd, 2, flex_dim))
+    monkeypatch.setattr(flex, "_screen", fire_at(flex._screen, k))
+    angles = spy("principal_angles")
+    x0 = bricard.vertex_array()
+    with pytest.raises(SingularPointError) as got:
+        trace_flex(x0, bricard.surface, n_steps=60)
+    assert len(angles) == 1
+    monkeypatch.setattr(np.linalg, "svd", moved_singular_values(np.linalg.svd, 2, flex_dim))
+    monkeypatch.setattr(oracles, "reference_screen", fire_at(oracles.reference_screen, k))
+    with pytest.raises(SingularPointError) as want:
+        reference_trace_flex(x0, bricard.surface, n_steps=60)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"kernel dimension beyond rigid motions is {flex_dim}, not 1"
+    assert got.value.flex_dim == want.value.flex_dim == flex_dim
+    assert got.value.path.n_samples == k + 1
+    assert_same_path(got.value.path, want.value.path)
+
+
+def random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+def test_screen_fires_wherever_the_rank_test_finds_no_unique_tangent():
+    """Bordered matrices M = [[R, W], [T.T, 0], [t, 0]] whose R*C has
+    prescribed singular values, C spanning the complement of the rigid
+    motions T: a kernel of dimension 2 or 3 just inside the cutoff, full
+    rank just outside it, and dimension 1.  W has unit columns, random or
+    R*C's last left singular vectors; t is random or near the kernel."""
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for _ in range(300):
+        nv, n_w = int(rng.choice([6, 8])), int(rng.choice([1, 2]))
+        n3 = 3 * nv
+        n_edges = n3 - 7 + n_w
+        T = oracles.reference_motion_rows(rng.normal(size=(nv, 3)))
+        Q = np.linalg.qr(T.T, mode="complete").Q
+        C = Q[:, 6:]
+        s = np.sort(rng.uniform(0.2, 1.0, size=n_edges))[::-1] * 10.0 ** rng.uniform(-2, 2)
+        cutoff = SV_THRESHOLD * max(s[0], 1.0)
+        dim = int(rng.choice([0, 1, 2, 3]))
+        near = 10.0 ** rng.uniform(-6, 0)  # how far inside the cutoff a kernel lies
+        if dim == 0:
+            s[-1] = cutoff * (1.0 + 10.0 ** rng.uniform(-3, 3))
+        else:
+            s[-dim:] = cutoff * near * rng.uniform(0, 1, size=dim)
+            s[-dim] = cutoff * (1.0 - near)
+        U, V = random_orthogonal(rng, n_edges), random_orthogonal(rng, n3 - 6)
+        RC = (U[:, : n3 - 6] * s[: n3 - 6]) @ V.T
+        R = RC @ C.T + rng.normal(size=(n_edges, 6)) @ Q[:, :6].T
+        if rng.random() < 0.5:
+            W = U[:, n3 - 7 :]
+        else:
+            W = rng.normal(size=(n_edges, n_w))
+            W /= np.linalg.norm(W, axis=0)
+        t = C @ V[:, -1] + 10.0 ** rng.uniform(-8, 0) * rng.normal(size=n3)
+        t /= np.linalg.norm(t)
+        M = np.block([[R, W], [np.vstack([T, t]), np.zeros((7, n_w))]])
+        flex_dim, _, _ = oracles.reference_rank_test(R, T)
+        try:
+            fired = flex._screen(M, np.linalg.inv(M), n3)
+        except np.linalg.LinAlgError:
+            fired = True
+        verdicts.append((flex_dim, fired))
+        assert fired or flex_dim == 1, (flex_dim, s[-3:], cutoff)
+    found = {d for d, _ in verdicts}
+    assert {0, 1, 2, 3} <= found
+    assert not all(fired for d, fired in verdicts if d == 1)
 
 
 def fail_once(solve, call):

@@ -32,10 +32,10 @@ from rigiditylab.geometry import (
     squared_lengths,
     weighted_angle_sums,
 )
-from rigiditylab.flex import _qr, _solve, _svd
+from rigiditylab.flex import _inv, _solve, _svd
 from rigiditylab.models import OCTAHEDRON_FACES
 
-from oracles import whole_path_monitor_series
+from oracles import reference_motion_rows, whole_path_monitor_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,33 +197,23 @@ def test_trivial_basis_equals_cross_product_construction():
     mirrored = [M().vertex_array() * [1.0, s, -1.0]
                 for M in (make_regular_octahedron, make_triangulated_cube) for s in (1.0, -1.0)]
     for x in [*mirrored, rng.normal(size=(7, 3))]:
-        centered = x - x.mean(axis=0)
-        basis = np.zeros((x.size, 6))
-        for k in range(3):
-            basis[k::3, k] = 1.0
-            axis = np.broadcast_to(np.eye(3)[k], centered.shape)
-            basis[:, 3 + k] = np.cross(axis, centered).reshape(-1)
-        q, r = np.linalg.qr(basis)
-        assert np.array_equal(trivial_motion_basis(x), q)
-        q_direct, diag = _qr(basis)
-        assert q_direct.tobytes() == q.tobytes()
-        assert diag.tobytes() == np.abs(r.diagonal()).tobytes()
-        q_complete, diag = _qr(basis, complete=True)
-        assert q_complete.tobytes() == np.linalg.qr(basis, mode="complete").Q.tobytes()
-        assert diag.tobytes() == np.abs(r.diagonal()).tobytes()
+        q = np.linalg.qr(np.ascontiguousarray(reference_motion_rows(x).T)).Q
+        assert trivial_motion_basis(x).tobytes() == q.tobytes()
 
 
 def bordered_systems(bricard_path):
-    """The corrector's square matrix [[R*C, W], [t_c, 0]] at every tenth
-    configuration of the path and at the cube, where C spans the complement
-    of the rigid motions, W the left null space of R*C and t_c its kernel."""
+    """The tracer's square matrix [[R, W], [T.T, 0], [t, 0]] at every tenth
+    configuration of the path and at the cube, where T holds the rigid
+    motions, C spans their complement, t is the unit kernel vector of R*C
+    and W its left null space."""
     cube = make_triangulated_cube()
     configs = [(bricard_path.surface, x) for x in bricard_path.configs[::10]]
     for surface, x in [*configs, (cube.surface, cube.vertex_array())]:
-        C = np.linalg.qr(trivial_motion_basis(x), mode="complete").Q[:, 6:]
-        RC = rigidity_matrix(x, surface) @ C
-        u, _, vt = np.linalg.svd(RC)
-        yield np.block([[RC, u[:, -1:]], [vt[-1], 0.0]])
+        T = reference_motion_rows(x)
+        C = np.linalg.qr(T.T, mode="complete").Q[:, 6:]
+        R = rigidity_matrix(x, surface)
+        u, _, vt = np.linalg.svd(R @ C)
+        yield np.block([[R, u[:, -1:]], [np.vstack([T, C @ vt[-1]]), np.zeros((7, 1))]])
 
 
 def test_direct_lapack_calls_equal_numpy_linalg(bricard_path):
@@ -233,6 +223,7 @@ def test_direct_lapack_calls_equal_numpy_linalg(bricard_path):
             assert got.tobytes() == want.tobytes()
         b = rng.normal(size=len(B))
         assert _solve(B, b).tobytes() == np.linalg.solve(B, b).tobytes()
+        assert _inv(B).tobytes() == np.linalg.inv(B).tobytes()
 
 
 def test_direct_lapack_calls_raise_on_nan(bricard_path):
@@ -254,6 +245,16 @@ def test_direct_solve_raises_on_singular_matrix(bricard_path):
         _solve(B, b)
     with pytest.raises(np.linalg.LinAlgError) as want:
         np.linalg.solve(B, b)
+    assert str(got.value) == str(want.value)
+
+
+def test_direct_inverse_raises_on_singular_matrix(bricard_path):
+    B = next(bordered_systems(bricard_path))
+    B[:, 7] = 0.0
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _inv(B)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.inv(B)
     assert str(got.value) == str(want.value)
 
 
