@@ -6,7 +6,10 @@ monitor every conserved quantity), ``oracle`` (Monte-Carlo cross-check of
 the dihedral angles).  Outputs are deterministic machine-readable JSON/CSV;
 identical invocations, including the seed, produce byte-identical bytes.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or numeric failure.
+Exit codes: 0 success, 1 validation failure, 2 usage, I/O or numeric
+failure.  Every library error derives from ValueError, so one handler maps
+it, or an OSError, to code 2 with one ``error: <type>: <message>`` line on
+stderr; argparse exits 2 on a usage error itself.
 The RIGIDITYLAB_LOG environment variable (error, info, debug) controls
 diagnostic logging on stderr.
 """
@@ -20,18 +23,8 @@ import os
 import sys
 
 from . import models
-from .flex import (
-    CorrectorDivergenceError,
-    FaceDegenerationError,
-    LiftAmbiguityError,
-    SingularPointError,
-    trace_flex,
-)
-from .geometry import (
-    DegenerateFaceError,
-    all_dihedrals,
-    monte_carlo_dihedrals,
-)
+from .flex import trace_flex
+from .geometry import all_dihedrals, monte_carlo_dihedrals
 from .invariants import (
     initial_principal_angles,
     invariant_combinations,
@@ -39,7 +32,7 @@ from .invariants import (
     rigidity_certificate,
 )
 from .lengths import q_basis
-from .surfaces import NonOrientableError, validate_complex
+from .surfaces import validate_complex
 
 logger = logging.getLogger("rigiditylab")
 
@@ -60,12 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
-        p.add_argument(
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument(
             "--model",
             choices=sorted(models.BUILTIN_MODELS),
             help="built-in model name",
         )
-        p.add_argument("--input", metavar="FILE", help="OFF mesh file")
+        source.add_argument("--input", metavar="FILE", help="OFF mesh file")
 
     p = sub.add_parser("validate", help="check the closed-surface conditions")
     add_source(p)
@@ -96,20 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class SystemExit2(Exception):
-    """I/O or numeric failure mapped to exit code 2."""
-
-
 def _load(args):
-    if bool(args.model) == bool(args.input):
-        raise SystemExit2("exactly one of --model or --input is required")
     if args.model:
         return models.make_model(args.model)
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return models.load_off(fh.read())
-    except OSError as exc:
-        raise SystemExit2(f"cannot read {args.input}: {exc}") from exc
+    with open(args.input, "r", encoding="utf-8") as fh:
+        return models.load_off(fh.read())
 
 
 def _emit(text: str, out_path: str | None):
@@ -241,19 +226,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit2 as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAILURE
-    except (
-        models.ParseError,
-        NonOrientableError,
-        SingularPointError,
-        CorrectorDivergenceError,
-        FaceDegenerationError,
-        LiftAmbiguityError,
-        DegenerateFaceError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_FAILURE
 

@@ -47,11 +47,11 @@ MAX_CORRECTOR_ITERS = 25
 TRIVIAL_FLEX_TOL = 1e-7
 
 
-class DegenerateConfigurationError(Exception):
+class DegenerateConfigurationError(ValueError):
     """All vertices collinear; the rigid-motion space degenerates."""
 
 
-class SingularPointError(Exception):
+class SingularPointError(ValueError):
     """Kernel dimension is not 1 where the tracer needs a unique tangent."""
 
     def __init__(self, message, flex_dim=None, path=None):
@@ -60,13 +60,13 @@ class SingularPointError(Exception):
         self.path = path
 
 
-class CorrectorDivergenceError(Exception):
+class CorrectorDivergenceError(ValueError):
     def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
 
 
-class FaceDegenerationError(Exception):
+class FaceDegenerationError(ValueError):
     def __init__(self, face, area, path=None):
         super().__init__(f"face {face} degenerated (area {area:.3e})")
         self.face = face
@@ -74,7 +74,7 @@ class FaceDegenerationError(Exception):
         self.path = path
 
 
-class LiftAmbiguityError(Exception):
+class LiftAmbiguityError(ValueError):
     """Consecutive principal values differ by exactly pi; lifting is ambiguous."""
 
 
@@ -205,17 +205,28 @@ def trivial_motion_basis(x) -> np.ndarray:
     return _motion_qr(_MotionRows(np.zeros((6, x.size)))(x), "reduced")
 
 
-def _kernel_beyond_trivial(x, surface):
-    """Kernel vectors of the rigidity matrix orthogonal to rigid motions:
-    the right singular vectors of [R; T.T] beyond its numerical rank."""
-    A = np.vstack([rigidity_matrix(x, surface), trivial_motion_basis(x).T])
-    _, s, vt = np.linalg.svd(A)
-    return vt[np.count_nonzero(s > SV_THRESHOLD * s[0]) :].T
+def _rank_test(R: np.ndarray, motion_rows: np.ndarray):
+    """The kernel of R beyond the rigid motions ``motion_rows``.
+
+    A complete QR of the motions gives C, whose columns span their
+    complement, and one SVD of R*C decides the rank with the cutoff
+    SV_THRESHOLD * max(s[0], 1), that of [R; T.T], whose border adds six
+    unit singular values.  Returns C, the kernel as rows in C's coordinates
+    (one per dimension) and the left null space of R*C, the self-stresses.
+    """
+    C = _motion_qr(motion_rows, "complete")[:, 6:]
+    u, s, vt = _svd(R @ C)
+    rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
+    return C, vt[rank:], u[:, rank:]
 
 
 def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
-    """Kernel dimension of the rigidity matrix beyond the six rigid motions."""
-    return _kernel_beyond_trivial(x, surface).shape[1]
+    """Kernel dimension of the rigidity matrix beyond the six rigid motions,
+    from the rank test :func:`trace_flex` starts with: it is 1 exactly
+    where a trace can start."""
+    x = as_config(x)
+    _, kernel, _ = _rank_test(rigidity_matrix(x, surface), _MotionRows(np.zeros((6, x.size)))(x))
+    return len(kernel)
 
 
 def squared_length_residual(x, surface, targets_sq) -> np.ndarray:
@@ -401,7 +412,6 @@ def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
 def trace_flex(
     x0,
     surface: SimplicialSurface,
-    direction_hint: np.ndarray | None = None,
     n_steps: int = 200,
     step: float = 0.01,
     tol: float | None = None,
@@ -432,12 +442,11 @@ def trace_flex(
     attempt.  At the accepted point the inverse of M gives the next tangent,
     its last column's first 3v entries normalized (t.v = 1 keeps the sign),
     and the next W, its rows at W's columns normalized.  At the start, and
-    where the screen on M^-1 fires (see ``_screen``), a complete QR of T
-    gives the slice basis C and an SVD of R*C decides the kernel dimension
-    with the cutoff SV_THRESHOLD * max(s[0], 1), that of [R; T.T], whose
-    border adds six unit singular values; where it is 1, that SVD gives the
-    tangent and W.  A smooth step thus costs one LU solve and one inverse of
-    M, refilled in place, by numpy.linalg's LAPACK gufuncs (see ``_solve``).
+    where the screen on M^-1 fires (see ``_screen``), the rank test that
+    :func:`infinitesimal_flex_dim` also runs decides the kernel dimension
+    (see ``_rank_test``); where it is 1, its SVD gives the tangent and W.
+    A smooth step thus costs one LU solve and one inverse of M, refilled in
+    place, by numpy.linalg's LAPACK gufuncs (see ``_solve``).
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -488,15 +497,13 @@ def trace_flex(
         return FlexPath(surface, configs, np.array(sizes, dtype=float), np.array(iters, dtype=int))
 
     def rank_test():
-        """The unit tangent and W from one SVD of R*C, C from T in M."""
-        C = _motion_qr(motions.rows, "complete")[:, 6:]
-        u, s, vt = _svd(R @ C)
-        rank = int(np.count_nonzero(s > SV_THRESHOLD * max(s[0], 1.0)))
-        if (dim := n3 - 6 - rank) != 1:
+        """The unit tangent and W from the rank test at R and T in M."""
+        C, kernel, stresses = _rank_test(R, motions.rows)
+        if (dim := len(kernel)) != 1:
             raise SingularPointError(f"kernel dimension beyond rigid motions is {dim}, not 1",
                                      flex_dim=dim, path=path())
-        W[:] = u[:, rank:]
-        return C @ vt[rank]
+        W[:] = stresses
+        return C @ kernel[0]
 
     def tangent_at(dy):  # dy, y's edge vectors; T and t in M are y's step's
         scatter.write(M, dy)
@@ -513,13 +520,7 @@ def trace_flex(
 
     motions(x)
     scatter.write(M, scatter.edge_vectors(x))
-    tangent = rank_test()
-    if direction_hint is not None:
-        hint = np.asarray(direction_hint, dtype=float).reshape(-1)
-        if float(np.dot(tangent, hint)) < 0:
-            tangent = -tangent
-    else:
-        tangent = _start_direction(tangent)
+    tangent = _start_direction(rank_test())
 
     h = step
     easy_run = 0

@@ -30,7 +30,7 @@ _MC_BLOCK = 8192
 PATH_BLOCK = 256
 
 
-class DegenerateFaceError(Exception):
+class DegenerateFaceError(ValueError):
     def __init__(self, face, area):
         self.face = face
         self.area = area

@@ -19,6 +19,8 @@ import numpy as np
 from .flex import FlexPath
 from .geometry import Polyhedron, edge_length_vector, principal_angles
 from .lengths import (
+    _n_lengths,
+    _span_verdict,
     DEPENDENT,
     INDEPENDENT_EXACT,
     INDEPENDENT_UP_TO_HEIGHT,
@@ -26,7 +28,6 @@ from .lengths import (
     SpanBasis,
     clear_to_integers,
     find_integer_relation,
-    is_q_independent,
     q_basis,
 )
 
@@ -90,21 +91,11 @@ class InvariantCombination:
         return float(np.dot(self.coeffs, angles))
 
 
-def _basis_edges(span: SpanBasis) -> list[list[int]]:
-    """The edges on each basis element, in one scan of the coefficients:
-    every length r*sqrt(d) has exactly one nonzero coefficient."""
-    edges: list[list[int]] = [[] for _ in span.basis]
-    for i, row in enumerate(span.coefficients):
-        (j,) = [k for k, c in enumerate(row) if c]
-        edges[j].append(i)
-    return edges
-
-
 def constant_angle_edges(span: SpanBasis) -> tuple[int, ...]:
     """Edges whose length no rational combination of the others can reach,
     the sole members of their length classes (one basis element each);
     their dihedral angles are predicted constant along every flex."""
-    return tuple(sorted(edges[0] for edges in _basis_edges(span) if len(edges) == 1))
+    return tuple(sorted(i for members in span._members if len(members) == 1 for i in members))
 
 
 def rigidity_certificate(
@@ -128,8 +119,8 @@ def rigidity_certificate(
                 raise ValueError(
                     f"exact length {ell} disagrees with measured length {f:.12g}"
                 )
-        verdict = is_q_independent(exact)
-        constant = constant_angle_edges(q_basis(exact))
+        span = q_basis(exact)
+        verdict, constant = _span_verdict(span), constant_angle_edges(span)
         if verdict.kind == INDEPENDENT_EXACT:
             return RigidityCertificate(RIGID, "exact", verdict, constant)
         return RigidityCertificate(
@@ -157,11 +148,11 @@ def invariant_combinations(
     each combination.
     """
     initial_angles = np.asarray(initial_angles, dtype=float)
-    out = []
-    for j, (lam, edges) in enumerate(zip(span.basis, _basis_edges(span))):
-        # Zeros add nothing to the lcm and clear to 0.
-        coeffs = [0] * len(span.coefficients)
-        for i, c in zip(edges, clear_to_integers([span.coefficients[i][j] for i in edges])):
+    out, n = [], _n_lengths(span)
+    for lam, members in zip(span.basis, span._members):
+        # Lengths off this class have coefficient 0, which adds nothing to the lcm.
+        coeffs = [0] * n
+        for i, c in zip(members, clear_to_integers(list(members.values()))):
             coeffs[i] = c
         coeffs = tuple(coeffs)
         out.append(

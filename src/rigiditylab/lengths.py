@@ -128,24 +128,34 @@ class SpanBasis:
     """Basis of the rational span of a length set, with coefficients.
 
     ``basis[j]`` is sqrt(d_j) for one radicand d_j per length class, in
-    increasing order; ``coefficients[i][j]`` is the rational coefficient of
-    length i on basis element j.  Every row reconstructs its length exactly.
+    increasing order; ``_members[j]`` maps each length i of that class, in
+    index order, to its rational coefficient c_i: length i = c_i*sqrt(d_j).
     """
 
     basis: list[ExactLength]
-    coefficients: list[list[Fraction]]
+    _members: list[dict[int, Fraction]]
+
+    @property
+    def coefficients(self) -> list[list[Fraction]]:
+        """``coefficients[i][j]``, length i's coefficient on basis element j;
+        every row reconstructs its length exactly."""
+        rows = [[Fraction(0)] * len(self.basis) for _ in range(_n_lengths(self))]
+        for j, members in enumerate(self._members):
+            for i, c in members.items():
+                rows[i][j] = c
+        return rows
+
+
+def _n_lengths(span: SpanBasis) -> int:
+    return sum(map(len, span._members))
 
 
 def q_basis(lengths: list[ExactLength]) -> SpanBasis:
-    """Basis {sqrt(d)} over the length classes, plus the coefficient matrix."""
+    """Basis {sqrt(d)} over the length classes, with each class's members."""
     if not lengths:
         raise ValueError("empty length list")
     classes = sorted(_classes(lengths), key=lambda cls: cls[0])
-    coefficients = [[Fraction(0)] * len(classes) for _ in lengths]
-    for j, (_, members) in enumerate(classes):
-        for i, c in members.items():
-            coefficients[i][j] = c
-    return SpanBasis([ExactLength(Fraction(1), d) for d, _ in classes], coefficients)
+    return SpanBasis([ExactLength(Fraction(1), d) for d, _ in classes], [m for _, m in classes])
 
 
 INDEPENDENT_EXACT = "independent_exact"
@@ -180,17 +190,24 @@ def clear_to_integers(values: list[Fraction]) -> tuple[int, ...]:
 
 
 def is_q_independent(lengths: list[ExactLength]) -> IndependenceVerdict:
-    """Exact independence test: independent iff every length class has one member.
+    """Exact independence test: independent iff every length class has one
+    member, so the empty list is independent.  A dependent verdict carries
+    the witness described at :func:`_span_verdict`."""
+    return _span_verdict(q_basis(lengths)) if lengths else IndependenceVerdict(INDEPENDENT_EXACT)
+
+
+def _span_verdict(span: SpanBasis) -> IndependenceVerdict:
+    """Independent iff every length class of ``span`` has one member.
 
     The first length to join an earlier class, c_j*sqrt(d), and that class's
     first member, c_0*sqrt(d), satisfy the integer relation (c_j, -c_0)
     after clearing denominators; it is returned as the witness.
     """
-    pairs = [list(m.items())[:2] for _, m in _classes(lengths) if len(m) > 1]
+    pairs = [list(m.items())[:2] for m in span._members if len(m) > 1]
     if not pairs:
         return IndependenceVerdict(INDEPENDENT_EXACT)
     (i0, c0), (j, cj) = min(pairs, key=lambda pair: pair[1][0])
-    coeffs = [Fraction(0)] * len(lengths)
+    coeffs = [Fraction(0)] * _n_lengths(span)
     coeffs[i0], coeffs[j] = cj, -c0
     relation = clear_to_integers(coeffs)
     g = math.gcd(*relation)

@@ -35,11 +35,11 @@ BRICARD_FACES = (
 BRICARD_VERTEX_SYMMETRY = {0: 4, 1: 5, 2: 3, 3: 2, 4: 0, 5: 1}
 
 
-class DegenerateSpecError(Exception):
+class DegenerateSpecError(ValueError):
     """Construction parameters produce coincident vertices or flat faces."""
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")

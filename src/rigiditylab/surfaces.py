@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 
-class NonOrientableError(Exception):
+class NonOrientableError(ValueError):
     """Raised when no globally consistent face orientation exists."""
 
 

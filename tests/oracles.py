@@ -384,9 +384,7 @@ def reference_rank_test(R, motion_rows):
     return C.shape[1] - rank, C @ vt[-1], u[:, rank:]
 
 
-def reference_trace_flex(
-    x0, surface, direction_hint=None, n_steps=200, step=0.01, tol=None
-) -> SimpleNamespace:
+def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> SimpleNamespace:
     """The traced path's configurations, steps and series, every series
     computed here, in the attributes of a FlexPath."""
     if not 0.0 < step < np.inf:
@@ -436,15 +434,10 @@ def reference_trace_flex(
         return kernel, stresses
 
     tangent, W = rank_tested(x, reference_motion_rows(x))
-    if direction_hint is not None:
-        hint = np.asarray(direction_hint, dtype=float).reshape(-1)
-        if float(np.dot(tangent, hint)) < 0:
-            tangent = -tangent
-    else:
-        mag = np.abs(tangent)
-        lead = next(i for i, m in enumerate(mag) if m >= (1.0 - 1e-9) * mag.max())
-        if tangent[lead] < 0:
-            tangent = -tangent
+    mag = np.abs(tangent)
+    lead = next(i for i, m in enumerate(mag) if m >= (1.0 - 1e-9) * mag.max())
+    if tangent[lead] < 0:
+        tangent = -tangent
 
     n3 = 3 * nv
     h = step

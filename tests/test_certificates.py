@@ -9,6 +9,7 @@ from rigiditylab import (
     BUILTIN_MODELS,
     FlexPath,
     INCONCLUSIVE,
+    INDEPENDENT_EXACT,
     InvariantCombination,
     OCTAHEDRON_FACES,
     Polyhedron,
@@ -20,6 +21,7 @@ from rigiditylab import (
     half_turn_edge_pairs,
     initial_principal_angles,
     invariant_combinations,
+    is_q_independent,
     make_bricard_type1,
     make_model,
     monitor_flex,
@@ -27,6 +29,7 @@ from rigiditylab import (
     q_basis,
     rigidity_certificate,
 )
+from rigiditylab import lengths as lengths_module
 
 from oracles import full_scan_constant_angle_edges, full_scan_invariant_combinations
 
@@ -175,6 +178,46 @@ def test_span_readers_match_full_scan():
         want = [(label, coeffs, constant.hex())
                 for label, coeffs, constant in full_scan_invariant_combinations(span, angles)]
         assert got == want
+
+
+def seeded_polyhedra(seeds):
+    """Rational octahedra, cubes and Bricard specs drawn from each seed."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(3):
+            yield inputs.rational_octahedron(rng)
+            yield inputs.rational_cube(rng)
+            yield make_bricard_type1(inputs.bricard_spec(rng))
+
+
+def test_exact_certificate_partitions_the_lengths_once(distinct_octahedron, bricard,
+                                                       monkeypatch):
+    """The verdict, its witness and the constant-angle edges all come from
+    one partition of the lengths into classes."""
+    partition, calls = lengths_module._classes, []
+
+    def counted(lengths):
+        calls.append(len(lengths))
+        return partition(lengths)
+
+    monkeypatch.setattr(lengths_module, "_classes", counted)
+    for P in (distinct_octahedron, bricard, *seeded_polyhedra([4])):
+        calls.clear()
+        rigidity_certificate(P, mode="exact")
+        assert calls == [P.surface.n_edges]
+
+
+def test_rigid_exactly_when_every_angle_is_constant():
+    """Lengths are independent iff each is alone in its class, iff no
+    rational combination of the others reaches it."""
+    verdicts = set()
+    for P in (*(make_model(name) for name in sorted(BUILTIN_MODELS)), *seeded_polyhedra([0, 1])):
+        cert = rigidity_certificate(P, mode="exact")
+        all_edges = tuple(range(P.surface.n_edges))
+        assert (cert.verdict == RIGID) == (cert.constant_angle_edges == all_edges)
+        verdicts.add(cert.verdict)
+    assert verdicts == {RIGID, INCONCLUSIVE}
+    assert is_q_independent([]).kind == INDEPENDENT_EXACT
 
 
 def test_branch_shift_changes_value_by_multiple_of_two_pi(bricard):

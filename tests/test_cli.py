@@ -3,9 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
+
+from rigiditylab.models import OCTAHEDRON_FACES
 
 SINGLE_TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
 # Octahedron whose vertex 2 lies on the segment between vertices 0 and 1,
@@ -154,6 +157,11 @@ def test_unknown_flag_rejected():
 def test_model_and_input_mutually_exclusive(tmp_path):
     proc = run_cli("validate")
     assert proc.returncode == 2
+    off = tmp_path / "triangle.off"
+    off.write_text(SINGLE_TRIANGLE_OFF)
+    proc = run_cli("validate", "--model", "cube", "--input", str(off))
+    assert proc.returncode == 2
+    assert b"not allowed with argument" in proc.stderr
 
 
 def test_help_lists_flags():
@@ -179,10 +187,50 @@ def test_oracle_flat_face_exit_2(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
-def test_import_loads_no_scipy():
+# Six points within 1e-13 of the x axis on the octahedron's faces: every
+# face check passes, but the rotation about that axis vanishes.
+NEAR_COLLINEAR_POINTS = ("0 0 0", "0.1 1e-13 0", "0.2 0 1e-13", "0.3 -1e-13 0",
+                         "0.4 0 -1e-13", "0.5 1e-13 1e-13")
+
+
+def test_numeric_flex_near_collinear_exit_2(tmp_path):
+    off = tmp_path / "collinear.off"
+    off.write_text("\n".join(["OFF", "6 8 0", *NEAR_COLLINEAR_POINTS,
+                              *(f"3 {a} {b} {c}" for a, b, c in OCTAHEDRON_FACES)]) + "\n")
+    proc = run_cli("flex", "--input", str(off), "--mode", "numeric", "--steps", "3")
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines()[-1] == (
+        "error: DegenerateConfigurationError: vertices are collinear"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "--model", "cube", "--out-json", "{missing}/x.json"],
+        ["flex", "--model", "bricard-default", "--steps", "3", "--out-csv", "{missing}/x.csv"],
+    ],
+    ids=["validate-json", "flex-csv"],
+)
+def test_output_in_missing_directory_exit_2(tmp_path, args):
+    missing = tmp_path / "missing"
+    proc = run_cli(*(a.format(missing=missing) for a in args))
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError: ")
+
+
+def test_import_loads_no_test_dependency():
+    """``import rigiditylab.cli`` loads none of the packages of the ``test``
+    extra in pyproject.toml."""
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    names = sorted(re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower() for spec in extra)
+    assert {"scipy", "mpmath"} <= set(names)
     code = (
-        "import sys, rigiditylab; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"import sys, rigiditylab.cli; names = {names!r}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in names))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
     assert proc.stdout.decode().strip() == "[]"

@@ -25,11 +25,12 @@ from rigiditylab import flex
 from rigiditylab.flex import (
     MAX_CORRECTOR_ITERS,
     SV_THRESHOLD,
-    _kernel_beyond_trivial,
+    _MotionRows,
+    _rank_test,
     _start_direction,
 )
 from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles
-from rigiditylab.models import OCTAHEDRON_FACES
+from rigiditylab.models import BUILTIN_MODELS, OCTAHEDRON_FACES, make_model
 
 import oracles
 from oracles import (
@@ -166,16 +167,6 @@ def test_trace_deterministic(bricard):
     assert np.array_equal(a.configs, b.configs)
 
 
-def test_direction_hint_flips_path(bricard):
-    x0 = bricard.vertex_array()
-    fwd = trace_flex(x0, bricard.surface, n_steps=5)
-    hint = -(fwd.configs[1] - fwd.configs[0]).reshape(-1)
-    back = trace_flex(x0, bricard.surface, direction_hint=hint, n_steps=5)
-    d_f = (fwd.configs[1] - fwd.configs[0]).reshape(-1)
-    d_b = (back.configs[1] - back.configs[0]).reshape(-1)
-    assert float(np.dot(d_f, d_b)) < 0
-
-
 def test_lift_constant_series():
     raw = np.full((5, 1), 1.2345)
     assert np.allclose(lift_angles(raw), 1.2345)
@@ -279,7 +270,8 @@ def test_start_direction_ignores_rounding_of_ties(bricard):
     """The default spec's start tangent has two entries of equal magnitude
     and opposite sign, the half-turn images of one motion; nudging either
     by one ulp does not change the direction chosen."""
-    tangent = _kernel_beyond_trivial(bricard.vertex_array(), bricard.surface)[:, 0]
+    C, kernel, _ = rank_test_at(bricard.vertex_array(), bricard.surface)
+    tangent = C @ kernel[0]
     i, j = sorted(np.argsort(np.abs(tangent))[-2:])
     assert np.sign(tangent[i]) == -np.sign(tangent[j])
     for a in (-np.inf, 0.0, np.inf):
@@ -368,12 +360,54 @@ def test_flex_matrices_match_reference(octahedron, cube, bricard_path):
     cases = [(P.surface, P.vertex_array()) for P in (octahedron, cube)]
     cases += [(bricard_path.surface, x) for x in bricard_path.configs[::15]]
     for surface, x in cases:
-        for got, want in (
+        C, kernel, stresses = rank_test_at(x, surface)
+        dim, tangent, want_stresses = oracles.reference_rank_test(
+            reference_rigidity_matrix(x, surface), oracles.reference_motion_rows(x))
+        assert len(kernel) == dim
+        pairs = [
             (rigidity_matrix(x, surface), reference_rigidity_matrix(x, surface)),
             (trivial_motion_basis(x), reference_trivial_motion_basis(x)),
-            (_kernel_beyond_trivial(x, surface), reference_kernel_beyond_trivial(x, surface)),
-        ):
+            (stresses, want_stresses),
+        ]
+        if dim:
+            pairs.append((C @ kernel[-1], tangent))
+        for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def rank_test_at(x, surface):
+    """The tracer's rank test at x: C, the kernel rows and the stresses."""
+    x = np.asarray(x, dtype=float)
+    return _rank_test(rigidity_matrix(x, surface), _MotionRows(np.zeros((6, x.size)))(x))
+
+
+def test_flex_dim_decides_whether_a_trace_starts(bricard_path):
+    """One rank test serves infinitesimal_flex_dim and the tracer's start:
+    a trace of no steps fails exactly where the dimension is not 1, and
+    reports that dimension.  The [R; T.T] oracle agrees on every case: the
+    built-in models, seeded rational octahedra, cubes and Bricard specs, and
+    samples of the default path."""
+    models = [(name, make_model(name)) for name in sorted(BUILTIN_MODELS)]
+    for seed in range(8):
+        rng = random.Random(seed)
+        models += [(f"octahedron{seed}", inputs.rational_octahedron(rng)),
+                   (f"cube{seed}", inputs.rational_cube(rng)),
+                   (f"bricard{seed}", make_bricard_type1(inputs.bricard_spec(rng)))]
+    cases = [(name, P.vertex_array(), P.surface) for name, P in models]
+    cases += [(f"sample{k}", bricard_path.configs[k], bricard_path.surface)
+              for k in range(0, bricard_path.n_samples, 6)]
+    dims = set()
+    for name, x, surface in cases:
+        dim = infinitesimal_flex_dim(x, surface)
+        assert dim == reference_kernel_beyond_trivial(x, surface).shape[1], name
+        if dim == 1:
+            assert trace_flex(x, surface, n_steps=0).n_samples == 1, name
+        else:
+            with pytest.raises(SingularPointError) as exc:
+                trace_flex(x, surface, n_steps=0)
+            assert exc.value.flex_dim == dim, name
+        dims.add(dim)
+    assert dims == {0, 1}
 
 
 def test_edge_stub_matrix_matches_reference():
