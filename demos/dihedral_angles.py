@@ -1,12 +1,12 @@
 # Dihedral angles of oriented triangulated surfaces
 #
 # The angle at an edge is measured in [0, 2*pi): in the plane orthogonal to
-# the edge, the two in-face directions bound two complementary wedges, and
-# the angle is the width of the wedge on the side of the summed face
-# normals.  A Monte-Carlo estimate samples unit directions and counts the
-# share inside the same wedge; the wedge is a cone about the edge, so that
-# is its volume fraction in any ball around the edge midpoint.  This gives a
-# sampled check of the closed-form value.
+# the edge, it is the oriented angle from the first face's in-face direction
+# to the second's.  The summed face normals point at half that angle, so it
+# is also the wedge on the normals' side.  A Monte-Carlo estimate samples
+# unit directions and counts the share inside the same wedge; the wedge is a
+# cone about the edge, so that is its volume fraction in any ball around the
+# edge midpoint.  This gives a sampled check of the closed-form value.
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from rigiditylab import (
 )
 
 # ----------------------------------------------------------------------
-# A convex edge of the unit cube reads 3*pi/2: the normals' side is the
-# outside wedge.  The face diagonals introduced by the triangulation are
-# flat edges and read exactly pi.
+# A convex edge of the unit cube reads 3*pi/2: with outward normals the
+# turn from one face to the other sweeps the outside wedge, on the normals'
+# side.  The face diagonals introduced by the triangulation are flat edges
+# and read exactly pi.
 # ----------------------------------------------------------------------
 
 cube = make_triangulated_cube()

@@ -31,7 +31,6 @@ from .invariants import (
     monitor_flex,
     rigidity_certificate,
 )
-from .lengths import q_basis
 from .surfaces import validate_complex
 
 logger = logging.getLogger("rigiditylab")
@@ -134,8 +133,7 @@ def _analysis(P, mode, height):
     cert = rigidity_certificate(P, mode=mode, height=height)
     combinations = []
     if mode == "exact":
-        span = q_basis(P.exact_edge_lengths())
-        combinations = invariant_combinations(span, initial_principal_angles(P))
+        combinations = invariant_combinations(cert._span, initial_principal_angles(P))
     return cert, combinations
 
 

@@ -2,12 +2,13 @@
 
 A polyhedron is a surface plus vertex coordinates in R^3.  Faces may
 self-intersect in space; the only geometric requirement is that every
-triangle is nondegenerate.  Dihedral angles follow the oriented-slice
-convention: the angle at an edge is the angular width, in the plane
-orthogonal to the edge, of the wedge bounded by the two in-face directions
-that contains the mean of the two positively oriented face normals.  The
-value lies in [0, 2*pi); when the two normals cancel exactly the angle is
-defined to be 0 and flagged as degenerate.
+triangle is nondegenerate.  The dihedral angle at an edge is the oriented
+angle, in [0, 2*pi), from the first face's in-face direction u0 to the
+second's u1 about the edge, in the frame (u0, e x u0): e is the unit edge
+direction, and the first face is the one that walks the edge as (a, b),
+a < b.  The summed face normals point at half that angle in the same frame,
+so it is also the angle of the wedge on the normals' side.  When the two
+normals cancel the angle is defined to be 0 and flagged as degenerate.
 """
 
 from __future__ import annotations
@@ -226,9 +227,11 @@ def _edge_frames(surface, x, edges=None):
 def principal_angles(surface, x, edges=None):
     """Principal dihedral values and degenerate flags, shapes (..., E).
 
-    In the plane orthogonal to each edge the two in-face unit directions
-    bound two complementary wedges; the angle is the width of the wedge
-    containing the summed face normals.  Where the normals cancel (the faces
+    The angle is the turn a2 from the first face's in-face unit direction u0
+    to the second's u1 about the edge, in the frame (u0, e x u0).  The first
+    face walks the edge as (a, b) and the second as (b, a), so the summed
+    unit normals point at angle a2/2 in that frame: a2 is also the angle of
+    the wedge on the normals' side.  Where the normals cancel (the faces
     fold onto each other) the angle is 0 and the flag is set.
     """
     e_hat, u, n = _edge_frames(surface, x, edges)
@@ -236,9 +239,7 @@ def principal_angles(surface, x, edges=None):
     flags = np.sqrt(_dot(w, w)) <= DEGENERATE_NORMAL_TOL
     e1, e2 = u[..., 0, :], _cross(e_hat, u[..., 0, :])
     a2 = _plane_angle(u[..., 1, :], e1, e2)
-    aw = _plane_angle(w, e1, e2)
-    width = np.where(aw <= a2, a2, 2.0 * np.pi - a2)
-    return np.where(flags, 0.0, width), flags
+    return np.where(flags, 0.0, a2), flags
 
 
 def check_nondegenerate(P: Polyhedron, tol: float | None = None) -> list[float]:
@@ -296,11 +297,11 @@ def monte_carlo_dihedral(
 
     The two incident faces bound two wedges about the edge's line, and a
     wedge is a cone about every point of that line.  So the share of a ball
-    around the edge midpoint that lies in the wedge on the side of the
-    summed face normals is the share of directions that do, at any radius,
-    and no other simplex enters.  The returned value is 2*pi times the
-    fraction of uniformly drawn unit directions in that wedge.  Serves as
-    the sampled check of :func:`principal_dihedral`.
+    around the edge midpoint that lies in the wedge swept by the oriented
+    angle of :func:`principal_angles` is the share of directions that do,
+    at any radius, and no other simplex enters.  The returned value is 2*pi
+    times the fraction of uniformly drawn unit directions in that wedge.
+    Serves as the sampled check of :func:`principal_dihedral`.
 
     ``workers`` splits the sample into that many independent seeded streams,
     whose sub-seeds derive from the master seed, so results are reproducible
@@ -320,9 +321,11 @@ def monte_carlo_dihedrals(
 ) -> list[float]:
     """:func:`monte_carlo_dihedral` at each of ``edges``, from one draw.
 
-    Every edge classifies the same unit directions in its own frame, so
-    each block of a stream is drawn once for all edges and each value
-    equals that of a separate call.  A stream's blocks continue one
+    A direction counts at an edge when its angle about the edge, in the
+    frame of :func:`principal_angles`, is at most that edge's angle.  Every
+    edge classifies the same unit directions in its own frame, so each
+    block of a stream is drawn once for all edges and each value equals
+    that of a separate call.  A stream's blocks continue one
     generator, so they hold exactly the directions of one whole draw, and
     memory stays fixed whatever ``n_samples`` is.  Only the first
     ``min(workers, n_samples)`` streams hold a sample, and only they are
@@ -335,18 +338,15 @@ def monte_carlo_dihedrals(
             f"workers={workers}"
         )
     values = [0.0] * len(edges)
-    live = []  # (index, e1, e2, a2, ref_in_first) of nondegenerate edges
+    live = []  # (index, e1, e2, a2) of nondegenerate edges
     for i, edge in enumerate(edges):
         row = [_edge_row(P, edge)]
         e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
-        w = n[0] + n[1]
-        if np.linalg.norm(w) <= DEGENERATE_NORMAL_TOL:
+        if np.linalg.norm(n[0] + n[1]) <= DEGENERATE_NORMAL_TOL:
             continue
         e1 = u[0]
         e2 = np.cross(e_hat, e1)
-        a2 = _plane_angle(u[1], e1, e2)
-        aw = _plane_angle(w, e1, e2)
-        live.append((i, e1, e2, a2, aw <= a2))
+        live.append((i, e1, e2, _plane_angle(u[1], e1, e2)))
     if not live:
         return values
 
@@ -362,13 +362,12 @@ def monte_carlo_dihedrals(
             dirs = rng.normal(size=(m, 3))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             xm, tm = x[:m], theta[:m]
-            for j, (_, e1, e2, a2, ref_in_first) in enumerate(live):
+            for j, (_, e1, e2, a2) in enumerate(live):
                 np.matmul(dirs, e1, out=xm)
                 np.matmul(dirs, e2, out=tm)
                 np.arctan2(tm, xm, out=tm)
                 np.remainder(tm, 2.0 * np.pi, out=tm)
-                n_first = int(np.count_nonzero(tm <= a2))
-                counts[j] += n_first if ref_in_first else m - n_first
+                counts[j] += int(np.count_nonzero(tm <= a2))
     for (i, *_), count in zip(live, counts):
         values[i] = 2.0 * np.pi * count / n_samples
     return values

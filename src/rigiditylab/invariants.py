@@ -12,7 +12,7 @@ length-weighted angle sum) is the numerical check of that prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class RigidityCertificate:
     only ever issued on exact evidence; RIGID_PRESUMED carries the height
     bound of the heuristic search.  ``constant_angle_edges`` lists canonical
     edge indices whose length lies outside the rational span of the others,
-    so their lifted dihedral angle cannot move during any flex.
+    so their lifted dihedral angle cannot move during any flex.  An exact
+    certificate keeps the ``SpanBasis`` it was read from in ``_span``.
     """
 
     verdict: str
@@ -61,6 +62,7 @@ class RigidityCertificate:
     constant_angle_edges: tuple[int, ...] = ()
     height: int | None = None
     caveat: str | None = None
+    _span: SpanBasis | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.verdict == RIGID:
@@ -122,9 +124,9 @@ def rigidity_certificate(
         span = q_basis(exact)
         verdict, constant = _span_verdict(span), constant_angle_edges(span)
         if verdict.kind == INDEPENDENT_EXACT:
-            return RigidityCertificate(RIGID, "exact", verdict, constant)
+            return RigidityCertificate(RIGID, "exact", verdict, constant, _span=span)
         return RigidityCertificate(
-            INCONCLUSIVE, "exact", verdict, constant, caveat=DEPENDENCE_CAVEAT
+            INCONCLUSIVE, "exact", verdict, constant, caveat=DEPENDENCE_CAVEAT, _span=span
         )
     relation = find_integer_relation([repr(float(v)) for v in float_lengths], height)
     if relation is None:

@@ -261,13 +261,3 @@ def orient(surface: SimplicialSurface) -> SimplicialSurface:
     ]
     return SimplicialSurface(new_faces)
 
-
-def skeleton(surface: SimplicialSurface, dim: int):
-    """Simplices of the given dimension in canonical (sorted) order."""
-    if dim == 0:
-        return list(surface.vertices)
-    if dim == 1:
-        return list(surface.edges)
-    if dim == 2:
-        return sorted(_canonical_face(f) for f in surface.faces)
-    raise ValueError(f"dimension must be 0, 1 or 2, got {dim}")

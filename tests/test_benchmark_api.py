@@ -38,3 +38,15 @@ def test_certify_pipeline_passes_its_checks(kind):
     }[kind](rng)
     run = workloads.certify_pipeline(P, spans.NullTracer())
     assert workloads.check_certify(P, run) == []
+
+
+def test_flex_pipeline_passes_through_a_fold():
+    """The 16th seeded Bricard spec of seed 2 passes 6.2e-9 past the fold of
+    edge 4 at sample 816; the angle there reads that small value, not 2*pi
+    minus it, so every conserved combination holds through the fold."""
+    rng = random.Random(2)
+    for _ in range(16):
+        spec = inputs.bricard_spec(rng)
+    run = workloads.flex_pipeline(make_bricard_type1(spec), 820, spans.NullTracer())
+    assert workloads.check_flex(run, closes=False) == []
+    assert run.path.raw_angles[816, 4] < 1e-8

@@ -234,3 +234,19 @@ def test_oracle_on_benchmark_self_touching_octahedra(seed, round_, tmp_path, cap
     rows = json.loads(capsys.readouterr().out)["edges"]
     det = [row["deterministic"] for row in rows]
     assert _oracle_disagreements(det, [row["monte_carlo"] for row in rows], n) == []
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["flex", "--steps", "5"]], ids=["analyze", "flex"])
+def test_exact_cli_run_partitions_the_lengths_once(argv, monkeypatch, capsys):
+    """The exact certificate hands on the basis it built, and the conserved
+    combinations are read from it, not from a second partition."""
+    partition, calls = lengths._classes, []
+
+    def counted(values):
+        calls.append(len(values))
+        return partition(values)
+
+    monkeypatch.setattr(lengths, "_classes", counted)
+    assert cli.main([*argv, "--model", "bricard-default"]) == cli.EXIT_OK
+    assert calls == [12]
+    assert len(json.loads(capsys.readouterr().out)["combinations"]) == 6

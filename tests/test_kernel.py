@@ -5,12 +5,14 @@ shares no helper with ``rigiditylab.geometry``.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rigiditylab import (
     DegenerateFaceError,
+    Polyhedron,
     SimplicialSurface,
     initial_principal_angles,
     invariant_combinations,
@@ -19,6 +21,7 @@ from rigiditylab import (
     make_regular_tetrahedron,
     make_triangulated_cube,
     monitor_flex,
+    monte_carlo_dihedral,
     q_basis,
     rigidity_matrix,
     save_series_csv,
@@ -163,6 +166,60 @@ def test_folded_edge_flagged():
     pos = as_positions(S, x)
     expected = [ref_angle(S.faces, pos, a, b) for a, b in S.edges]
     assert flags.tolist() == [f for _, f in expected]
+
+
+FOLD_SURFACE = SimplicialSurface([(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)])
+
+
+def near_fold(rng, eps):
+    """The surface of test_folded_edge_flagged with wing c1 turned by eps
+    (either sign) about edge (0, 1) from wing c0, at random radii and
+    offsets along the edge, then moved by a random proper rigid motion.
+    Also returns det(b - a, c0 - a, c1 - a) of the float points, exactly."""
+    phi = rng.uniform(0.0, TWO_PI)
+    r, t = rng.uniform(0.5, 2.0, size=2), rng.uniform(-1.0, 2.0, size=2)
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                  [t[0], r[0] * np.cos(phi), r[0] * np.sin(phi)],
+                  [t[1], r[1] * np.cos(phi + eps), r[1] * np.sin(phi + eps)]])
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.linalg.det(q))
+    x = x @ q.T + rng.normal(size=3)
+    a, b, c0, c1 = ([Fraction(float(v)) for v in p] for p in x)
+    return x, dot(sub(b, a), cross(sub(c0, a), sub(c1, a)))
+
+
+NEAR_FOLD_EPS = [1e-6, 1e-7, 1e-8, 5e-9, 2e-9, 1e-9, 1e-10, 1e-12]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eps", NEAR_FOLD_EPS)
+def test_near_fold_angle_is_the_oriented_angle(eps, sign):
+    """Just past a fold the angle is eps on the side where the oriented
+    tetrahedron on the edge and its wings is positive, 2*pi - eps on the
+    other, or 0 where the summed normals cancel and the edge is flagged."""
+    rng = np.random.default_rng(NEAR_FOLD_EPS.index(eps))
+    k = FOLD_SURFACE.edge_index((0, 1))
+    for _ in range(25):
+        x, det = near_fold(rng, sign * eps)
+        assert (det > 0) == (sign > 0)
+        (value,), (flag,) = principal_angles(FOLD_SURFACE, x, [k])
+        if flag:
+            assert value == 0.0
+        elif det > 0:
+            assert abs(value - eps) <= 1e-12
+        else:
+            assert abs(value - (TWO_PI - eps)) <= 1e-12
+
+
+def test_monte_carlo_reads_the_small_angle_near_a_fold():
+    """The oracle counts the directions within the oriented angle, so 5e-9
+    past a fold on the small side it reads about 0, not about 2*pi."""
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        x, det = near_fold(rng, 5e-9)
+        assert det > 0
+        P = Polyhedron(FOLD_SURFACE, dict(enumerate(x)))
+        assert monte_carlo_dihedral(P, (0, 1), n_samples=10_000) < 0.1
 
 
 def test_mis_oriented_faces_raise_value_error():

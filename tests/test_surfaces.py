@@ -7,7 +7,6 @@ from rigiditylab import (
     orient,
     validate_complex,
 )
-from rigiditylab.surfaces import skeleton
 from rigiditylab.models import BRICARD_FACES, OCTAHEDRON_FACES
 
 from oracles import PROJECTIVE_PLANE_FACES
@@ -81,17 +80,6 @@ def test_orient_idempotent_and_validates():
     once = orient(SimplicialSurface(faces))
     assert validate_complex(once.faces).passed
     assert orient(once).faces == once.faces
-
-
-def test_skeleton_octahedron():
-    S = SimplicialSurface(OCTAHEDRON_FACES)
-    assert len(skeleton(S, 0)) == 6
-    edges = skeleton(S, 1)
-    assert len(edges) == 12
-    assert edges == sorted(edges)
-    assert len(skeleton(S, 2)) == 8
-    with pytest.raises(ValueError):
-        skeleton(S, 3)
 
 
 def test_euler_characteristic_of_models():
