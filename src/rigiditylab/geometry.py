@@ -8,7 +8,9 @@ second's u1 about the edge, in the frame (u0, e x u0): e is the unit edge
 direction, and the first face is the one that walks the edge as (a, b),
 a < b.  The summed face normals point at half that angle in the same frame,
 so it is also the angle of the wedge on the normals' side.  When the two
-normals cancel the angle is defined to be 0 and flagged as degenerate.
+normals cancel (the faces fold onto each other) the angle is 0, within 1e-9
+of the angle modulo 2*pi, and unwrapped like any other value; it is also
+flagged as degenerate.
 """
 
 from __future__ import annotations
@@ -224,6 +226,20 @@ def _edge_frames(surface, x, edges=None):
     return e_hat, u, n
 
 
+def _dihedral_frames(surface, x, edges=None):
+    """The frame (e1, e2) = (u0, e x u0) at each edge, shapes (..., E, 3),
+    the turn a2 in [0, 2*pi) of u1 in it and the fold flags, shapes (..., E).
+
+    The one place a fold is decided: the flag is set where the unit normals
+    cancel, |n0 + n1| = |u0 - u1| = 2|sin(a2/2)| <= DEGENERATE_NORMAL_TOL.
+    """
+    e_hat, u, n = _edge_frames(surface, x, edges)
+    w = n[..., 0, :] + n[..., 1, :]
+    flags = np.sqrt(_dot(w, w)) <= DEGENERATE_NORMAL_TOL
+    e1, e2 = u[..., 0, :], _cross(e_hat, u[..., 0, :])
+    return e1, e2, _plane_angle(u[..., 1, :], e1, e2), flags
+
+
 def principal_angles(surface, x, edges=None):
     """Principal dihedral values and degenerate flags, shapes (..., E).
 
@@ -232,13 +248,10 @@ def principal_angles(surface, x, edges=None):
     face walks the edge as (a, b) and the second as (b, a), so the summed
     unit normals point at angle a2/2 in that frame: a2 is also the angle of
     the wedge on the normals' side.  Where the normals cancel (the faces
-    fold onto each other) the angle is 0 and the flag is set.
+    fold onto each other) the angle is 0, within 1e-9 of a2 modulo 2*pi,
+    and the flag is set.
     """
-    e_hat, u, n = _edge_frames(surface, x, edges)
-    w = n[..., 0, :] + n[..., 1, :]
-    flags = np.sqrt(_dot(w, w)) <= DEGENERATE_NORMAL_TOL
-    e1, e2 = u[..., 0, :], _cross(e_hat, u[..., 0, :])
-    a2 = _plane_angle(u[..., 1, :], e1, e2)
+    *_, a2, flags = _dihedral_frames(surface, x, edges)
     return np.where(flags, 0.0, a2), flags
 
 
@@ -329,24 +342,20 @@ def monte_carlo_dihedrals(
     generator, so they hold exactly the directions of one whole draw, and
     memory stays fixed whatever ``n_samples`` is.  Only the first
     ``min(workers, n_samples)`` streams hold a sample, and only they are
-    spawned.  Frames are found edge by edge before any draw, so the first
-    failing edge raises as a loop of separate calls would.
+    spawned.  Every edge is looked up, and then all frames are found in one
+    pass, before any draw: an edge outside the surface raises first, and
+    otherwise the first failing edge raises as a loop of separate calls
+    would.  A folded edge reads 0.0.
     """
     if n_samples < 1 or workers < 1:
         raise ValueError(
             f"need at least one sample and one worker, got n_samples={n_samples}, "
             f"workers={workers}"
         )
-    values = [0.0] * len(edges)
-    live = []  # (index, e1, e2, a2) of nondegenerate edges
-    for i, edge in enumerate(edges):
-        row = [_edge_row(P, edge)]
-        e_hat, u, n = (f[0] for f in _edge_frames(P.surface, P._vertex_array, row))
-        if np.linalg.norm(n[0] + n[1]) <= DEGENERATE_NORMAL_TOL:
-            continue
-        e1 = u[0]
-        e2 = np.cross(e_hat, e1)
-        live.append((i, e1, e2, _plane_angle(u[1], e1, e2)))
+    rows = [_edge_row(P, edge) for edge in edges]
+    values = [0.0] * len(rows)
+    e1, e2, a2, flags = _dihedral_frames(P.surface, P._vertex_array, rows)
+    live = np.flatnonzero(~flags).tolist()
     if not live:
         return values
 
@@ -362,13 +371,13 @@ def monte_carlo_dihedrals(
             dirs = rng.normal(size=(m, 3))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             xm, tm = x[:m], theta[:m]
-            for j, (_, e1, e2, a2) in enumerate(live):
-                np.matmul(dirs, e1, out=xm)
-                np.matmul(dirs, e2, out=tm)
+            for j, i in enumerate(live):
+                np.matmul(dirs, e1[i], out=xm)
+                np.matmul(dirs, e2[i], out=tm)
                 np.arctan2(tm, xm, out=tm)
                 np.remainder(tm, 2.0 * np.pi, out=tm)
-                counts[j] += int(np.count_nonzero(tm <= a2))
-    for (i, *_), count in zip(live, counts):
+                counts[j] += int(np.count_nonzero(tm <= a2[i]))
+    for i, count in zip(live, counts):
         values[i] = 2.0 * np.pi * count / n_samples
     return values
 

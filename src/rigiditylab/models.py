@@ -248,6 +248,8 @@ def load_off(text: str) -> Polyhedron:
             coords[i] = np.array([float(p) for p in parts])
         except ValueError:
             raise ParseError(lineno, f"bad coordinate in {line!r}") from None
+        if not np.isfinite(coords[i]).all():
+            raise ParseError(lineno, f"non-finite coordinate in {line!r}")
     faces = []
     for i in range(nf):
         lineno, line = body[nv + i]

@@ -25,7 +25,6 @@ from rigiditylab.flex import (
     FaceDegenerationError,
     SingularPointError,
     as_config,
-    lift_angles,
 )
 from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles, squared_lengths
 from rigiditylab.surfaces import edge_table
@@ -384,6 +383,14 @@ def reference_rank_test(R, motion_rows):
     return C.shape[1] - rank, C @ vt[-1], u[:, rank:]
 
 
+def reference_lift(raw: np.ndarray) -> np.ndarray:
+    """Each column of a (K, E) principal-value series unwrapped: its first
+    value plus the running sum of its steps, each step d taken into
+    (-pi, pi] as pi - mod(pi - d, 2*pi).  A fold's 0 is a value like any."""
+    steps = np.pi - np.mod(np.pi - np.diff(raw, axis=0), 2.0 * np.pi)
+    return np.concatenate([raw[:1], raw[:1] + np.cumsum(steps, axis=0)])
+
+
 def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> SimpleNamespace:
     """The traced path's configurations, steps and series, every series
     computed here, in the attributes of a FlexPath."""
@@ -417,7 +424,7 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
             raw[block], flags[block] = principal_angles(surface, configs[block])
         return SimpleNamespace(
             configs=configs, ts=ts, raw_angles=raw, degenerate_flags=flags,
-            lifted_angles=lift_angles(raw, flags), initial_lengths=initial_lengths,
+            lifted_angles=reference_lift(raw), initial_lengths=initial_lengths,
             diagnostics=list(diags),
         )
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rigiditylab import make_bricard_type1
+from rigiditylab import lift_angles, make_bricard_type1
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 try:
@@ -50,3 +50,12 @@ def test_flex_pipeline_passes_through_a_fold():
     run = workloads.flex_pipeline(make_bricard_type1(spec), 820, spans.NullTracer())
     assert workloads.check_flex(run, closes=False) == []
     assert run.path.raw_angles[816, 4] < 1e-8
+
+
+def test_benchmark_lift_call_equals_the_path_lift(bricard_path):
+    """perfbench/layers.py times lift_angles(path.raw_angles,
+    path.degenerate_flags); the flags are not read, so the call gives the
+    path's own lifted angles byte for byte."""
+    lifted = lift_angles(bricard_path.raw_angles, bricard_path.degenerate_flags)
+    assert lifted.shape == bricard_path.lifted_angles.shape
+    assert lifted.tobytes() == bricard_path.lifted_angles.tobytes()

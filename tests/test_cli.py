@@ -57,6 +57,21 @@ def test_validate_parse_error_exit_2(tmp_path):
     assert b"ParseError" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "flex", "oracle"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_coordinate_exit_2(tmp_path, command, token):
+    off = tmp_path / "non-finite.off"
+    off.write_text("\n".join(["OFF", "6 8 0", f"{token} 0 0", "0 1 0", "0 0 1", "0 0 -1",
+                              "0 -1 0", "-1 0 0",
+                              *(f"3 {a} {b} {c}" for a, b, c in OCTAHEDRON_FACES)]) + "\n")
+    proc = run_cli(command, "--input", str(off))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        f"error: ParseError: line 3: non-finite coordinate in '{token} 0 0'"
+    ]
+
+
 def test_missing_input_exit_2():
     proc = run_cli("validate", "--input", "/nonexistent/file.off")
     assert proc.returncode == 2

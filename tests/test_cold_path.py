@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigiditylab import cli, geometry, lengths, models
+from rigiditylab import SimplicialSurface, cli, geometry, lengths, models
 from rigiditylab.geometry import monte_carlo_dihedral, monte_carlo_dihedrals, principal_angles
 from perfbench import inputs
 
@@ -149,6 +149,35 @@ def test_monte_carlo_spawns_only_streams_that_draw(monkeypatch, octahedron):
     monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
     assert monte_carlo_dihedrals(octahedron, edges, 5, 0, 10**9) == expected
     assert spawned and max(spawned) <= 5
+
+
+def test_monte_carlo_takes_every_frame_in_one_pass(spy, octahedron):
+    """One frame pass serves every requested edge; a folded edge reads 0.0."""
+    calls = spy("_edge_frames")
+    monte_carlo_dihedrals(octahedron, octahedron.surface.edges, n_samples=1000)
+    assert len(calls) == 1
+    # Vertex 3 lies in the plane of face (0, 1, 2) on vertex 2's side of
+    # edge (0, 1), so that edge's faces fold onto each other.
+    S = SimplicialSurface([(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)])
+    x = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.7, 0.5, 0.0]]
+    folded = geometry.Polyhedron(S, dict(enumerate(x)))
+    values = monte_carlo_dihedrals(folded, S.edges, n_samples=1000)
+    assert len(calls) == 2
+    assert values[S.edge_index((0, 1))] == 0.0
+    assert principal_angles(S, folded.vertex_array())[1].tolist() == [
+        v == 0.0 for v in values]
+
+
+def test_monte_carlo_looks_up_every_edge_before_any_frame(octahedron):
+    """An edge outside the surface raises before an earlier edge whose face
+    is flat."""
+    x = octahedron.vertex_array()
+    x[2] = 0.5 * (x[0] + x[1])  # face (0, 1, 2) flat
+    P = geometry.Polyhedron(octahedron.surface, dict(enumerate(x)))
+    with pytest.raises(geometry.DegenerateFaceError):
+        monte_carlo_dihedrals(P, [(0, 1)], n_samples=10)
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) is not shared"):
+        monte_carlo_dihedrals(P, [(0, 1), (0, 5)], n_samples=10)
 
 
 def test_monte_carlo_memory_does_not_grow_with_samples(octahedron):

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfbench import inputs
 from rigiditylab import (
@@ -184,16 +186,55 @@ def test_lift_ambiguous_jump_rejected():
         lift_angles(raw)
 
 
-def test_lift_bridges_degenerate_samples():
-    raw = np.array([0.3, 0.0, TWO_PI - 0.1])
-    flags = np.array([False, True, False])
-    # One edge's series, as a column and as a 1-D array with 1-D flags.
-    for shape in ((3, 1), (3,)):
-        lifted = lift_angles(raw.reshape(shape), flags.reshape(shape))[:, 0]
-        # the middle sample interpolates between 0.3 and -0.1 on the lifted line
-        assert lifted[0] == pytest.approx(0.3)
-        assert lifted[2] == pytest.approx(-0.1, abs=1e-12)
-        assert lifted[1] == pytest.approx(0.1, abs=1e-12)
+def test_lift_reads_a_fold_as_zero():
+    """A folded sample reads 0, within 1e-9 of its angle modulo 2*pi, and is
+    unwrapped like any other value; the flags change nothing."""
+    cases = [
+        ([0.3, 0.0, TWO_PI - 0.1], [False, True, False], [0.3, 0.0, -0.1]),
+        ([0.0, TWO_PI - 0.01, TWO_PI - 0.02], [True, False, False], [0.0, -0.01, -0.02]),
+        ([0.0, 0.0, 0.0], [True, True, True], [0.0, 0.0, 0.0]),
+    ]
+    for raw, flags, want in cases:
+        raw, flags = np.array(raw), np.array(flags)
+        # One edge's series, as a column and as a 1-D array with 1-D flags.
+        for shape in ((3, 1), (3,)):
+            lifted = lift_angles(raw.reshape(shape), flags.reshape(shape))
+            assert lifted.shape == (3, 1)
+            assert lifted[:, 0] == pytest.approx(want, abs=1e-12)
+            assert np.array_equal(lifted, lift_angles(raw.reshape(shape)))
+    empty = lift_angles(np.empty((0, 4)), np.empty((0, 4), dtype=bool))
+    assert empty.shape == (0, 4)
+
+
+# A first turn count and up to 60 steps under pi/6, each of which may ask
+# for a fold.
+WINDING_STEPS = st.tuples(
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.floats(-np.pi / 6, np.pi / 6), st.booleans()),
+             min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(WINDING_STEPS)
+def test_lift_follows_a_winding_series_through_folds(case):
+    """A series theta that winds with steps under pi/2 lifts to theta plus one
+    multiple of 2*pi, where the samples at multiples of 2*pi, the first one
+    among them, read 0 and are flagged as the kernel flags a fold."""
+    turns, steps = case
+    theta, folds = [TWO_PI * turns], [True]
+    for step, fold in steps:
+        t = theta[-1] + step
+        near = TWO_PI * round(t / TWO_PI)
+        fold = fold and abs(t - near) < np.pi / 6  # so steps stay under pi/2
+        theta.append(near if fold else t)
+        folds.append(fold)
+    theta, folds = np.array(theta), np.array(folds)
+    raw = np.where(folds, 0.0, np.mod(theta, TWO_PI))
+    lifted = lift_angles(raw, folds)[:, 0]
+    assert np.array_equal(lifted, lift_angles(raw)[:, 0])
+    offset = lifted - theta
+    assert np.max(np.abs(offset - TWO_PI * np.round(offset[0] / TWO_PI))) <= 1e-12
 
 
 def test_lift_refinement_consistency(bricard_path):
