@@ -159,11 +159,11 @@ def cmd_flex(args) -> int:
     )
     monitoring = monitor_flex(path, combinations, P)
     if logger.isEnabledFor(logging.INFO):
-        drift = path.length_drift()
         iters = path.corrector_iters
         logger.info(
-            "traced %d samples, max length drift %.3e, mean corrector iterations %.4f",
-            path.n_samples, drift, iters.mean() if iters.size else 0.0,
+            "traced %d samples, max length drift %.3e, mean corrector iterations %.4f, "
+            "rejected attempts %d", path.n_samples, path.length_drift(),
+            iters.mean() if iters.size else 0.0, path.rejected_attempts,
         )
     text = models.save_report_json(
         cert, combinations, monitoring=monitoring, edges=P.surface.edges

@@ -8,9 +8,9 @@ predicted point.  The predictor is second order, along the unit tangent and
 bent by its change over the last step; the corrector is Newton on a square
 bordered system (Allgower & Georg): the rigidity matrix completed by the
 self-stresses, closed by the six rigid motions and the pseudo-arclength
-row.  On a smooth flex a step costs one LU solve of that matrix and one
-inverse, which gives the next tangent and self-stresses; an SVD decides the
-kernel dimension at the start and where a screen on the inverse fires.
+row.  A step costs one inverse of that matrix per corrector iteration and
+none beyond it, as the last also gives the next tangent and self-stresses;
+an SVD decides the kernel dimension at the start and where a screen fires.
 A traced path is its configurations and step record; dihedral angles,
 lifted series, arc lengths and monitor series are derived from them once,
 on first read.  Every whole-path pass runs over blocks of PATH_BLOCK
@@ -20,6 +20,7 @@ configurations, so its memory is the path's own plus a fixed amount.
 from __future__ import annotations
 
 import logging
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,20 +93,18 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
 
 
 # The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
-# np.linalg.svd, solve (for a vector b) and inv do (same gufuncs, signatures,
-# error states and LinAlgError handlers), so their results equal the public
-# functions' to the bit without the wrappers' dtype checks and result copies.
+# np.linalg.svd and inv do (same gufuncs, signatures, error states and
+# LinAlgError handlers), so their results equal the public functions' to the
+# bit without the wrappers' dtype checks and result copies.
 def _lapack(gufunc, signature: str, handler):
-    def call(*args):
-        with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
-                         under="ignore"):
-            return gufunc(*args, signature=signature)
+    def call(a):
+        with np.errstate(call=handler, all="ignore", invalid="call"):
+            return gufunc(a, signature=signature)
 
     return call
 
 
 _svd = _lapack(_umath_linalg.svd_f, "d->ddd", _linalg._raise_linalgerror_svd_nonconvergence)
-_solve = _lapack(_umath_linalg.solve1, "dd->d", _linalg._raise_linalgerror_singular)
 _inv = _lapack(_umath_linalg.inv, "d->d", _linalg._raise_linalgerror_singular)
 
 
@@ -239,14 +238,16 @@ class FlexPath:
 
     ``configs`` has shape (K, n_vertices, 3); ``step_sizes`` and
     ``corrector_iters``, shape (K - 1,), hold each accepted step's size and
-    corrector iterations.  Every other series derives from ``configs`` once,
-    on first read; angle series have shape (K, n_edges), canonical edge order.
+    corrector iterations; ``rejected_attempts`` counts the halved steps.
+    Every other series derives from ``configs`` once, on first read; angle
+    series have shape (K, n_edges), canonical edge order.
     """
 
     surface: SimplicialSurface
     configs: np.ndarray
     step_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
     corrector_iters: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    rejected_attempts: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -421,17 +422,17 @@ def trace_flex(
 
     A step stays in the slice T.T*(y - x_pred) = 0, T the rigid motions at
     x_pred, and on the row t.(y - x_pred) = 0 (Allgower & Georg): each
-    corrector iteration solves M*[dy; mu] = [-g; 0; 0], g the squared-length
+    corrector iteration adds M^-1[:3v, :E]*(-g), g the squared-length
     residual, M = [[R(y), W], [T.T, 0], [t, 0]] and W the self-stresses from
     the last accepted point (one column on a sphere); a singular M fails the
-    attempt.  At the accepted point the inverse of M gives the next tangent,
-    its last column's first 3v entries normalized (t.v = 1 keeps the sign),
-    and the next W, its rows at W's columns normalized.  At the start, and
-    where the screen on M^-1 fires (see ``_screen``), the rank test that
-    :func:`infinitesimal_flex_dim` also runs decides the kernel dimension
-    (see ``_rank_test``); where it is 1, its SVD gives the tangent and W.
-    A smooth step thus costs one LU solve and one inverse of M, refilled in
-    place, by numpy.linalg's LAPACK gufuncs (see ``_solve``).
+    attempt.  The last inverse, or one at the accepted point if no iteration
+    ran, gives the next tangent, its last column's first 3v entries
+    normalized (t.v = 1 keeps the sign), and the next W, its rows at W's
+    columns normalized.  At the start, and where the screen on M^-1 fires
+    (see ``_screen``), the rank test that :func:`infinitesimal_flex_dim`
+    also runs decides at the accepted point (see ``_rank_test``); where the
+    kernel dimension is 1, its SVD gives the tangent and W.  A smooth step
+    thus costs one inverse of M per corrector iteration and none beyond it.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -472,14 +473,15 @@ def trace_flex(
     scatter, motions = _RigidityScatter(surface, M.shape[1]), _MotionRows(M[n_edges:-1, :n3])
     R, W, t_row = M[:n_edges, :n3], M[:n_edges, n3:], M[-1, :n3]
     side_areas = _side_areas(surface, scatter.heads, scatter.tails)
-    rhs = np.zeros(n_edges + 7)  # [-g; 0; 0], -g written in place
-    neg_g = rhs[:n_edges]
+    neg_g = np.empty(n_edges)  # -g, written in place
+    rejected = 0
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
         configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % PATH_BLOCK + 1]])
         store.clear()
-        return FlexPath(surface, configs, np.array(sizes, dtype=float), np.array(iters, dtype=int))
+        return FlexPath(surface, configs, np.array(sizes, dtype=float),
+                        np.array(iters, dtype=int), rejected)
 
     def rank_test():
         """The unit tangent and W from the rank test at R and T in M."""
@@ -490,13 +492,13 @@ def trace_flex(
         W[:] = stresses
         return C @ kernel[0]
 
-    def tangent_at(dy):  # dy, y's edge vectors; T and t in M are y's step's
-        scatter.write(M, dy)
-        try:
-            inverse = _inv(M)
-        except np.linalg.LinAlgError:
-            return rank_test()
-        if _screen(M, inverse, n3):
+    def tangent_at(dy, inverse=None):  # dy: the accepted point's edge vectors; inverse: M^-1
+        if inverse is None:
+            scatter.write(M, dy)
+            with suppress(np.linalg.LinAlgError):
+                inverse = _inv(M)
+        if inverse is None or _screen(M, inverse, n3):
+            scatter.write(M, dy)  # the rank test decides at the accepted point
             return rank_test()
         stress = inverse[n3:, :n_edges]
         np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
@@ -512,31 +514,30 @@ def trace_flex(
     kappa = np.zeros_like(tangent)  # the tangent's change per unit step; Euler first
     while len(sizes) < n_steps:
         if h < step * 2.0**-24:
-            raise CorrectorDivergenceError(
-                f"step size underflow at accepted step {len(sizes)}", path=path()
-            )
+            raise CorrectorDivergenceError(f"step size underflow at accepted step {len(sizes)}",
+                                           path=path())
         x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
         motions(x_pred)
         t_row[:] = tangent
         y = x_pred  # no array is changed in place below
-        ok = False
+        gn_iters = None
         for it in range(MAX_CORRECTOR_ITERS):
             # The edge vectors feed the residual, the Jacobian and the areas.
             dy = scatter.edge_vectors(y)
             np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
             if np.abs(neg_g).max() <= tol:
-                ok = True
                 gn_iters = it
                 break
             scatter.write(M, dy)
             try:
-                d = _solve(M, rhs)
+                inverse = _inv(M)
             except np.linalg.LinAlgError:
                 break
-            y = y + d[:n3].reshape(nv, 3)
+            y = y + (inverse[:n3, :n_edges] @ neg_g).reshape(nv, 3)
             if not np.isfinite(y).all():
                 break
-        if not ok:
+        if gn_iters is None:
+            rejected += 1
             h *= 0.5
             easy_run = 0
             logger.debug("corrector failed, halving step to %.3e", h)
@@ -552,20 +553,16 @@ def trace_flex(
         x = y
         keep(x)
 
-        # T in M is x_pred's, O(h^3) from x.
-        new_tangent = tangent_at(dy)
+        # T in M is x_pred's and R the last iterate's, O(h^3) from x.
+        new_tangent = tangent_at(dy, inverse if gn_iters else None)
         if float(np.dot(new_tangent, tangent)) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h
         tangent = new_tangent
 
-        if gn_iters <= 3:
-            easy_run += 1
-            if easy_run >= 3:
-                h = min(2.0 * h, step)
-                easy_run = 0
-        else:
-            easy_run = 0
+        easy_run = easy_run + 1 if gn_iters <= 3 else 0
+        if easy_run >= 3:
+            h, easy_run = min(2.0 * h, step), 0
 
     return path()
 

@@ -411,6 +411,7 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
     samples = [x.copy()]
     ds: list[float] = []
     diags: list[dict] = []
+    rejected = 0
 
     def path():
         ts = np.concatenate([[0.0], np.cumsum(ds)]) if ds else np.array([0.0])
@@ -425,7 +426,7 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
         return SimpleNamespace(
             configs=configs, ts=ts, raw_angles=raw, degenerate_flags=flags,
             lifted_angles=reference_lift(raw), initial_lengths=initial_lengths,
-            diagnostics=list(diags),
+            diagnostics=list(diags), rejected_attempts=rejected,
         )
 
     def rank_tested(y, motion_rows):
@@ -474,14 +475,17 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
                 ok = True
                 gn_iters = it
                 break
+            # The last iterate's inverse also gives the next tangent and W.
+            inverted_at = y
             try:
-                d = np.linalg.solve(bordered(y), np.concatenate([neg_g, np.zeros(7)]))
+                inverse = np.linalg.inv(bordered(y))
             except np.linalg.LinAlgError:
                 break
-            y = y + d[:n3].reshape(nv, 3)
+            y = y + (inverse[:n3, : len(targets_sq)] @ neg_g).reshape(nv, 3)
             if not np.all(np.isfinite(y)):
                 break
         if not ok:
+            rejected += 1
             h *= 0.5
             easy_run = 0
             continue
@@ -497,10 +501,11 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
         diags.append({"step": h, "corrector_iters": gn_iters})
         accepted += 1
 
-        M = bordered(x)
         try:
-            inverse = np.linalg.inv(M)
-            fired = reference_screen(M, inverse, n3)
+            if gn_iters == 0:
+                inverted_at = x
+                inverse = np.linalg.inv(bordered(x))
+            fired = reference_screen(bordered(inverted_at), inverse, n3)
         except np.linalg.LinAlgError:
             fired = True
         if fired:

@@ -117,7 +117,8 @@ def test_flex_writes_series_and_report(tmp_path):
 
 def test_flex_info_log_reports_corrector_iterations(tmp_path):
     """RIGIDITYLAB_LOG=info adds one stderr line with the mean corrector
-    iterations per step; stdout and the written files keep their bytes."""
+    iterations per step and the rejected attempts; stdout and the written
+    files keep their bytes."""
     outputs = {}
     for level in ("error", "info"):
         out_json, out_csv = tmp_path / f"{level}.json", tmp_path / f"{level}.csv"
@@ -130,7 +131,7 @@ def test_flex_info_log_reports_corrector_iterations(tmp_path):
     assert outputs["error"][3] == b""
     assert re.fullmatch(
         r"INFO rigiditylab: traced 61 samples, max length drift \d\.\d{3}e-\d\d, "
-        r"mean corrector iterations 1\.0000\n",
+        r"mean corrector iterations 1\.0000, rejected attempts 0\n",
         outputs["info"][3].decode(),
     )
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from perfbench import inputs
 from rigiditylab import (
+    DEFAULT_BRICARD_SPEC,
     CorrectorDivergenceError,
     DegenerateConfigurationError,
     FlexPath,
@@ -471,24 +472,57 @@ def counting(counts, name, function):
 
 def test_lapack_call_counts(bricard, monkeypatch, caplog):
     """The start takes one complete QR and one SVD (the rank test).  Past
-    it, each accepted step takes one inverse of the bordered matrix (the
-    tangent, the next self-stresses and the screen) and each corrector
-    iteration one LU solve; no QR and no SVD."""
-    counts = dict.fromkeys(("svd", "inv", "solve", "qr"), 0)
-    for name in ("svd", "inv", "solve"):
+    it, each corrector iteration takes one inverse of the bordered matrix,
+    and an accepted step's last one also gives the tangent, the next
+    self-stresses and the screen; a step that took no iteration takes one
+    inverse at its accepted point.  No QR, no SVD and no solve.  Steps of
+    0.01 take one corrector iteration each, of 0.1 two each, and of 3e-4
+    mostly none."""
+    counts = {}
+    for name in ("svd", "inv"):
         monkeypatch.setattr(flex, f"_{name}", counting(counts, name, getattr(flex, f"_{name}")))
     monkeypatch.setattr(np.linalg, "qr", counting(counts, "qr", np.linalg.qr))
-    with caplog.at_level("DEBUG", logger="rigiditylab"):
-        path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=200)
-    failed = sum("corrector failed" in r.getMessage() for r in caplog.records)
-    assert failed == 0  # so no failed attempt adds its iterations below
-    assert counts == {
-        "svd": 1,
-        "inv": path.n_samples - 1,
-        "solve": sum(d["corrector_iters"] for d in path.diagnostics)
-        + MAX_CORRECTOR_ITERS * failed,
-        "qr": 1,
-    }
+    monkeypatch.setattr(np.linalg, "solve", counting(counts, "solve", np.linalg.solve))
+    for step, iters in [(0.01, {1}), (0.1, {2}), (3e-4, {0, 1})]:
+        counts.update(dict.fromkeys(("svd", "inv", "solve", "qr"), 0))
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="rigiditylab"):
+            path = trace_flex(bricard.vertex_array(), bricard.surface, n_steps=200, step=step)
+        failed = sum("corrector failed" in r.getMessage() for r in caplog.records)
+        assert failed == path.rejected_attempts == 0  # so no failed attempt adds iterations
+        assert set(path.corrector_iters.tolist()) == iters
+        assert counts == {
+            "svd": 1,
+            "inv": sum(max(d["corrector_iters"], 1) for d in path.diagnostics)
+            + MAX_CORRECTOR_ITERS * failed,
+            "solve": 0,
+            "qr": 1,
+        }
+
+
+@pytest.mark.parametrize("seed", [None, 5, 13])
+def test_tangent_lag_is_harmless(monkeypatch, seed):
+    """Each step's tangent comes from the inverse at its last corrector
+    iterate, O(h^3) from the accepted sample.  Over a full cycle, at every
+    50th sample it still agrees, up to sign, with the unit kernel vector of
+    R*C at that sample within 1e-6."""
+    spec = DEFAULT_BRICARD_SPEC if seed is None else inputs.bricard_spec(random.Random(seed))
+    P = make_bricard_type1(spec)
+    screened, original = [], flex._screen
+
+    def screen(M, inverse, n3):
+        screened.append(inverse[:n3, -1] / np.linalg.norm(inverse[:n3, -1]))
+        return original(M, inverse, n3)
+
+    monkeypatch.setattr(flex, "_screen", screen)
+    path = trace_flex(P.vertex_array(), P.surface, n_steps=3300)
+    assert len(screened) == path.n_samples - 1  # one screen per accepted sample, 1, 2, ...
+    for k in range(50, path.n_samples, 50):
+        x = path.configs[k]
+        _, kernel, _ = oracles.reference_rank_test(
+            reference_rigidity_matrix(x, P.surface), oracles.reference_motion_rows(x))
+        t = screened[k - 1]
+        assert min(np.linalg.norm(t - kernel), np.linalg.norm(t + kernel)) <= 1e-6, k
 
 
 # The screen decides when the rank test runs past the start.  Forcing it to
@@ -530,19 +564,25 @@ def moved_singular_values(svd, call, flex_dim):
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 37])
 def test_screen_fired_mid_path_goes_on_by_svd(bricard, monkeypatch, k, singular):
-    """Where the screen fires, or the bordered matrix has no inverse, and
-    the rank test finds dimension 1, the trace takes that SVD's tangent and
-    left null space and goes on, as the reference does under the same
-    patch."""
+    """Where the screen fires, or the bordered matrix has no inverse at an
+    accepted point, and the rank test finds dimension 1, the trace takes
+    that SVD's tangent and left null space and goes on, as the reference
+    does under the same patch.  Only a step that took no corrector iteration
+    inverts at its accepted point: at steps of 1e-4 every step past the
+    first, so the (k + 1)-th inverse is step k + 1's."""
     counts = {"svd": 0}
     monkeypatch.setattr(flex, "_svd", counting(counts, "svd", flex._svd))
+    kwargs = {}
     if singular:
-        monkeypatch.setattr(flex, "_inv", fail_once(flex._inv, k))
-        monkeypatch.setattr(np.linalg, "inv", fail_once(np.linalg.inv, k))
+        kwargs["step"] = 1e-4
+        monkeypatch.setattr(flex, "_inv", fail_once(flex._inv, k + 1))
+        monkeypatch.setattr(np.linalg, "inv", fail_once(np.linalg.inv, k + 1))
     else:
         monkeypatch.setattr(flex, "_screen", fire_at(flex._screen, k))
         monkeypatch.setattr(oracles, "reference_screen", fire_at(oracles.reference_screen, k))
-    path, ref = traced_pair(bricard, n_steps=60)
+    path, ref = traced_pair(bricard, n_steps=60, **kwargs)
+    if singular:
+        assert path.corrector_iters[1:].max() == 0
     assert counts["svd"] == 2 and path.n_samples == 61
     assert_same_path(path, ref)
 
@@ -639,14 +679,16 @@ def fail_once(solve, call):
 
 def test_failed_solve_halves_the_step(bricard, monkeypatch):
     """A singular bordered system fails its attempt like a diverging
-    iterate: the step halves and the trace goes on.  Each default step
-    takes one solve, so the fifth solve belongs to the fifth step."""
-    monkeypatch.setattr(flex, "_solve", fail_once(flex._solve, 5))
-    monkeypatch.setattr(np.linalg, "solve", fail_once(np.linalg.solve, 5))
+    iterate: the step halves, the attempt is counted and the trace goes on.
+    Each default step takes one inverse, so the fifth belongs to the fifth
+    step."""
+    monkeypatch.setattr(flex, "_inv", fail_once(flex._inv, 5))
+    monkeypatch.setattr(np.linalg, "inv", fail_once(np.linalg.inv, 5))
     path, ref = traced_pair(bricard, n_steps=20)
     assert path.n_samples == 21
     assert path.step_sizes[3] == 0.01 and path.step_sizes[4] == 0.005
     assert_same_path(path, ref)
+    assert path.rejected_attempts == ref.rejected_attempts == 1
 
 
 def test_side_areas_equal_face_areas(octahedron, cube, bricard_path):

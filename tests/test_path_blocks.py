@@ -139,8 +139,8 @@ def test_trace_never_sizes_a_buffer_from_n_steps(bricard, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    # Every solve fails, and no predicted point meets tol on its own.
-    monkeypatch.setattr(flex, "_solve", singular)
+    # Every inverse fails, and no predicted point meets tol on its own.
+    monkeypatch.setattr(flex, "_inv", singular)
     with pytest.raises(CorrectorDivergenceError) as exc:
         trace_flex(bricard.vertex_array(), bricard.surface, n_steps=10**12, tol=1e-300)
     assert exc.value.path.n_samples == 1
