@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-json", metavar="FILE")
     return parser
 
@@ -180,9 +179,7 @@ def cmd_oracle(args) -> int:
     _require_valid(P)
     edges = P.surface.edges
     dets = all_dihedrals(P)
-    mcs = monte_carlo_dihedrals(
-        P, edges, n_samples=args.samples, seed=args.seed, workers=args.workers
-    )
+    mcs = monte_carlo_dihedrals(P, edges, n_samples=args.samples, seed=args.seed)
     rows = []
     for edge, det, mc in zip(edges, dets, mcs):
         rows.append(
@@ -198,7 +195,6 @@ def cmd_oracle(args) -> int:
         "format_version": models.FORMAT_VERSION,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": args.workers,
         "edges": rows,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out_json)

@@ -38,7 +38,7 @@ from .geometry import (
     squared_lengths,
     weighted_angle_sums,
 )
-from .surfaces import SimplicialSurface, edge_table
+from .surfaces import SimplicialSurface
 
 logger = logging.getLogger("rigiditylab")
 
@@ -160,7 +160,7 @@ class _RigidityScatter:
     once; the zero entries are never written."""
 
     def __init__(self, surface, width: int):
-        ends = edge_table(surface)
+        ends = surface.edge_table
         self.n_edges = len(ends)
         self.heads, self.tails = ends[:, 0], ends[:, 1]
         # Coordinate k of edge e's head (tail) is entry entries[0 (1), e, k] of
@@ -180,7 +180,8 @@ class _RigidityScatter:
 
 
 def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
-    """Jacobian of the squared edge lengths, shape (n_edges, 3*n_vertices).
+    """Jacobian of the squared edge lengths of ``surface`` at the
+    configuration x, shape (n_edges, 3*n_vertices).
 
     The row of edge (i, j) carries 2*(x_i - x_j) in vertex i's block and the
     negative in vertex j's block.

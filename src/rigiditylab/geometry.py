@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lengths import clear_to_integers, normalize_sqrt
-from .surfaces import SimplicialSurface, edge_table
+from .surfaces import SimplicialSurface
 
 DEGENERATE_NORMAL_TOL = 1e-9
 # Unit directions the Monte-Carlo oracle draws and classifies at a time.  A
@@ -148,8 +148,8 @@ def _plane_angle(z, e1, e2):
 
 
 def squared_lengths(surface, x) -> np.ndarray:
-    """Squared edge lengths, shape (..., E); any surface :func:`edge_table` takes."""
-    ends = edge_table(surface)
+    """Squared edge lengths of a SimplicialSurface, shape (..., E)."""
+    ends = surface.edge_table
     d = x[..., ends[:, 0], :] - x[..., ends[:, 1], :]
     return _dot(d, d)
 
@@ -304,7 +304,6 @@ def monte_carlo_dihedral(
     edge: tuple[int, int],
     n_samples: int = 10**6,
     seed: int = 0,
-    workers: int = 1,
 ) -> float:
     """Monte-Carlo estimate of the dihedral angle at an edge.
 
@@ -313,16 +312,14 @@ def monte_carlo_dihedral(
     around the edge midpoint that lies in the wedge swept by the oriented
     angle of :func:`principal_angles` is the share of directions that do,
     at any radius, and no other simplex enters.  The returned value is 2*pi
-    times the fraction of uniformly drawn unit directions in that wedge.
-    Serves as the sampled check of :func:`principal_dihedral`.
+    times the fraction of ``n_samples`` uniformly drawn unit directions in
+    that wedge.  Serves as the sampled check of :func:`principal_dihedral`.
 
-    ``workers`` splits the sample into that many independent seeded streams,
-    whose sub-seeds derive from the master seed, so results are reproducible
-    for a fixed (seed, workers) pair.  The streams are drawn one after
-    another, not in parallel.  Each is drawn in blocks of a fixed size, so
-    memory does not grow with ``n_samples``.
+    The directions come from one generator seeded by ``seed``, so a fixed
+    (seed, n_samples) pair gives the same value.  They are drawn in blocks
+    of a fixed size, so memory does not grow with ``n_samples``.
     """
-    return monte_carlo_dihedrals(P, [edge], n_samples, seed, workers)[0]
+    return monte_carlo_dihedrals(P, [edge], n_samples, seed)[0]
 
 
 def monte_carlo_dihedrals(
@@ -330,28 +327,22 @@ def monte_carlo_dihedrals(
     edges,
     n_samples: int = 10**6,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[float]:
     """:func:`monte_carlo_dihedral` at each of ``edges``, from one draw.
 
     A direction counts at an edge when its angle about the edge, in the
     frame of :func:`principal_angles`, is at most that edge's angle.  Every
     edge classifies the same unit directions in its own frame, so each
-    block of a stream is drawn once for all edges and each value equals
-    that of a separate call.  A stream's blocks continue one
-    generator, so they hold exactly the directions of one whole draw, and
-    memory stays fixed whatever ``n_samples`` is.  Only the first
-    ``min(workers, n_samples)`` streams hold a sample, and only they are
-    spawned.  Every edge is looked up, and then all frames are found in one
-    pass, before any draw: an edge outside the surface raises first, and
-    otherwise the first failing edge raises as a loop of separate calls
-    would.  A folded edge reads 0.0.
+    block is drawn once for all edges and each value equals that of a
+    separate call.  The blocks continue one generator, so they hold
+    exactly the directions of one whole draw, and memory stays fixed
+    whatever ``n_samples`` is.  Every edge is looked up, and then all
+    frames are found in one pass, before any draw: an edge outside the
+    surface raises first, and otherwise the first failing edge raises as a
+    loop of separate calls would.  A folded edge reads 0.0.
     """
-    if n_samples < 1 or workers < 1:
-        raise ValueError(
-            f"need at least one sample and one worker, got n_samples={n_samples}, "
-            f"workers={workers}"
-        )
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     rows = [_edge_row(P, edge) for edge in edges]
     values = [0.0] * len(rows)
     e1, e2, a2, flags = _dihedral_frames(P.surface, P._vertex_array, rows)
@@ -360,23 +351,19 @@ def monte_carlo_dihedrals(
         return values
 
     counts = [0] * len(live)
-    base, extra = divmod(n_samples, workers)  # stream k draws base + (k < extra)
     x, theta = np.empty(_MC_BLOCK), np.empty(_MC_BLOCK)
-    for k, ss in enumerate(np.random.SeedSequence(seed).spawn(min(workers, n_samples))):
-        rng = np.random.default_rng(ss)
-        left = base + (k < extra)
-        while left:
-            m = min(left, _MC_BLOCK)
-            left -= m
-            dirs = rng.normal(size=(m, 3))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            xm, tm = x[:m], theta[:m]
-            for j, i in enumerate(live):
-                np.matmul(dirs, e1[i], out=xm)
-                np.matmul(dirs, e2[i], out=tm)
-                np.arctan2(tm, xm, out=tm)
-                np.remainder(tm, 2.0 * np.pi, out=tm)
-                counts[j] += int(np.count_nonzero(tm <= a2[i]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for start in range(0, n_samples, _MC_BLOCK):
+        m = min(n_samples - start, _MC_BLOCK)
+        dirs = rng.normal(size=(m, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        xm, tm = x[:m], theta[:m]
+        for j, i in enumerate(live):
+            np.matmul(dirs, e1[i], out=xm)
+            np.matmul(dirs, e2[i], out=tm)
+            np.arctan2(tm, xm, out=tm)
+            np.remainder(tm, 2.0 * np.pi, out=tm)
+            counts[j] += int(np.count_nonzero(tm <= a2[i]))
     for i, count in zip(live, counts):
         values[i] = 2.0 * np.pi * count / n_samples
     return values
@@ -387,18 +374,16 @@ def oriented_volume(P: Polyhedron) -> float:
     return float(oriented_volumes(P.surface, P._vertex_array))
 
 
-def weighted_angle_sum(P: Polyhedron, angles: np.ndarray | None = None) -> float:
-    """Sum over edges of length times dihedral angle.
+def weighted_angle_sum(P: Polyhedron) -> float:
+    """Sum over edges of length times principal dihedral angle.
 
-    With ``angles`` given (canonical edge order), those values are used
-    instead of the principal values; flex monitoring passes lifted angles
-    here.  A warning is emitted when any principal value is degenerate.
+    A warning is emitted when any principal value is degenerate; such an
+    edge contributes 0.
     """
     x = P._vertex_array
-    if angles is None:
-        angles, flags = principal_angles(P.surface, x)
-        if flags.any():
-            flagged = [e for e, f in zip(P.surface.edges, flags) if f]
-            warnings.warn(f"degenerate dihedral angle at edges {flagged}; their "
-                          f"contribution is 0 by convention", stacklevel=2)
-    return float(weighted_angle_sums(P.surface, x, np.asarray(angles, dtype=float)))
+    angles, flags = principal_angles(P.surface, x)
+    if flags.any():
+        flagged = [e for e, f in zip(P.surface.edges, flags) if f]
+        warnings.warn(f"degenerate dihedral angle at edges {flagged}; their "
+                      f"contribution is 0 by convention", stacklevel=2)
+    return float(weighted_angle_sums(P.surface, x, angles))

@@ -118,14 +118,6 @@ def _index_table(index: dict, simplices, width: int) -> np.ndarray:
     return np.asfortranarray(table.reshape(-1, width))
 
 
-def edge_table(surface) -> np.ndarray:
-    """(E, 2) endpoint vertex indices of a SimplicialSurface (cached there)
-    or of any object with ``edges``, ``vertices`` and ``vertex_index``."""
-    if isinstance(surface, SimplicialSurface):
-        return surface.edge_table
-    return _index_table({v: surface.vertex_index(v) for v in surface.vertices}, surface.edges, 2)
-
-
 @dataclass
 class ValidationReport:
     """Outcome of the closed-surface checks.

@@ -27,7 +27,6 @@ from rigiditylab.flex import (
     as_config,
 )
 from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles, squared_lengths
-from rigiditylab.surfaces import edge_table
 
 
 def fraction_exact_lengths(P) -> list:
@@ -248,15 +247,13 @@ def mpmath_integer_relation(values, height: int = 10**6):
     return column, None
 
 
-# The code that the cold-start work replaced, kept as it was so that tests can
-# require equal results: one Monte-Carlo draw per edge.  It shares the
-# library's helpers on purpose; it checks that nothing moved, not that it is
-# right.
+# The code that the cold-start work replaced, so that tests can require equal
+# results: one whole Monte-Carlo draw per edge, from the same seeded stream.
+# It shares the library's helpers on purpose; it checks that nothing moved,
+# not that it is right.
 
 
-def per_edge_monte_carlo_dihedral(
-    P, edge, n_samples: int = 10**6, seed: int = 0, workers: int = 1
-) -> float:
+def per_edge_monte_carlo_dihedral(P, edge, n_samples: int = 10**6, seed: int = 0) -> float:
     """Volume-ratio estimate of the dihedral angle at one edge, drawing its
     own sample of points in a ball around the edge midpoint.  The radius, a
     quarter of the shortest edge, is this oracle's own choice; the wedge is
@@ -274,25 +271,14 @@ def per_edge_monte_carlo_dihedral(
     aw = geometry._plane_angle(w, e1, e2)
     ref_in_first = aw <= a2
 
-    counts = 0
-    total = 0
-    chunk_sizes = [n_samples // workers] * workers
-    for i in range(n_samples % workers):
-        chunk_sizes[i] += 1
-    seeds = np.random.SeedSequence(seed).spawn(workers)
-    for size, ss in zip(chunk_sizes, seeds):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(ss)
-        dirs = rng.normal(size=(size, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        radii = radius * np.cbrt(rng.random(size))
-        pts = radii[:, None] * dirs  # offsets from the midpoint
-        theta = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
-        in_first = theta <= a2
-        counts += int(np.count_nonzero(in_first == ref_in_first))
-        total += size
-    return 2.0 * np.pi * counts / total
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    dirs = rng.normal(size=(n_samples, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = radius * np.cbrt(rng.random(n_samples))
+    pts = radii[:, None] * dirs  # offsets from the midpoint
+    theta = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
+    in_first = theta <= a2
+    return 2.0 * np.pi * int(np.count_nonzero(in_first == ref_in_first)) / n_samples
 
 
 # The flex tracer's algorithm without its reused workspace: every matrix is
@@ -307,7 +293,7 @@ def per_edge_monte_carlo_dihedral(
 
 def reference_rigidity_matrix(x, surface) -> np.ndarray:
     x = as_config(x)
-    ends = edge_table(surface)
+    ends = surface.edge_table
     rows = np.arange(len(ends))
     d = 2.0 * (x[ends[:, 0]] - x[ends[:, 1]])
     R = np.zeros((len(ends), x.shape[0], 3))

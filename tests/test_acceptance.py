@@ -268,14 +268,17 @@ def test_criterion_8_numerical_hygiene(bricard_full_path):
     env = dict(os.environ, RIGIDITYLAB_LOG="error")
 
     def run(*args):
-        return subprocess.run(
+        proc = subprocess.run(
             [sys.executable, "-m", "rigiditylab.cli", *args],
             capture_output=True,
             env=env,
-        ).stdout
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        return proc.stdout
 
     oracle_args = ("oracle", "--model", "octahedron", "--samples", "50000",
-                   "--seed", "42", "--workers", "3")
+                   "--seed", "42")
     assert run(*oracle_args) == run(*oracle_args)
     flex_args = ("flex", "--model", "bricard-default", "--steps", "10")
     assert run(*flex_args) == run(*flex_args)

@@ -9,6 +9,8 @@ in a benchmark run.
 import random
 import sys
 from pathlib import Path
+from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,7 @@ from rigiditylab import lift_angles, make_bricard_type1
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 try:
     import inputs
+    import layers
     import spans
     import workloads
 finally:
@@ -59,3 +62,22 @@ def test_benchmark_lift_call_equals_the_path_lift(bricard_path):
     lifted = lift_angles(bricard_path.raw_angles, bricard_path.degenerate_flags)
     assert lifted.shape == bricard_path.lifted_angles.shape
     assert lifted.tobytes() == bricard_path.lifted_angles.tobytes()
+
+
+def test_layer_replay_runs(tmp_path, monkeypatch):
+    """The per-layer replay calls the public functions with the benchmark's
+    own arguments, and each subcommand it starts as a process exits 0."""
+    codes = {}
+
+    def run_cli(args, env, work_dir):
+        run = workloads.run_cli(args, env, work_dir)
+        codes[args[0]] = run.returncode
+        return run
+
+    monkeypatch.setattr(layers, "run_cli", run_cli)
+    wl = workloads.Certify(0, 100, spans.NullTracer(), tmp_path,
+                           SimpleNamespace(clock=perf_counter))
+    out = layers.replay(wl, spans.NullTracer(), 0, workloads.cli_env(), tmp_path)
+    assert out["path"].n_samples > 1
+    assert out["overclaims"] == 0
+    assert codes == dict.fromkeys(["validate", "analyze", "flex", "oracle"], 0)

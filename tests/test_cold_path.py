@@ -8,7 +8,6 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -98,21 +97,17 @@ def mc_models(tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+# Two seeds, so two streams, each equal to the per-edge oracle's.
+@pytest.mark.parametrize("seed", [1, 3])
 @pytest.mark.parametrize("n_samples", [1, 2, 2000, 2001])
-def test_monte_carlo_matches_per_edge_draws(mc_models, capsys, workers, n_samples):
+def test_monte_carlo_matches_per_edge_draws(mc_models, capsys, seed, n_samples):
     for source, P in mc_models.items():
         edges = P.surface.edges
-        expected = [
-            per_edge_monte_carlo_dihedral(P, e, n_samples, seed=11, workers=workers)
-            for e in edges
-        ]
-        assert monte_carlo_dihedrals(P, edges, n_samples, 11, workers) == expected
-        assert [
-            monte_carlo_dihedral(P, e, n_samples, seed=11, workers=workers) for e in edges
-        ] == expected
+        expected = [per_edge_monte_carlo_dihedral(P, e, n_samples, seed) for e in edges]
+        assert monte_carlo_dihedrals(P, edges, n_samples, seed) == expected
+        assert [monte_carlo_dihedral(P, e, n_samples, seed) for e in edges] == expected
         code = cli.main(["oracle", *source, "--samples", str(n_samples),
-                         "--seed", "11", "--workers", str(workers)])
+                         "--seed", str(seed)])
         assert code == cli.EXIT_OK
         rows = json.loads(capsys.readouterr().out)["edges"]
         assert [row["monte_carlo"] for row in rows] == expected
@@ -121,34 +116,16 @@ def test_monte_carlo_matches_per_edge_draws(mc_models, capsys, workers, n_sample
 B = geometry._MC_BLOCK
 
 
-# Streams just below, at and above one block, and several blocks long, equal
-# the per-edge oracle, which draws each stream whole.
-@pytest.mark.parametrize("n_samples, workers", [
+# Draws just below, at and above one block, and several blocks long, equal
+# the per-edge oracle, which draws each whole.
+@pytest.mark.parametrize("n_samples, seed", [
     (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 3, 1), (3 * B + 2, 3), (6 * B + 1, 3),
 ])
-def test_monte_carlo_blocks_match_whole_draws(mc_models, n_samples, workers):
+def test_monte_carlo_blocks_match_whole_draws(mc_models, n_samples, seed):
     for P in mc_models.values():
         edges = P.surface.edges
-        expected = [
-            per_edge_monte_carlo_dihedral(P, e, n_samples, seed=11, workers=workers)
-            for e in edges
-        ]
-        assert monte_carlo_dihedrals(P, edges, n_samples, 11, workers) == expected
-
-
-def test_monte_carlo_spawns_only_streams_that_draw(monkeypatch, octahedron):
-    spawned = []
-
-    class SpySeedSequence(np.random.SeedSequence):
-        def spawn(self, n_children):
-            spawned.append(n_children)
-            return super().spawn(n_children)
-
-    edges = octahedron.surface.edges
-    expected = monte_carlo_dihedrals(octahedron, edges, 5, 0, 5)
-    monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
-    assert monte_carlo_dihedrals(octahedron, edges, 5, 0, 10**9) == expected
-    assert spawned and max(spawned) <= 5
+        expected = [per_edge_monte_carlo_dihedral(P, e, n_samples, seed) for e in edges]
+        assert monte_carlo_dihedrals(P, edges, n_samples, seed) == expected
 
 
 def test_monte_carlo_takes_every_frame_in_one_pass(spy, octahedron):
@@ -229,13 +206,13 @@ def _oracle_disagreements(det, mc, n_samples):
 def test_monte_carlo_self_touching_octahedron(off, tmp_path, capsys):
     P = models.load_off(off)
     edges, n = P.surface.edges, 20000
-    expected = [per_edge_monte_carlo_dihedral(P, e, n, seed=0, workers=3) for e in edges]
-    assert monte_carlo_dihedrals(P, edges, n, 0, 3) == expected
+    expected = [per_edge_monte_carlo_dihedral(P, e, n, seed=0) for e in edges]
+    assert monte_carlo_dihedrals(P, edges, n, 0) == expected
     det, _ = principal_angles(P.surface, P.vertex_array())
     assert _oracle_disagreements(det, expected, n) == []
     path = tmp_path / "touching.off"
     path.write_text(off)
-    code = cli.main(["oracle", "--input", str(path), "--samples", str(n), "--workers", "3"])
+    code = cli.main(["oracle", "--input", str(path), "--samples", str(n)])
     assert code == cli.EXIT_OK
     rows = json.loads(capsys.readouterr().out)["edges"]
     assert [row["monte_carlo"] for row in rows] == expected

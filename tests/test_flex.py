@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -48,29 +47,23 @@ from oracles import (
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass
-class EdgeOnly:
-    """Minimal stand-in for a surface: a bare edge list."""
-
-    edges: tuple
-    vertices: tuple
-
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    def vertex_index(self, v):
-        return self.vertices.index(v)
+def _signed_zero_tetrahedron(tetrahedron):
+    """The regular tetrahedron with vertices 0 and 1 moved to x = -0.0 and
+    x = 0.0, so edge (0, 1)'s vector starts with -0.0."""
+    x = tetrahedron.vertex_array()
+    x[0, 0], x[1, 0] = -0.0, 0.0
+    return x, tetrahedron.surface
 
 
-def test_single_edge_matrix():
-    stub = EdgeOnly(edges=((0, 1),), vertices=(0, 1))
-    x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    R = rigidity_matrix(x, stub)
-    assert R.shape == (1, 6)
+def test_single_edge_matrix(tetrahedron):
+    x, surface = _signed_zero_tetrahedron(tetrahedron)
+    R = rigidity_matrix(x, surface)
+    assert R.shape == (6, 12)
+    blocks = R[surface.edge_index((0, 1))].reshape(4, 3)
     delta = 2.0 * (x[0] - x[1])
-    assert np.allclose(R[0, :3], delta)
-    assert np.allclose(R[0, 3:], -delta)
+    assert np.array_equal(blocks[0], delta)
+    assert np.array_equal(blocks[1], -delta)
+    assert not blocks[2:].any()
 
 
 def test_trivial_motions_in_kernel(octahedron, bricard):
@@ -452,12 +445,11 @@ def test_flex_dim_decides_whether_a_trace_starts(bricard_path):
     assert dims == {0, 1}
 
 
-def test_edge_stub_matrix_matches_reference():
-    stub = EdgeOnly(edges=((0, 1), (1, 3), (0, 2)), vertices=(0, 1, 2, 3))
-    x = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 3.0], [0.5, 0.25, -1.0], [-0.0, 4.0, 1.5]])
-    R = rigidity_matrix(x, stub)
-    assert R.shape == (3, 12)
-    assert R.tobytes() == reference_rigidity_matrix(x, stub).tobytes()
+def test_signed_zero_matrix_matches_reference(tetrahedron):
+    x, surface = _signed_zero_tetrahedron(tetrahedron)
+    R = rigidity_matrix(x, surface)
+    assert np.signbit(R[surface.edge_index((0, 1)), 0])
+    assert R.tobytes() == reference_rigidity_matrix(x, surface).tobytes()
 
 
 def counting(counts, name, function):

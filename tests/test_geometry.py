@@ -147,12 +147,6 @@ def test_monte_carlo_matches_deterministic(cube, octahedron):
         assert abs(det - mc) <= bound
 
 
-def test_monte_carlo_worker_partition_deterministic(cube):
-    a = monte_carlo_dihedral(cube, (0, 1), n_samples=20000, seed=5, workers=4)
-    b = monte_carlo_dihedral(cube, (0, 1), n_samples=20000, seed=5, workers=4)
-    assert a == b
-
-
 def test_cube_volume_and_reversal(cube):
     assert oriented_volume(cube) == pytest.approx(1.0, abs=1e-14)
     reversed_faces = [(f[0], f[2], f[1]) for f in cube.surface.faces]
@@ -203,14 +197,6 @@ def test_weighted_angle_sum_octahedron(octahedron):
     phi = TWO_PI - np.arccos(-1.0 / 3.0)
     assert weighted_angle_sum(octahedron) == pytest.approx(
         12 * np.sqrt(2) * phi, abs=1e-9
-    )
-
-
-def test_weighted_angle_sum_with_supplied_angles(cube):
-    total_length = sum(edge_lengths(cube).values())
-    angles = np.full(cube.surface.n_edges, np.pi)
-    assert weighted_angle_sum(cube, angles=angles) == pytest.approx(
-        np.pi * total_length, abs=1e-12
     )
 
 

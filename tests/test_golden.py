@@ -62,15 +62,15 @@ CASES = {
         ("--out-json", "--out-csv"),
     ),
     # An octahedron from perfbench.inputs.rational_octahedron(random.Random(2026)),
-    # sampled in three chunks.
+    # sampled in three blocks.
     "oracle-octahedron-off": (
         ["oracle", "--input", str(GOLDEN / "oracle-octahedron-off.off"),
-         "--samples", "20000", "--workers", "3"],
+         "--samples", "20000"],
         ("--out-json",),
     ),
-    # Two streams of 15001 and 15000 directions, each longer than one block.
+    # 30001 directions: three full blocks and a partial fourth.
     "oracle-cube": (
-        ["oracle", "--model", "cube", "--samples", "30001", "--workers", "2"],
+        ["oracle", "--model", "cube", "--samples", "30001"],
         ("--out-json",),
     ),
 }
