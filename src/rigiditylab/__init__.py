@@ -8,13 +8,7 @@ models (line-symmetric Bricard octahedra) while monitoring every conserved
 quantity.
 """
 
-from .surfaces import (
-    NonOrientableError,
-    SimplicialSurface,
-    ValidationReport,
-    orient,
-    validate_complex,
-)
+from .surfaces import SimplicialSurface, ValidationReport, validate_complex
 from .geometry import (
     DegenerateFaceError,
     Polyhedron,

@@ -7,15 +7,10 @@ lives in :mod:`rigiditylab.geometry`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-
-class NonOrientableError(ValueError):
-    """Raised when no globally consistent face orientation exists."""
 
 
 def _canonical_face(face: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -28,8 +23,10 @@ def _canonical_face(face: tuple[int, int, int]) -> tuple[int, int, int]:
 class SimplicialSurface:
     """Finite two-dimensional simplicial complex given by oriented triangles.
 
-    Vertices, edges and incidence maps are derived from the face list.
-    Edges are kept in lexicographic order of their sorted vertex pairs;
+    Vertices, edges and incidence maps are derived from the face list in
+    one pass: each directed edge (a, b) maps to the faces walking it, each
+    with its third vertex, and each edge to the faces containing it.  Edges
+    are kept in lexicographic order of their sorted vertex pairs;
     this order is the canonical edge indexing used by every downstream
     coefficient vector and report.  Index tables are built on first use.
     """
@@ -40,15 +37,15 @@ class SimplicialSurface:
 
     def __init__(self, faces):
         self.faces = tuple(tuple(int(v) for v in f) for f in faces)
-        verts = sorted({v for f in self.faces for v in f})
-        self.vertices = tuple(verts)
+        walks: dict[tuple[int, int], list[tuple[int, int]]] = {}
         edge_faces: dict[tuple[int, int], list[int]] = {}
-        for fi, f in enumerate(self.faces):
-            for k in range(3):
-                a, b = f[k], f[(k + 1) % 3]
-                key = (a, b) if a < b else (b, a)
-                edge_faces.setdefault(key, []).append(fi)
+        for fi, (u, v, w) in enumerate(self.faces):
+            for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+                walks.setdefault((a, b), []).append((fi, c))
+                edge_faces.setdefault((a, b) if a < b else (b, a), []).append(fi)
+        self.vertices = tuple(sorted({a for a, _ in walks}))
         self.edges = tuple(sorted(edge_faces))
+        self._walks = walks
         self._edge_faces = edge_faces
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
@@ -98,13 +95,9 @@ class SimplicialSurface:
         (a, b), the other face, and their third vertices' indices; shape (E, 4).
         Status 1 (edge not in exactly two faces) or 2 (both faces walk it the
         same way) gets a placeholder row.  Building never raises."""
-        walks: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for fi, f in enumerate(self.faces):
-            for k in range(3):
-                walks.setdefault((f[k], f[(k + 1) % 3]), []).append((fi, f[k - 1]))
         rows, status = [], []
         for a, b in self.edges:
-            fwd, bwd = walks.get((a, b), []), walks.get((b, a), [])
+            fwd, bwd = self._walks.get((a, b), []), self._walks.get((b, a), [])
             ok = len(fwd) == len(bwd) == 1
             status.append(0 if ok else 1 if len(fwd) + len(bwd) != 2 else 2)
             (f0, c0), (f1, c1) = (fwd[0], bwd[0]) if ok else ((0, a), (0, a))
@@ -123,7 +116,8 @@ class ValidationReport:
     """Outcome of the closed-surface checks.
 
     ``violations`` holds (condition id, offending simplices) pairs with
-    condition ids drawn from {"i", "ii", "iii", "iv", "v", "orientation"}.
+    condition ids drawn from {"i", "ii", "iii", "iv", "v", "orientation",
+    "vi"}; the simplices of "vi" are vertex ids.
     """
 
     passed: bool
@@ -146,7 +140,9 @@ def validate_complex(faces) -> ValidationReport:
     - "iv": every edge is contained in exactly two faces;
     - "v": the face graph (adjacency = shared edge) is connected;
     - "orientation": the two faces at each edge traverse it in opposite
-      directions.
+      directions;
+    - "vi": once "iv" and "orientation" hold, the link of every vertex is a
+      single cycle, so no vertex pinches two sheets of the surface together.
     """
     faces = [tuple(int(v) for v in f) for f in faces]
     if not faces:
@@ -179,7 +175,7 @@ def validate_complex(faces) -> ValidationReport:
     if bad_edges:
         violations.append(("iv", bad_edges))
 
-    component = {0, *(gi for *_, gi, new in _face_walk(surface, 0) if new)}
+    component = _faces_reached_from_first(surface)
     if len(component) != surface.n_faces:
         stranded = sorted(set(range(surface.n_faces)) - component)
         violations.append(("v", [surface.faces[i] for i in stranded]))
@@ -187,6 +183,11 @@ def validate_complex(faces) -> ValidationReport:
     mis_oriented = [e for e, s in edge_status if s == 2]
     if mis_oriented:
         violations.append(("orientation", mis_oriented))
+
+    if not bad_edges and not mis_oriented:
+        pinched = _pinched_vertices(surface)
+        if pinched:
+            violations.append(("vi", pinched))
 
     passed = not violations
     if passed:
@@ -196,60 +197,33 @@ def validate_complex(faces) -> ValidationReport:
     return ValidationReport(passed, violations)
 
 
-def _face_walk(surface: SimplicialSurface, root: int):
-    """Breadth-first walk over the faces joined to ``root`` by shared edges.
-
-    Yields (fi, (a, b), gi, new) for each face fi in walk order, each of its
-    edges (a, b) in fi's cyclic order and each other face gi at that edge;
-    ``new`` marks the first sighting of gi, which queues it.
-    """
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        fi = queue.popleft()
-        f = surface.faces[fi]
-        for k in range(3):
-            a, b = f[k], f[(k + 1) % 3]
-            for gi in surface.faces_of_edge((a, b)):
-                if gi == fi:
-                    continue
-                new = gi not in seen
-                if new:
+def _faces_reached_from_first(surface: SimplicialSurface) -> set[int]:
+    """Faces joined to face 0 by a chain of shared edges, face 0 included."""
+    seen, stack = {0}, [0]
+    while stack:
+        u, v, w = surface.faces[stack.pop()]
+        for edge in ((u, v), (v, w), (w, u)):
+            for gi in surface.faces_of_edge(edge):
+                if gi not in seen:
                     seen.add(gi)
-                    queue.append(gi)
-                yield fi, (a, b), gi, new
+                    stack.append(gi)
+    return seen
 
 
-def orient(surface: SimplicialSurface) -> SimplicialSurface:
-    """Reorient faces so that consistent orientations hold globally.
+def _pinched_vertices(surface: SimplicialSurface) -> list[int]:
+    """Sorted vertices whose link is more than one cycle.
 
-    Orientation is propagated breadth-first from face 0 of each connected
-    component, keeping that face's given cyclic order.  Raises
-    :class:`NonOrientableError` when propagation forces some face into two
-    contradictory orientations.
+    Needs each directed edge walked by exactly one face.  Face (v, a, c)
+    gives the link of v the edge a -> c, so following the third vertex of
+    the face walking (v, a) runs round one cycle of the link of v.
     """
-    for e in surface.edges:
-        if len(surface.faces_of_edge(e)) != 2:
-            raise ValueError(f"edge {e} is not shared by exactly two faces")
-
-    flip: dict[int, bool] = {}
-    for root in range(surface.n_faces):
-        if root in flip:
+    seen: set[tuple[int, int]] = set()
+    cycles = dict.fromkeys(surface.vertices, 0)
+    for v, a in surface._walks:
+        if (v, a) in seen:
             continue
-        flip[root] = False
-        for fi, edge, gi, new in _face_walk(surface, root):
-            # With flips applied, gi must walk the shared edge against fi.
-            g = surface.faces[gi]
-            need_flip = (edge in zip(g, g[1:] + g[:1])) != flip[fi]
-            if new:
-                flip[gi] = need_flip
-            elif flip[gi] != need_flip:
-                raise NonOrientableError(
-                    f"faces {surface.faces[fi]} and {surface.faces[gi]} "
-                    f"cannot be oriented consistently"
-                )
-    new_faces = [
-        (f[0], f[2], f[1]) if flip[i] else f for i, f in enumerate(surface.faces)
-    ]
-    return SimplicialSurface(new_faces)
-
+        cycles[v] += 1
+        while (v, a) not in seen:
+            seen.add((v, a))
+            (_, a), = surface._walks[v, a]
+    return [v for v, n in cycles.items() if n > 1]

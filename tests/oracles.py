@@ -114,6 +114,45 @@ PROJECTIVE_PLANE_FACES = [
 ]
 
 
+def _grid(i: int, j: int) -> int:
+    return 3 * (i % 3) + j % 3
+
+
+# Torus from the 3x3 grid on Z/3 x Z/3, each square cut along its diagonal:
+# 9 vertices, 27 edges, 18 faces, Euler characteristic 0.
+GRID_TORUS_FACES = [
+    face
+    for i in range(3)
+    for j in range(3)
+    for face in (
+        (_grid(i, j), _grid(i + 1, j), _grid(i + 1, j + 1)),
+        (_grid(i, j), _grid(i + 1, j + 1), _grid(i, j + 1)),
+    )
+]
+
+
+def subdivided_faces(faces) -> list[tuple[int, int, int]]:
+    """Split each oriented triangle into four at its edge midpoints; the
+    midpoints get new ids above the existing ones, in order of first use."""
+    midpoints: dict[frozenset, int] = {}
+    n = 1 + max(v for f in faces for v in f)
+
+    def mid(a, b):
+        return midpoints.setdefault(frozenset((a, b)), n + len(midpoints))
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return out
+
+
+def relabeled_faces(faces, relabel: dict[int, int]) -> list[tuple[int, int, int]]:
+    """``faces`` with vertex ids renamed by ``relabel``: merging two vertices
+    that share no edge or face pinches the surface at the merged vertex."""
+    return [tuple(relabel.get(v, v) for v in f) for f in faces]
+
+
 # The rational LLL that lengths._lll_reduce replaced: the integer version
 # must reproduce its reduced basis row for row.
 def fraction_lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:

@@ -10,6 +10,8 @@ import pytest
 
 from rigiditylab.models import OCTAHEDRON_FACES
 
+from oracles import PROJECTIVE_PLANE_FACES, relabeled_faces, subdivided_faces
+
 SINGLE_TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
 # Octahedron whose vertex 2 lies on the segment between vertices 0 and 1,
 # so face (0, 1, 2) is flat although the surface is combinatorially closed.
@@ -19,6 +21,23 @@ FLAT_FACE_OCTAHEDRON_OFF = (
     "3 0 1 2\n3 0 2 4\n3 0 4 3\n3 0 3 1\n"
     "3 5 2 1\n3 5 4 2\n3 5 3 4\n3 5 1 3\n"
 )
+
+
+def off_text(faces) -> str:
+    """An OFF file for ``faces``; the checks it feeds never read the points."""
+    n = 1 + max(v for f in faces for v in f)
+    points = (f"{v} {v * v} {v ** 3}" for v in range(n))
+    triangles = (f"3 {a} {b} {c}" for a, b, c in faces)
+    return "\n".join(["OFF", f"{n} {len(faces)} 0", *points, *triangles]) + "\n"
+
+
+INVALID_SURFACES = {
+    "single-triangle": ([(0, 1, 2)], {"iv"}),
+    "flipped-face": ([(2, 1, 0), *OCTAHEDRON_FACES[1:]], {"orientation"}),
+    "duplicate-face": ([*OCTAHEDRON_FACES, (2, 1, 0)], {"ii", "iv"}),
+    "projective-plane": (PROJECTIVE_PLANE_FACES, {"orientation"}),
+    "pinched-sphere": (relabeled_faces(subdivided_faces(OCTAHEDRON_FACES), {5: 0}), {"vi"}),
+}
 
 
 def run_cli(*args, env_extra=None):
@@ -70,6 +89,33 @@ def test_non_finite_coordinate_exit_2(tmp_path, command, token):
     assert proc.stderr.decode().splitlines() == [
         f"error: ParseError: line 3: non-finite coordinate in '{token} 0 0'"
     ]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "flex", "oracle"])
+@pytest.mark.parametrize("name", sorted(INVALID_SURFACES))
+def test_invalid_surface_exit_1_with_report(tmp_path, command, name):
+    faces, conditions = INVALID_SURFACES[name]
+    off = tmp_path / f"{name}.off"
+    off.write_text(off_text(faces))
+    proc = run_cli(command, "--input", str(off))
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    report = json.loads(proc.stdout if command == "validate" else proc.stderr)
+    assert report["passed"] is False
+    assert {v["condition"] for v in report["violations"]} == conditions
+
+
+def test_pinch_verdict_does_not_depend_on_assert(tmp_path):
+    off = tmp_path / "pinched-sphere.off"
+    off.write_text(off_text(INVALID_SURFACES["pinched-sphere"][0]))
+    plain = run_cli("validate", "--input", str(off))
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "rigiditylab.cli", "validate", "--input", str(off)],
+        capture_output=True,
+    )
+    assert plain.returncode == optimized.returncode == 1
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["violations"] == [{"condition": "vi", "simplices": [0]}]
 
 
 def test_missing_input_exit_2():

@@ -19,7 +19,6 @@ from rigiditylab import (
     load_off,
     make_bricard_type1,
     monitor_flex,
-    orient,
     oriented_volume,
     q_basis,
     rigidity_certificate,
@@ -38,7 +37,6 @@ def test_generators_validate_and_stay_oriented(
 ):
     for P in (octahedron, cube, tetrahedron, bricard, distinct_octahedron):
         assert validate_complex(P.surface.faces).passed
-        assert orient(P.surface).faces == P.surface.faces
 
 
 def test_octahedron_model(octahedron):

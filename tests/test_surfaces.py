@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from rigiditylab import (
-    NonOrientableError,
-    SimplicialSurface,
-    orient,
-    validate_complex,
-)
-from rigiditylab.models import BRICARD_FACES, OCTAHEDRON_FACES
+from rigiditylab import SimplicialSurface, validate_complex
+from rigiditylab.models import BRICARD_FACES, BUILTIN_MODELS, OCTAHEDRON_FACES
 
-from oracles import PROJECTIVE_PLANE_FACES
+from oracles import (
+    GRID_TORUS_FACES,
+    PROJECTIVE_PLANE_FACES,
+    relabeled_faces,
+    subdivided_faces,
+)
+
+CLOSED_SURFACES = {
+    **{name: make().surface.faces for name, make in BUILTIN_MODELS.items()},
+    "grid-torus": tuple(GRID_TORUS_FACES),
+}
 
 
 def test_octahedron_passes(octahedron):
@@ -56,32 +61,45 @@ def test_flipped_face_fails_orientation():
 def test_projective_plane_valid_but_not_orientable():
     report = validate_complex(PROJECTIVE_PLANE_FACES)
     assert report.conditions_failed() == {"orientation"}
-    with pytest.raises(NonOrientableError):
-        orient(SimplicialSurface(PROJECTIVE_PLANE_FACES))
-
-
-def test_orient_keeps_consistent_surface():
-    S = SimplicialSurface(OCTAHEDRON_FACES)
-    assert orient(S).faces == S.faces
-
-
-def test_orient_restores_single_flip():
-    faces = list(OCTAHEDRON_FACES)
-    faces[3] = (faces[3][0], faces[3][2], faces[3][1])
-    fixed = orient(SimplicialSurface(faces))
-    assert fixed.faces == OCTAHEDRON_FACES
-
-
-def test_orient_idempotent_and_validates():
-    rng = np.random.default_rng(7)
-    faces = [
-        (f[0], f[2], f[1]) if rng.random() < 0.5 else f for f in OCTAHEDRON_FACES
-    ]
-    once = orient(SimplicialSurface(faces))
-    assert validate_complex(once.faces).passed
-    assert orient(once).faces == once.faces
 
 
 def test_euler_characteristic_of_models():
     for faces in (OCTAHEDRON_FACES, BRICARD_FACES):
         assert SimplicialSurface(faces).euler_characteristic == 2
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SURFACES))
+def test_closed_surfaces_pass(name):
+    assert validate_complex(CLOSED_SURFACES[name]).violations == []
+
+
+def test_grid_torus_has_euler_characteristic_zero():
+    S = SimplicialSurface(GRID_TORUS_FACES)
+    assert (S.n_vertices, S.n_edges, S.n_faces) == (9, 27, 18)
+    assert S.euler_characteristic == 0
+
+
+@pytest.mark.parametrize(
+    "relabel, pinched",
+    [({5: 0}, [0]), ({5: 0, 4: 1}, [0, 1]), ({5: 0, 4: 1, 3: 2}, [0, 1, 2])],
+)
+def test_pinched_vertices_fail_link_condition(relabel, pinched):
+    faces = subdivided_faces(OCTAHEDRON_FACES)
+    assert len(faces) == 32 and len({v for f in faces for v in f}) == 18
+    assert validate_complex(faces).passed
+    report = validate_complex(relabeled_faces(faces, relabel))
+    assert not report.passed
+    assert report.violations == [("vi", pinched)]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SURFACES))
+def test_flipping_some_faces_fails_only_orientation(name):
+    faces = CLOSED_SURFACES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(10):
+        size = rng.integers(1, len(faces))  # nonempty and proper
+        flip = set(rng.choice(len(faces), size, replace=False).tolist())
+        flipped = [(f[0], f[2], f[1]) if i in flip else f for i, f in enumerate(faces)]
+        assert validate_complex(flipped).conditions_failed() == {"orientation"}
+    reversed_faces = [(f[0], f[2], f[1]) for f in faces]
+    assert validate_complex(reversed_faces).passed
