@@ -108,35 +108,30 @@ _svd = _lapack(_umath_linalg.svd_f, "d->ddd", _linalg._raise_linalgerror_svd_non
 _inv = _lapack(_umath_linalg.inv, "d->d", _linalg._raise_linalgerror_singular)
 
 
-# Rotation k is e_k x c.  Columns 0-2 of cz hold c, columns 3-5 the signed
-# zeros 0*c; component i of rotation k is cz[:, PLUS[i][k]] - cz[:, MINUS[i][k]],
-# np.cross's products.
-_ROT_PAIRS = np.array([
-    [[5, 2, 5], [3, 3, 0], [1, 4, 4]],  # PLUS
-    [[4, 4, 1], [2, 5, 5], [3, 0, 3]],  # MINUS
-])
+def _motion_rows(x) -> np.ndarray:
+    """The six rigid motions at x as the rows of a (6, 3n) matrix: the
+    translations, then the rotations e_k x (x_i - centroid), np.cross's
+    products, signed zeros included."""
+    rotations = np.cross(np.eye(3)[:, None], x - x.mean(axis=0)).reshape(3, -1)
+    return np.vstack([np.tile(np.eye(3), len(x)), rotations])
 
 
-class _MotionRows:
-    """The rigid motions of nv-vertex configurations as the rows of a zeroed
-    (6, 3*nv) view: three translations, written once, and the rotations
-    about the centroid, which each call refills in place."""
+def _slice_rows(T: np.ndarray, centre: np.ndarray):
+    """A writer of the rotations e_k x (y - c) about a fixed centre c into
+    rows 3-5 of the rigid motions T, a (6, 3*nv) view: one signed gather
+    from [y - c, c - y, 0], so their zero entries are +0."""
+    nv = T.shape[1] // 3
+    signed = np.zeros((3, nv, 3))
+    # Component i of e_k x d is entry source[k, 0, i] of [d, -d, 0].
+    source = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])[:, None]
+    entries = (3 * nv * (source // 3) + 3 * np.arange(nv)[:, None] + source % 3).reshape(3, -1)
 
-    def __init__(self, rows: np.ndarray):
-        self.rows, self.nv = rows, rows.shape[1] // 3
-        for k in range(3):
-            rows[k, k::3] = 1.0
-        self.cz = np.empty((self.nv, 6))
-        self.c, self.zeros = self.cz[:, :3], self.cz[:, 3:]
-        # Entry 3*v + i of rotation k takes flat positions 6*v + PAIRS[i][k] of cz.
-        vertices = 6 * np.arange(self.nv)[:, None]
-        self.pairs = (_ROT_PAIRS.transpose(0, 2, 1)[:, :, None] + vertices).reshape(2, 3, -1)
+    def write(y):
+        np.subtract(y, centre, out=signed[0])
+        np.negative(signed[0], out=signed[1])
+        T[3:] = signed.take(entries)
 
-    def __call__(self, x) -> np.ndarray:
-        np.subtract(x, np.add.reduce(x, axis=0) / self.nv, out=self.c)  # x - x.mean(axis=0), bit for bit
-        np.multiply(0.0, self.c, out=self.zeros)
-        np.subtract(*self.cz.take(self.pairs), out=self.rows[3:])
-        return self.rows
+    return write
 
 
 def _motion_qr(rows: np.ndarray, mode: str) -> np.ndarray:
@@ -202,7 +197,7 @@ def trivial_motion_basis(x) -> np.ndarray:
     x = as_config(x)
     if x.shape[0] < 3:
         raise DegenerateConfigurationError("vertices are collinear")
-    return _motion_qr(_MotionRows(np.zeros((6, x.size)))(x), "reduced")
+    return _motion_qr(_motion_rows(x), "reduced")
 
 
 def _rank_test(R: np.ndarray, motion_rows: np.ndarray):
@@ -225,7 +220,7 @@ def infinitesimal_flex_dim(x, surface: SimplicialSurface) -> int:
     from the rank test :func:`trace_flex` starts with: it is 1 exactly
     where a trace can start."""
     x = as_config(x)
-    _, kernel, _ = _rank_test(rigidity_matrix(x, surface), _MotionRows(np.zeros((6, x.size)))(x))
+    _, kernel, _ = _rank_test(rigidity_matrix(x, surface), _motion_rows(x))
     return len(kernel)
 
 
@@ -312,11 +307,6 @@ class FlexPath:
         return float(worst)
 
 
-def _wrap_to_pi(delta: np.ndarray) -> np.ndarray:
-    """Map angle differences into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - delta, 2.0 * np.pi)
-
-
 def lift_angles(raw: np.ndarray, degenerate: np.ndarray | None = None) -> np.ndarray:
     """Unwrap principal-value series into continuous lifted series.
 
@@ -330,19 +320,23 @@ def lift_angles(raw: np.ndarray, degenerate: np.ndarray | None = None) -> np.nda
     raw = np.asarray(raw, dtype=float)
     if raw.ndim == 1:
         raw = raw[:, None]
+    # The steps, then their running sums, are written into the result, so a
+    # lift holds the result and one more array of its size.
     lifted = np.empty_like(raw)
-    for e in range(raw.shape[1]):
-        series = raw[:, e]
-        deltas = _wrap_to_pi(np.diff(series))
-        ambiguous = np.abs(np.abs(deltas) - np.pi) <= LIFT_AMBIGUITY_TOL
-        if np.any(ambiguous):
-            bad = int(np.flatnonzero(ambiguous)[0])
-            raise LiftAmbiguityError(
-                f"edge column {e}: consecutive principal values "
-                f"{series[bad]:.6f} and {series[bad + 1]:.6f} differ by pi"
-            )
-        lifted[:1, e] = series[:1]
-        lifted[1:, e] = series[:1] + np.cumsum(deltas)
+    steps = np.subtract(raw[1:], raw[:-1], out=lifted[1:])  # np.diff's bits
+    np.subtract(np.pi, steps, out=steps)  # wrapped into (-pi, pi] as pi - mod(pi - step, 2*pi)
+    np.subtract(np.pi, np.mod(steps, 2.0 * np.pi, out=steps), out=steps)
+    miss = np.abs(steps)  # then | |step| - pi |
+    ambiguous = np.abs(np.subtract(miss, np.pi, out=miss), out=miss) <= LIFT_AMBIGUITY_TOL
+    if ambiguous.any():
+        e = int(np.flatnonzero(ambiguous.any(axis=0))[0])
+        bad = int(np.flatnonzero(ambiguous[:, e])[0])
+        raise LiftAmbiguityError(
+            f"edge column {e}: consecutive principal values "
+            f"{raw[bad, e]:.6f} and {raw[bad + 1, e]:.6f} differ by pi"
+        )
+    lifted[:1] = raw[:1]
+    np.add(raw[:1], np.cumsum(steps, axis=0, out=steps), out=steps)
     return lifted
 
 
@@ -393,7 +387,7 @@ def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
     """
     m, n = M.reshape(-1), inverse.reshape(-1)
     return not (np.dot(m, m) * np.dot(n, n) < SV_THRESHOLD**-2
-                and np.abs(inverse[n3:, -1]).sum() < SV_THRESHOLD)
+                and np.add.reduce(np.abs(inverse[n3:, -1])) < SV_THRESHOLD)
 
 
 def trace_flex(
@@ -414,7 +408,9 @@ def trace_flex(
     is its configurations and step record, and the tracer computes no angle
     past the start check.  The corrector stops when every residual is at
     most ``tol``, positive and finite, by default 1e-11 times the squared
-    longest edge.
+    longest edge.  That bounds how far a face's area can move from the
+    start's, so the face test is decided once, at the start: faces run a
+    test per step only if one starts within twice that bound of collapse.
 
     The predictor is x_pred = x + h*t + (h*h/2)*kappa, where t is the unit
     tangent and kappa = (t - t_prev) / h_prev is the tangent's change over
@@ -422,18 +418,19 @@ def trace_flex(
     O(h^3) from the curve and one Newton step usually meets ``tol``.
 
     A step stays in the slice T.T*(y - x_pred) = 0, T the rigid motions at
-    x_pred, and on the row t.(y - x_pred) = 0 (Allgower & Georg): each
-    corrector iteration adds M^-1[:3v, :E]*(-g), g the squared-length
-    residual, M = [[R(y), W], [T.T, 0], [t, 0]] and W the self-stresses from
-    the last accepted point (one column on a sphere); a singular M fails the
+    x_pred with rotations about the start's centroid, where the tangent and
+    every Newton step, free of translation, keep the centroid; and on the
+    row t.(y - x_pred) = 0 (Allgower & Georg).  Each corrector iteration
+    adds M^-1[:3v, :E]*(-g), g the squared-length residual,
+    M = [[R(y), W], [T.T, 0], [t, 0]] and W the self-stresses from the last
+    accepted point (one column on a sphere); a singular M fails the
     attempt.  The last inverse, or one at the accepted point if no iteration
     ran, gives the next tangent, its last column's first 3v entries
     normalized (t.v = 1 keeps the sign), and the next W, its rows at W's
     columns normalized.  At the start, and where the screen on M^-1 fires
     (see ``_screen``), the rank test that :func:`infinitesimal_flex_dim`
     also runs decides at the accepted point (see ``_rank_test``); where the
-    kernel dimension is 1, its SVD gives the tangent and W.  A smooth step
-    thus costs one inverse of M per corrector iteration and none beyond it.
+    kernel dimension is 1, its SVD gives the tangent and W.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -452,8 +449,7 @@ def trace_flex(
     principal_angles(surface, x)  # a bad surface or start raises before tracing
     # Per accepted step, its size and corrector iterations: objects that
     # already exist, so a step leaves no new small object behind.
-    sizes: list[float] = []
-    iters: list[int] = []
+    sizes, iters = [], []
     # Accepted samples, PATH_BLOCK to an array; sample k is row k % PATH_BLOCK
     # of block k // PATH_BLOCK, and blocks are added as the path grows.
     store: list[np.ndarray] = []
@@ -471,8 +467,8 @@ def trace_flex(
     # 3v <= E + 7 and M is square; a wider M stops the trace at the start.
     n_edges, n3 = len(targets_sq), 3 * nv
     M = np.zeros((n_edges + 7, max(n_edges + 7, n3)))
-    scatter, motions = _RigidityScatter(surface, M.shape[1]), _MotionRows(M[n_edges:-1, :n3])
-    R, W, t_row = M[:n_edges, :n3], M[:n_edges, n3:], M[-1, :n3]
+    R, W, T, t_row = M[:n_edges, :n3], M[:n_edges, n3:], M[n_edges:-1, :n3], M[-1, :n3]
+    scatter, motions = _RigidityScatter(surface, M.shape[1]), _slice_rows(T, x.mean(axis=0))
     side_areas = _side_areas(surface, scatter.heads, scatter.tails)
     neg_g = np.empty(n_edges)  # -g, written in place
     rejected = 0
@@ -481,37 +477,29 @@ def trace_flex(
         # The path ends the trace, so its copy replaces the blocks.
         configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % PATH_BLOCK + 1]])
         store.clear()
-        return FlexPath(surface, configs, np.array(sizes, dtype=float),
-                        np.array(iters, dtype=int), rejected)
+        return FlexPath(surface, configs, np.array(sizes, float), np.array(iters, int), rejected)
 
-    def rank_test():
-        """The unit tangent and W from the rank test at R and T in M."""
-        C, kernel, stresses = _rank_test(R, motions.rows)
+    def rank_test(dy):
+        """The unit tangent and W from the rank test at edge vectors dy and T."""
+        scatter.write(M, dy)
+        C, kernel, stresses = _rank_test(R, T)
         if (dim := len(kernel)) != 1:
             raise SingularPointError(f"kernel dimension beyond rigid motions is {dim}, not 1",
                                      flex_dim=dim, path=path())
         W[:] = stresses
         return C @ kernel[0]
 
-    def tangent_at(dy, inverse=None):  # dy: the accepted point's edge vectors; inverse: M^-1
-        if inverse is None:
-            scatter.write(M, dy)
-            with suppress(np.linalg.LinAlgError):
-                inverse = _inv(M)
-        if inverse is None or _screen(M, inverse, n3):
-            scatter.write(M, dy)  # the rank test decides at the accepted point
-            return rank_test()
-        stress = inverse[n3:, :n_edges]
-        np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
-        v = inverse[:n3, -1]
-        return v / np.sqrt(np.dot(v, v))
+    T[:] = _motion_rows(x)  # translations kept; the start's rank test is infinitesimal_flex_dim's
+    dy = scatter.edge_vectors(x)
+    tangent = _start_direction(rank_test(dy))
+    # 16 A^2 = 2(ab + bc + ca) - a^2 - b^2 - c^2 in a face's squared sides, which
+    # the corrector holds within tol of the start's: no face's 16 A^2 moves by more
+    # than 12 L^2 tol + 9 tol^2 (L the longest edge) and rounding.  If every face
+    # starts clear of area_tol by twice that, none is tested again.
+    drift = 12.0 * max_len**2 * tol + 9.0 * tol**2 + 1e-12 * max_len**4
+    check_faces = 16.0 * (side_areas(dy).min() ** 2 - area_tol**2) <= 2.0 * drift
 
-    motions(x)
-    scatter.write(M, scatter.edge_vectors(x))
-    tangent = _start_direction(rank_test())
-
-    h = step
-    easy_run = 0
+    h, easy_run = step, 0
     kappa = np.zeros_like(tangent)  # the tangent's change per unit step; Euler first
     while len(sizes) < n_steps:
         if h < step * 2.0**-24:
@@ -526,7 +514,7 @@ def trace_flex(
             # The edge vectors feed the residual, the Jacobian and the areas.
             dy = scatter.edge_vectors(y)
             np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
-            if np.abs(neg_g).max() <= tol:
+            if np.maximum.reduce(np.abs(neg_g)) <= tol:
                 gn_iters = it
                 break
             scatter.write(M, dy)
@@ -538,25 +526,37 @@ def trace_flex(
             if not np.isfinite(y).all():
                 break
         if gn_iters is None:
-            rejected += 1
-            h *= 0.5
-            easy_run = 0
+            rejected, h, easy_run = rejected + 1, 0.5 * h, 0
             logger.debug("corrector failed, halving step to %.3e", h)
             continue
 
-        areas = side_areas(dy)
-        if areas.min() <= area_tol:
-            fi = int(np.argmin(areas))
-            raise FaceDegenerationError(surface.faces[fi], float(areas.min()), path=path())
+        if check_faces:
+            areas = side_areas(dy)
+            if (smallest := np.minimum.reduce(areas)) <= area_tol:
+                fi = int(np.argmin(areas))
+                raise FaceDegenerationError(surface.faces[fi], float(smallest), path=path())
 
         sizes.append(h)
         iters.append(gn_iters)
         x = y
         keep(x)
 
-        # T in M is x_pred's and R the last iterate's, O(h^3) from x.
-        new_tangent = tangent_at(dy, inverse if gn_iters else None)
-        if float(np.dot(new_tangent, tangent)) < 0:
+        # The last inverse gives the tangent: T in M is x_pred's and R the
+        # last iterate's, O(h^3) from x.  A step that took no iteration
+        # inverts at x.
+        if not gn_iters:
+            scatter.write(M, dy)
+            inverse = None
+            with suppress(np.linalg.LinAlgError):
+                inverse = _inv(M)
+        if inverse is None or _screen(M, inverse, n3):
+            new_tangent = rank_test(dy)  # the rank test decides at x
+        else:
+            stress = inverse[n3:, :n_edges]
+            np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
+            v = inverse[:n3, -1]
+            new_tangent = v / np.sqrt(np.dot(v, v))
+        if np.dot(new_tangent, tangent) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h
         tangent = new_tangent

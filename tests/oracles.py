@@ -324,10 +324,10 @@ def per_edge_monte_carlo_dihedral(P, edge, n_samples: int = 10**6, seed: int = 0
 # built afresh, by the (E, V, 3) scatter, np.cross, the fancy-index motion
 # basis and np.block, and factored by the public numpy.linalg functions.  A
 # step corrects by Newton on the full-coordinate bordered system
-# [[R, W], [T.T, 0], [t, 0]], T the rigid motions at its predicted point,
-# and takes the next tangent and self-stresses from that matrix's inverse,
-# unless the screen fires.  Tests compare the library's tracer with it bit
-# for bit.
+# [[R, W], [T.T, 0], [t, 0]], T the rigid motions at its predicted point
+# with rotations about the start's centroid, and takes the next tangent
+# and self-stresses from that matrix's inverse, unless the screen fires.
+# Tests compare the library's tracer with it bit for bit.
 
 
 def reference_rigidity_matrix(x, surface) -> np.ndarray:
@@ -382,6 +382,20 @@ def reference_motion_rows(x) -> np.ndarray:
         rows[k, k::3] = 1.0
         rows[3 + k] = np.cross(np.eye(3)[k], centered).reshape(-1)
     return rows
+
+
+def reference_slice_rows(x, centre) -> np.ndarray:
+    """The six rigid motions about a fixed ``centre`` as the rows of a
+    (6, 3n) matrix: the translations, then the rotations e_k x (x_i - centre),
+    whose entries are d_j = x_ij - centre_j, -d_j or +0."""
+    d = as_config(x) - centre
+    rows = np.zeros((6, d.shape[0], 3))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        rows[k, :, k] = 1.0
+        rows[3 + k, :, i] = -d[:, j]
+        rows[3 + k, :, j] = d[:, i]
+    return rows.reshape(6, -1)
 
 
 def reference_screen(M, inverse, n3) -> bool:
@@ -467,6 +481,7 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
         return kernel, stresses
 
     tangent, W = rank_tested(x, reference_motion_rows(x))
+    centre = x.mean(axis=0)  # the slice's rotations stay about the start's centroid
     mag = np.abs(tangent)
     lead = next(i for i, m in enumerate(mag) if m >= (1.0 - 1e-9) * mag.max())
     if tangent[lead] < 0:
@@ -483,7 +498,7 @@ def reference_trace_flex(x0, surface, n_steps=200, step=0.01, tol=None) -> Simpl
                 f"step size underflow at accepted step {accepted}", path=path()
             )
         x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
-        motion_rows = reference_motion_rows(x_pred)
+        motion_rows = reference_slice_rows(x_pred, centre)
         zeros = np.zeros((7, W.shape[1]))
 
         def bordered(y):

@@ -10,6 +10,7 @@ from rigiditylab import (
     DEFAULT_BRICARD_SPEC,
     CorrectorDivergenceError,
     DegenerateConfigurationError,
+    FaceDegenerationError,
     FlexPath,
     LiftAmbiguityError,
     SimplicialSurface,
@@ -27,11 +28,11 @@ from rigiditylab import flex
 from rigiditylab.flex import (
     MAX_CORRECTOR_ITERS,
     SV_THRESHOLD,
-    _MotionRows,
+    _motion_rows,
     _rank_test,
     _start_direction,
 )
-from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles
+from rigiditylab.geometry import PATH_BLOCK, face_areas, principal_angles, squared_lengths
 from rigiditylab.models import BUILTIN_MODELS, OCTAHEDRON_FACES, make_model
 
 import oracles
@@ -177,6 +178,18 @@ def test_lift_unwraps_branch_crossing():
 def test_lift_ambiguous_jump_rejected():
     raw = np.array([[0.0], [np.pi]])
     with pytest.raises(LiftAmbiguityError):
+        lift_angles(raw)
+
+
+def test_lift_ambiguity_names_the_first_column_and_row():
+    """Of several ambiguous steps, the error names the first column that has
+    one, and that column's first; a later row in an earlier column wins."""
+    raw = np.full((6, 4), 1.0)
+    raw[4:, 1] = 1.0 + np.pi  # column 1, rows 3 and 4
+    raw[2:, 2] = 1.0 + np.pi  # column 2, rows 1 and 2
+    raw[1, 3] = 1.0 + np.pi  # column 3, rows 0 and 1
+    with pytest.raises(LiftAmbiguityError, match=r"^edge column 1: consecutive principal "
+                       r"values 1\.000000 and 4\.141593 differ by pi$"):
         lift_angles(raw)
 
 
@@ -413,7 +426,7 @@ def test_flex_matrices_match_reference(octahedron, cube, bricard_path):
 def rank_test_at(x, surface):
     """The tracer's rank test at x: C, the kernel rows and the stresses."""
     x = np.asarray(x, dtype=float)
-    return _rank_test(rigidity_matrix(x, surface), _MotionRows(np.zeros((6, x.size)))(x))
+    return _rank_test(rigidity_matrix(x, surface), _motion_rows(x))
 
 
 def test_flex_dim_decides_whether_a_trace_starts(bricard_path):
@@ -490,6 +503,124 @@ def test_lapack_call_counts(bricard, monkeypatch, caplog):
             "solve": 0,
             "qr": 1,
         }
+
+
+def test_face_test_decided_once_from_the_lengths(bricard, monkeypatch):
+    """The start's face areas decide whether a step tests them: at the
+    default tol every face clears area_tol by twice the Heron bound on
+    16 A^2, 12 L^2 tol + 9 tol^2, and so at 1e-2 L^2 (0.67 L^4 against
+    0.24 L^4 on the default spec); at 5e-2 L^2 (1.25 L^4) it does not, and
+    each accepted step evaluates the areas once more."""
+    counts, original = {}, flex._side_areas
+    monkeypatch.setattr(flex, "_side_areas",
+                        lambda *args: counting(counts, "areas", original(*args)))
+    x0 = bricard.vertex_array()
+    L2 = float(np.sqrt(squared_lengths(bricard.surface, x0)).max()) ** 2
+    for tol, per_step in [(None, 0), (1e-2 * L2, 0), (5e-2 * L2, 1)]:
+        counts["areas"] = 0
+        path = trace_flex(x0, bricard.surface, n_steps=200, tol=tol)
+        assert path.n_samples == 201
+        assert counts["areas"] == 1 + per_step * 200, tol
+
+
+def dip_at(areas_of, call):
+    """``areas_of`` whose ``call``-th result reads face 3 as 1e-300."""
+    calls = 0
+
+    def patched(*args):
+        nonlocal calls
+        calls += 1
+        areas = areas_of(*args)
+        if calls == call:
+            areas = areas.copy()
+            areas[3] = 1e-300
+        return areas
+
+    return patched
+
+
+@pytest.mark.parametrize("k", [1, 37])
+def test_face_degeneration_fires_where_the_bound_fails(bricard, monkeypatch, k):
+    """Where the start does not clear the bound, a face that dips to
+    area_tol at accepted step k raises FaceDegenerationError with that face
+    and the partial path of k samples, as the reference's per-step test does
+    under the same dip."""
+    x0 = bricard.vertex_array()
+    tol = 5e-2 * float(np.sqrt(squared_lengths(bricard.surface, x0)).max()) ** 2
+    original = flex._side_areas
+    monkeypatch.setattr(flex, "_side_areas", lambda *args: dip_at(original(*args), k + 1))
+    with pytest.raises(FaceDegenerationError) as got:
+        trace_flex(x0, bricard.surface, n_steps=60, tol=tol)
+    monkeypatch.setattr(oracles, "face_areas", dip_at(oracles.face_areas, k))
+    with pytest.raises(FaceDegenerationError) as want:
+        reference_trace_flex(x0, bricard.surface, n_steps=60, tol=tol)
+    assert str(got.value) == str(want.value)
+    assert got.value.face == bricard.surface.faces[3]
+    assert got.value.path.n_samples == k
+    assert_same_path(got.value.path, want.value.path)
+
+
+@pytest.fixture(scope="module")
+def cycles():
+    """Full 3300-step paths of the default spec and seeded specs 5 and 13."""
+    specs = [DEFAULT_BRICARD_SPEC, *(inputs.bricard_spec(random.Random(s)) for s in (5, 13))]
+    paths = []
+    for spec in specs:
+        P = make_bricard_type1(spec)
+        paths.append(trace_flex(P.vertex_array(), P.surface, n_steps=3300))
+    return paths
+
+
+def test_face_areas_stay_within_the_heron_bound(cycles):
+    """What skipping the per-step face test rests on: no face's 16 A^2 moves
+    from the start's by more than 12 L^2 tol + 9 tol^2, so neither does the
+    smallest."""
+    for path in cycles:
+        x0 = path.configs[0]
+        L2 = float(np.sqrt(squared_lengths(path.surface, x0)).max()) ** 2
+        tol = 1e-11 * L2
+        bound = 12.0 * L2 * tol + 9.0 * tol**2
+        q = 16.0 * face_areas(path.surface, path.configs) ** 2
+        assert path.n_samples == 3301
+        assert np.abs(q - q[0]).max() <= bound
+        assert np.abs(q.min(axis=1) - q[0].min()).max() <= bound
+
+
+def test_centroid_stays_at_the_start(cycles):
+    """The rotations about the start's centroid c0 are those about each
+    predicted point's centroid: the tangent and every Newton step have no
+    translation part, so every sample's centroid stays at c0."""
+    for path in cycles:
+        x0 = path.configs[0]
+        diameter = max(np.linalg.norm(a - b) for a in x0 for b in x0)
+        drift = np.linalg.norm(path.configs.mean(axis=1) - x0.mean(axis=0), axis=1)
+        assert drift.max() <= 1e-12 * diameter
+
+
+def test_fixed_centre_rows_give_the_centroid_rows_steps(bricard_path):
+    """The bordered matrix's columns for the residual and the tangent row do
+    not see which centre the rotations turn about: at 20 samples, the Newton
+    step M^-1[:3v, :E]*g and the tangent column M^-1[:3v, -1] with rotations
+    about the start's centroid, or about a point a diameter away, match those
+    with rotations about the sample's centroid to 1e-12 relative."""
+    surface, x0 = bricard_path.surface, bricard_path.configs[0]
+    diameter = max(np.linalg.norm(a - b) for a in x0 for b in x0)
+    n_edges, n3 = len(surface.edges), x0.size
+    rng = np.random.default_rng(3)
+    for k in np.linspace(0, bricard_path.n_samples - 1, 20).astype(int):
+        y = bricard_path.configs[k]
+        R = reference_rigidity_matrix(y, surface)
+        _, t, W = oracles.reference_rank_test(R, oracles.reference_motion_rows(y))
+        g = rng.normal(size=n_edges)
+
+        def columns(T):
+            inverse = np.linalg.inv(np.block([[R, W], [np.vstack([T, t]), np.zeros((7, 1))]]))
+            return inverse[:n3, :n_edges] @ g, inverse[:n3, -1]
+
+        want = columns(oracles.reference_motion_rows(y))
+        for centre in (x0.mean(axis=0), x0.mean(axis=0) + diameter * np.array([1.0, 2.0, 3.0])):
+            for a, b in zip(columns(oracles.reference_slice_rows(y, centre)), want):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), k
 
 
 @pytest.mark.parametrize("seed", [None, 5, 13])
