@@ -11,11 +11,11 @@
 import numpy as np
 
 from rigiditylab import (
-    Polyhedron,
     SimplicialSurface,
     make_regular_tetrahedron,
     make_triangulated_cube,
     monte_carlo_dihedral,
+    polyhedron_from_config,
     principal_dihedral,
 )
 
@@ -30,7 +30,7 @@ cube = make_triangulated_cube()
 print("unit cube, outward orientation")
 print(f"{'edge':>10} {'deterministic':>14} {'monte carlo':>12} {'difference':>11}")
 for edge in cube.surface.edges:
-    det = principal_dihedral(cube, edge).principal_value
+    det = principal_dihedral(cube, edge)
     mc = monte_carlo_dihedral(cube, edge, n_samples=200_000, seed=0)
     print(f"{str(edge):>10} {det:14.6f} {mc:12.6f} {abs(det - mc):11.2e}")
 
@@ -43,13 +43,13 @@ print(f"pi     = {np.pi:.6f}   (flat face diagonals)")
 # the two readings always sum to 2*pi.
 # ----------------------------------------------------------------------
 
-flipped = Polyhedron(
+flipped = polyhedron_from_config(
     SimplicialSurface([(f[0], f[2], f[1]) for f in cube.surface.faces]),
-    cube.coords,
+    cube.vertex_array(),
 )
 edge = (0, 1)
-a = principal_dihedral(cube, edge).principal_value
-b = principal_dihedral(flipped, edge).principal_value
+a = principal_dihedral(cube, edge)
+b = principal_dihedral(flipped, edge)
 print()
 print(f"edge {edge}: outward {a:.6f} + reversed {b:.6f} = {a + b:.6f} = 2*pi")
 
@@ -59,7 +59,7 @@ print(f"edge {edge}: outward {a:.6f} + reversed {b:.6f} = {a + b:.6f} = 2*pi")
 # ----------------------------------------------------------------------
 
 tetra = make_regular_tetrahedron()
-det = principal_dihedral(tetra, (0, 1)).principal_value
+det = principal_dihedral(tetra, (0, 1))
 mc = monte_carlo_dihedral(tetra, (0, 1), n_samples=500_000, seed=1)
 print()
 print("regular tetrahedron, edge (0, 1)")

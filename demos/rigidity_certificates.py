@@ -7,7 +7,7 @@
 
 from rigiditylab import (
     constant_angle_edges,
-    edge_lengths,
+    edge_length_vector,
     infinitesimal_flex_dim,
     make_bricard_type1,
     make_distinct_length_octahedron,
@@ -26,7 +26,7 @@ from rigiditylab import (
 P = make_distinct_length_octahedron()
 cert = rigidity_certificate(P, mode="exact")
 print("distinct-radicand octahedron")
-print("  lengths:", [f"{v:.4f}" for v in edge_lengths(P).values()])
+print("  lengths:", [f"{v:.4f}" for v in edge_length_vector(P)])
 print("  verdict:", cert.verdict)
 print("  edges with provably constant angles:", cert.constant_angle_edges)
 print("  infinitesimal flex dimension:", infinitesimal_flex_dim(P.vertex_array(), P.surface))

@@ -8,14 +8,13 @@ models (line-symmetric Bricard octahedra) while monitoring every conserved
 quantity.
 """
 
-from .surfaces import SimplicialSurface, ValidationReport, validate_complex
+from .surfaces import SimplicialSurface, validate_complex
 from .geometry import (
     DegenerateFaceError,
     Polyhedron,
     all_dihedrals,
     check_nondegenerate,
     edge_length_vector,
-    edge_lengths,
     monte_carlo_dihedral,
     oriented_volume,
     principal_dihedral,
@@ -24,9 +23,7 @@ from .geometry import (
 from .lengths import (
     DEPENDENT,
     INDEPENDENT_EXACT,
-    INDEPENDENT_UP_TO_HEIGHT,
     ExactLength,
-    SpanBasis,
     find_integer_relation,
     is_q_independent,
     normalize_sqrt,
@@ -52,8 +49,6 @@ from .invariants import (
     RIGID,
     RIGID_PRESUMED,
     InvariantCombination,
-    MonitoringReport,
-    RigidityCertificate,
     constant_angle_edges,
     initial_principal_angles,
     invariant_combinations,
@@ -62,7 +57,6 @@ from .invariants import (
 )
 from .models import (
     BRICARD_FACES,
-    BRICARD_VERTEX_SYMMETRY,
     BUILTIN_MODELS,
     DEFAULT_BRICARD_SPEC,
     BricardSpec,

@@ -178,17 +178,17 @@ def cmd_oracle(args) -> int:
     P = _load(args)
     _require_valid(P)
     edges = P.surface.edges
-    dets = all_dihedrals(P)
+    values, flags = all_dihedrals(P)
     mcs = monte_carlo_dihedrals(P, edges, n_samples=args.samples, seed=args.seed)
     rows = []
-    for edge, det, mc in zip(edges, dets, mcs):
+    for edge, det, flag, mc in zip(edges, values.tolist(), flags.tolist(), mcs):
         rows.append(
             {
                 "edge": list(edge),
-                "deterministic": det.principal_value,
+                "deterministic": det,
                 "monte_carlo": mc,
-                "abs_difference": abs(det.principal_value - mc),
-                "degenerate": det.degenerate_flag,
+                "abs_difference": abs(det - mc),
+                "degenerate": flag,
             }
         )
     payload = {

@@ -1,22 +1,23 @@
 """Metric quantities of a realized triangulated surface.
 
-A polyhedron is a surface plus vertex coordinates in R^3.  Faces may
-self-intersect in space; the only geometric requirement is that every
-triangle is nondegenerate.  The dihedral angle at an edge is the oriented
-angle, in [0, 2*pi), from the first face's in-face direction u0 to the
-second's u1 about the edge, in the frame (u0, e x u0): e is the unit edge
-direction, and the first face is the one that walks the edge as (a, b),
-a < b.  The summed face normals point at half that angle in the same frame,
-so it is also the angle of the wedge on the normals' side.  When the two
-normals cancel (the faces fold onto each other) the angle is 0, within 1e-9
-of the angle modulo 2*pi, and unwrapped like any other value; it is also
+A polyhedron is a surface plus one (V, 3) array of vertex coordinates in
+R^3, in canonical vertex order, which every function here reads; per-edge
+results come back in canonical edge order.  Faces may self-intersect in
+space; the only geometric requirement is that every triangle is
+nondegenerate.  The dihedral angle at an edge is the oriented angle, in
+[0, 2*pi), from the first face's in-face direction u0 to the second's u1
+about the edge, in the frame (u0, e x u0): e is the unit edge direction,
+and the first face is the one that walks the edge as (a, b), a < b.  The
+summed face normals point at half that angle in the same frame, so it is
+also the angle of the wedge on the normals' side.  When the two normals
+cancel (the faces fold onto each other) the angle is 0, within 1e-9 of
+the angle modulo 2*pi, and unwrapped like any other value; it is also
 flagged as degenerate.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,41 +41,42 @@ class DegenerateFaceError(ValueError):
         super().__init__(f"face {face} has area {area:.3e}")
 
 
-@dataclass
+def _point_rows(surface: SimplicialSurface, points: dict, name: str) -> list:
+    """The 3-vectors of a vertex -> point mapping in canonical vertex order;
+    ValueError when its vertex ids are not the surface's or a point is not
+    a 3-vector."""
+    points = {int(v): p for v, p in points.items()}
+    missing, extra = set(surface.vertices) - set(points), set(points) - set(surface.vertices)
+    if missing or extra:
+        raise ValueError(
+            f"{name} do not match surface vertices "
+            f"(missing {sorted(missing)}, extra {sorted(extra)})"
+        )
+    for v, p in points.items():
+        if np.shape(p) != (3,):
+            raise ValueError(f"vertex {v}: expected a 3-vector, got shape {np.shape(p)}")
+    return [points[v] for v in surface.vertices]
+
+
 class Polyhedron:
     """Vertex coordinates realizing a combinatorial surface.
 
-    The points live in one (n_vertices, 3) float array in canonical vertex
-    order, which every kernel reads; ``coords`` maps each vertex id to its
-    row of that array, a view.  ``exact_coords`` optionally carries the same
-    points as exact rationals, the only source of exact edge lengths.
+    ``coords`` and ``exact_coords`` map each vertex id to its point.  The
+    float points are stored as one (n_vertices, 3) array in canonical vertex
+    order, which every kernel reads and :meth:`vertex_array` copies.
+    ``exact_coords`` optionally carries the same points as exact rationals,
+    the only source of exact edge lengths.
     """
 
-    surface: SimplicialSurface
-    coords: dict
-    exact_coords: dict | None = None
-    _vertex_array: np.ndarray = field(init=False, repr=False)
-    _exact_length_cache: list | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-
-    def __post_init__(self):
-        coords = {int(v): np.asarray(p, dtype=float) for v, p in self.coords.items()}
-        missing = set(self.surface.vertices) - set(coords)
-        extra = set(coords) - set(self.surface.vertices)
-        if missing or extra:
-            raise ValueError(
-                f"coordinates do not match surface vertices "
-                f"(missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        for v, p in coords.items():
-            if p.shape != (3,):
-                raise ValueError(f"vertex {v}: expected a 3-vector, got shape {p.shape}")
-        self._vertex_array = np.array([coords[v] for v in self.surface.vertices])
-        self.coords = dict(zip(self.surface.vertices, self._vertex_array))
-
-    def point(self, vertex: int) -> np.ndarray:
-        return self.coords[vertex]
+    def __init__(
+        self, surface: SimplicialSurface, coords: dict, exact_coords: dict | None = None
+    ):
+        self.surface = surface
+        self._vertex_array = np.array(_point_rows(surface, coords, "coordinates"), dtype=float)
+        if exact_coords is not None:
+            _point_rows(surface, exact_coords, "exact coordinates")
+        self.exact_coords = exact_coords
+        self._exact_length_cache = None
 
     def vertex_array(self) -> np.ndarray:
         """Coordinates as an (n_vertices, 3) array in canonical vertex order."""
@@ -108,13 +110,6 @@ class Polyhedron:
                 out.append(split[n])
             self._exact_length_cache = out
         return list(self._exact_length_cache)
-
-
-@dataclass
-class DihedralAngle:
-    edge: tuple[int, int]
-    principal_value: float
-    degenerate_flag: bool = False
 
 
 # Batched kernel over (..., V, 3) coordinates in canonical vertex order: one
@@ -275,11 +270,6 @@ def edge_length_vector(P: Polyhedron) -> np.ndarray:
     return np.sqrt(squared_lengths(P.surface, P._vertex_array))
 
 
-def edge_lengths(P: Polyhedron) -> dict:
-    """Euclidean edge lengths keyed by canonical (sorted) edge pairs."""
-    return dict(zip(P.surface.edges, edge_length_vector(P).tolist()))
-
-
 def _edge_row(P: Polyhedron, edge) -> int:
     key = tuple(sorted(edge))
     if key not in P.surface.edges:
@@ -287,16 +277,16 @@ def _edge_row(P: Polyhedron, edge) -> int:
     return P.surface.edge_index(key)
 
 
-def principal_dihedral(P: Polyhedron, edge: tuple[int, int]) -> DihedralAngle:
+def principal_dihedral(P: Polyhedron, edge: tuple[int, int]) -> float:
     """Principal dihedral angle at an edge, in [0, 2*pi); see
     :func:`principal_angles`."""
-    value, flag = principal_angles(P.surface, P._vertex_array, [_edge_row(P, edge)])
-    return DihedralAngle(tuple(edge), float(value[0]), bool(flag[0]))
+    return float(principal_angles(P.surface, P._vertex_array, [_edge_row(P, edge)])[0][0])
 
 
-def all_dihedrals(P: Polyhedron) -> list[DihedralAngle]:
-    values, flags = principal_angles(P.surface, P._vertex_array)
-    return [DihedralAngle(e, float(v), bool(f)) for e, v, f in zip(P.surface.edges, values, flags)]
+def all_dihedrals(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
+    """Principal dihedral values and degenerate flags in canonical edge
+    order, shapes (E,); see :func:`principal_angles`."""
+    return principal_angles(P.surface, P._vertex_array)
 
 
 def monte_carlo_dihedral(

@@ -278,9 +278,8 @@ def save_off(P: Polyhedron) -> str:
     )
     out = ["OFF", f"# format_version: {FORMAT_VERSION}"]
     out.append(f"{P.surface.n_vertices} {P.surface.n_faces} 0")
-    for v in P.surface.vertices:
-        x, y, z = (repr(float(c)) for c in P.point(v))
-        out.append(f"{x} {y} {z}")
+    for row in P.vertex_array().tolist():
+        out.append(" ".join(map(repr, row)))
     for f in canon_faces:
         out.append(f"3 {f[0]} {f[1]} {f[2]}")
     return "\n".join(out) + "\n"

@@ -298,11 +298,11 @@ def per_edge_monte_carlo_dihedral(P, edge, n_samples: int = 10**6, seed: int = 0
     quarter of the shortest edge, is this oracle's own choice; the wedge is
     a cone about the midpoint, so any radius classifies alike."""
     row = [geometry._edge_row(P, edge)]
-    e_hat, u, n = (f[0] for f in geometry._edge_frames(P.surface, P._vertex_array, row))
+    e_hat, u, n = (f[0] for f in geometry._edge_frames(P.surface, P.vertex_array(), row))
     w = n[0] + n[1]
     if np.linalg.norm(w) <= geometry.DEGENERATE_NORMAL_TOL:
         return 0.0
-    radius = 0.25 * min(np.linalg.norm(P.point(a) - P.point(b)) for a, b in P.surface.edges)
+    radius = 0.25 * min(geometry.edge_length_vector(P))
 
     e1 = u[0]
     e2 = np.cross(e_hat, e1)

@@ -65,7 +65,7 @@ def test_criterion_1_dihedral_oracle_agreement():
     worst = 0.0
     for name, P in models.items():
         for edge in P.surface.edges:
-            det = principal_dihedral(P, edge).principal_value
+            det = principal_dihedral(P, edge)
             mc = monte_carlo_dihedral(P, edge, n_samples=10**6, seed=0)
             diff = abs(det - mc)
             worst = max(worst, diff)

@@ -78,7 +78,8 @@ def test_certificate_numeric_mode(distinct_octahedron, octahedron):
 
 def test_certificate_rejects_inconsistent_declared_lengths(octahedron):
     doubled = {v: tuple(2 * c for c in p) for v, p in octahedron.exact_coords.items()}
-    bogus = Polyhedron(octahedron.surface, octahedron.coords, exact_coords=doubled)
+    coords = dict(enumerate(octahedron.vertex_array()))
+    bogus = Polyhedron(octahedron.surface, coords, exact_coords=doubled)
     with pytest.raises(ValueError, match="disagrees"):
         rigidity_certificate(bogus, mode="exact")
 

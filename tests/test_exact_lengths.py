@@ -12,6 +12,7 @@ from rigiditylab import (
     make_bricard_type1,
     make_model,
     make_regular_tetrahedron,
+    polyhedron_from_config,
 )
 
 from oracles import fraction_exact_lengths
@@ -75,7 +76,22 @@ def test_coincident_vertices_raise_on_every_call():
 
 
 def test_no_exact_data_raises_on_every_call(tetrahedron):
-    P = Polyhedron(tetrahedron.surface, tetrahedron.coords)
+    P = polyhedron_from_config(tetrahedron.surface, tetrahedron.vertex_array())
     for _ in range(2):
         with pytest.raises(ValueError, match="no exact coordinate or length data"):
             P.exact_edge_lengths()
+
+
+def test_exact_points_are_checked_at_construction(tetrahedron):
+    x = dict(enumerate(tetrahedron.vertex_array()))
+    exact = dict(tetrahedron.exact_coords)
+    del exact[3]
+    with pytest.raises(ValueError, match=r"exact coordinates .* \(missing \[3\], extra \[\]\)"):
+        Polyhedron(tetrahedron.surface, x, exact_coords=exact)
+    exact[3], exact[7] = tetrahedron.exact_coords[3], (0, 0, 0)
+    with pytest.raises(ValueError, match=r"\(missing \[\], extra \[7\]\)"):
+        Polyhedron(tetrahedron.surface, x, exact_coords=exact)
+    del exact[7]
+    exact[2] = exact[2][:2]
+    with pytest.raises(ValueError, match=r"vertex 2: expected a 3-vector, got shape \(2,\)"):
+        Polyhedron(tetrahedron.surface, x, exact_coords=exact)

@@ -20,6 +20,7 @@ from rigiditylab import (
     make_bricard_type1,
     monitor_flex,
     oriented_volume,
+    polyhedron_from_config,
     q_basis,
     rigidity_certificate,
     save_off,
@@ -117,6 +118,14 @@ def test_off_round_trip(octahedron, bricard):
         assert save_off(loaded) == text
         assert loaded.surface.n_faces == P.surface.n_faces
         assert oriented_volume(loaded) == pytest.approx(oriented_volume(P), abs=1e-12)
+    # vertex_array() is a copy, and save_off writes the points a polyhedron stores.
+    x = octahedron.vertex_array()
+    x[0, 0] = 3.0
+    assert not np.shares_memory(x, octahedron.vertex_array())
+    assert save_off(octahedron).splitlines()[3] == "1.0 0.0 0.0"
+    moved = polyhedron_from_config(octahedron.surface, x)
+    assert save_off(moved).splitlines()[3] == "3.0 0.0 0.0"
+    assert edge_length_vector(moved)[moved.surface.edge_index((0, 1))] == np.sqrt(10.0)
 
 
 def test_off_comments_and_header():
