@@ -31,7 +31,7 @@ from .invariants import (
     monitor_flex,
     rigidity_certificate,
 )
-from .surfaces import validate_complex
+from .surfaces import validate_surface
 
 logger = logging.getLogger("rigiditylab")
 
@@ -115,7 +115,7 @@ def _validation_report_json(report) -> str:
 
 
 def _require_valid(P):
-    report = validate_complex(P.surface.faces)
+    report = validate_surface(P.surface)
     if not report.passed:
         sys.stderr.write(_validation_report_json(report))
         raise SystemExit(EXIT_INVALID)
@@ -123,7 +123,7 @@ def _require_valid(P):
 
 def cmd_validate(args) -> int:
     P = _load(args)
-    report = validate_complex(P.surface.faces)
+    report = validate_surface(P.surface)
     _emit(_validation_report_json(report), args.out_json)
     return EXIT_OK if report.passed else EXIT_INVALID
 

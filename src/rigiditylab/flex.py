@@ -20,11 +20,14 @@ configurations, so its memory is the path's own plus a fixed amount.
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy._core._multiarray_umath import _make_extobj
+from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import _linalg, _umath_linalg
 
 from .geometry import (
@@ -95,11 +98,19 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
 # The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
 # np.linalg.svd and inv do (same gufuncs, signatures, error states and
 # LinAlgError handlers), so their results equal the public functions' to the
-# bit without the wrappers' dtype checks and result copies.
+# bit without the wrappers' dtype checks and result copies.  Each call runs
+# in the error state of np.errstate(call=handler, all="ignore",
+# invalid="call"), built once and set on numpy's context variable as errstate
+# sets it; a new errstate object would cost about 1 us per call.
 def _lapack(gufunc, signature: str, handler):
+    state = _make_extobj(call=handler, all="ignore", invalid="call")
+
     def call(a):
-        with np.errstate(call=handler, all="ignore", invalid="call"):
+        token = _extobj_contextvar.set(state)
+        try:
             return gufunc(a, signature=signature)
+        finally:
+            _extobj_contextvar.reset(token)
 
     return call
 
@@ -118,18 +129,21 @@ def _motion_rows(x) -> np.ndarray:
 
 def _slice_rows(T: np.ndarray, centre: np.ndarray):
     """A writer of the rotations e_k x (y - c) about a fixed centre c into
-    rows 3-5 of the rigid motions T, a (6, 3*nv) view: one signed gather
-    from [y - c, c - y, 0], so their zero entries are +0."""
-    nv = T.shape[1] // 3
-    signed = np.zeros((3, nv, 3))
+    rows 3-5 of the rigid motions T, a (6, 3*nv) view, for a flat
+    configuration y: one signed gather from [y - c, -(y - c), 0], so their
+    zero entries are +0."""
+    n3 = T.shape[1]
+    centre = np.tile(centre, n3 // 3)
+    signed = np.zeros((3, n3))
     # Component i of e_k x d is entry source[k, 0, i] of [d, -d, 0].
     source = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])[:, None]
-    entries = (3 * nv * (source // 3) + 3 * np.arange(nv)[:, None] + source % 3).reshape(3, -1)
+    entries = (n3 * (source // 3) + np.arange(0, n3, 3)[:, None] + source % 3).reshape(3, -1)
+    rotations = T[3:]
 
     def write(y):
         np.subtract(y, centre, out=signed[0])
         np.negative(signed[0], out=signed[1])
-        T[3:] = signed.take(entries)
+        rotations[...] = signed.take(entries)
 
     return write
 
@@ -168,10 +182,21 @@ class _RigidityScatter:
         """x[heads] - x[tails] for an (nv, 3) configuration x."""
         return np.subtract(*x.take(self.entries))
 
+    def incidence(self, n3: int) -> np.ndarray:
+        """The (3E, n3) +-1 matrix whose product with a flat configuration is
+        its edge vectors: row 3e + k adds x_i and -x_j, coordinate k of edge
+        e = (i, j), to zeros, so it rounds once, as edge_vectors' subtraction
+        does; only a zero difference may come out with the other sign."""
+        D = np.zeros((self.n_edges, 3, n3))
+        rows, coords = np.arange(self.n_edges)[:, None], np.arange(3)
+        D[rows, coords, self.entries[0]] = 1.0
+        D[rows, coords, self.entries[1]] = -1.0
+        return D.reshape(-1, n3)
+
     def write(self, out: np.ndarray, d) -> None:
         """Write the rows for the edge vectors d = x[heads] - x[tails]."""
         np.multiply(_EDGE_SIGNS, d, out=self.values)
-        np.put(out, self.positions, self.values)
+        out.put(self.positions, self.values)
 
 
 def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
@@ -385,8 +410,7 @@ def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
     least 1 and s[0].  Full rank has s[-1] > SV_THRESHOLD*max(s[0], 1), and
     the last column [v; mu], t.v = 1, has s[-1] <= |R*v| = |W*mu| <= sum |mu_i|.
     """
-    m, n = M.reshape(-1), inverse.reshape(-1)
-    return not (np.dot(m, m) * np.dot(n, n) < SV_THRESHOLD**-2
+    return not (np.vdot(M, M) * np.vdot(inverse, inverse) < SV_THRESHOLD**-2
                 and np.add.reduce(np.abs(inverse[n3:, -1])) < SV_THRESHOLD)
 
 
@@ -423,7 +447,8 @@ def trace_flex(
     row t.(y - x_pred) = 0 (Allgower & Georg).  Each corrector iteration
     adds M^-1[:3v, :E]*(-g), g the squared-length residual,
     M = [[R(y), W], [T.T, 0], [t, 0]] and W the self-stresses from the last
-    accepted point (one column on a sphere); a singular M fails the
+    accepted point (one column on a sphere); a singular M, or a Newton step
+    to a non-finite y (whose residual is NaN or infinite), fails the
     attempt.  The last inverse, or one at the accepted point if no iteration
     ran, gives the next tangent, its last column's first 3v entries
     normalized (t.v = 1 keeps the sign), and the next W, its rows at W's
@@ -431,6 +456,14 @@ def trace_flex(
     (see ``_screen``), the rank test that :func:`infinitesimal_flex_dim`
     also runs decides at the accepted point (see ``_rank_test``); where the
     kernel dimension is 1, its SVD gives the tangent and W.
+
+    Configurations, the tangent and kappa are flat 3v-vectors, and one
+    product with a fixed +-1 incidence matrix gives the edge vectors, so a
+    step of one corrector iteration makes 37 small numpy calls.  On the
+    default Bricard octahedron it takes about 35 us (process time, one BLAS
+    thread, 2 vCPUs): the 19x19 inverse 9.8 us, edge vectors 1.2 us and
+    residual tests 5.0 us over two passes, the screen 2.8 us, and about
+    6.5 us of Python beyond numpy's calls.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -447,6 +480,8 @@ def trace_flex(
     area_tol = 1e-12 * max_len**2
 
     principal_angles(surface, x)  # a bad surface or start raises before tracing
+    centre, start_motions = x.mean(axis=0), _motion_rows(x)
+    x = x.reshape(-1)  # configurations, tangents and kappa are flat 3v-vectors from here on
     # Per accepted step, its size and corrector iterations: objects that
     # already exist, so a step leaves no new small object behind.
     sizes, iters = [], []
@@ -457,7 +492,7 @@ def trace_flex(
     def keep(y):  # y is sample len(sizes): the start or the last step's end
         k = len(sizes) % PATH_BLOCK
         if k == 0:
-            store.append(np.empty((PATH_BLOCK, nv, 3)))
+            store.append(np.empty((PATH_BLOCK, x.size)))
         store[-1][k] = y
 
     keep(x)
@@ -465,11 +500,15 @@ def trace_flex(
     # every iteration and tangent: R is rewritten at each configuration, T's
     # rotations and t at each step, W at each tangent.  With flex dimension 1,
     # 3v <= E + 7 and M is square; a wider M stops the trace at the start.
-    n_edges, n3 = len(targets_sq), 3 * nv
+    n_edges, n3 = len(targets_sq), x.size
     M = np.zeros((n_edges + 7, max(n_edges + 7, n3)))
     R, W, T, t_row = M[:n_edges, :n3], M[:n_edges, n3:], M[n_edges:-1, :n3], M[-1, :n3]
-    scatter, motions = _RigidityScatter(surface, M.shape[1]), _slice_rows(T, x.mean(axis=0))
+    scatter, motions = _RigidityScatter(surface, M.shape[1]), _slice_rows(T, centre)
     side_areas = _side_areas(surface, scatter.heads, scatter.tails)
+    # The current configuration's edge vectors, written in place by one product
+    # with the incidence matrix.
+    incidence, dy = scatter.incidence(n3), np.empty((n_edges, 3))
+    dy_flat = dy.reshape(-1)
     neg_g = np.empty(n_edges)  # -g, written in place
     rejected = 0
 
@@ -477,10 +516,11 @@ def trace_flex(
         # The path ends the trace, so its copy replaces the blocks.
         configs = np.concatenate([*store[:-1], store[-1][: len(sizes) % PATH_BLOCK + 1]])
         store.clear()
-        return FlexPath(surface, configs, np.array(sizes, float), np.array(iters, int), rejected)
+        return FlexPath(surface, configs.reshape(-1, nv, 3), np.array(sizes, float),
+                        np.array(iters, int), rejected)
 
-    def rank_test(dy):
-        """The unit tangent and W from the rank test at edge vectors dy and T."""
+    def rank_test():
+        """The unit tangent and W from the rank test at the edge vectors dy and T."""
         scatter.write(M, dy)
         C, kernel, stresses = _rank_test(R, T)
         if (dim := len(kernel)) != 1:
@@ -489,9 +529,9 @@ def trace_flex(
         W[:] = stresses
         return C @ kernel[0]
 
-    T[:] = _motion_rows(x)  # translations kept; the start's rank test is infinitesimal_flex_dim's
-    dy = scatter.edge_vectors(x)
-    tangent = _start_direction(rank_test(dy))
+    T[:] = start_motions  # translations kept; the start's rank test is infinitesimal_flex_dim's
+    np.dot(incidence, x, out=dy_flat)
+    tangent = _start_direction(rank_test())
     # 16 A^2 = 2(ab + bc + ca) - a^2 - b^2 - c^2 in a face's squared sides, which
     # the corrector holds within tol of the start's: no face's 16 A^2 moves by more
     # than 12 L^2 tol + 9 tol^2 (L the longest edge) and rounding.  If every face
@@ -505,26 +545,26 @@ def trace_flex(
         if h < step * 2.0**-24:
             raise CorrectorDivergenceError(f"step size underflow at accepted step {len(sizes)}",
                                            path=path())
-        x_pred = x + (h * tangent + (h * h / 2) * kappa).reshape(nv, 3)
+        x_pred = x + (h * tangent + (h * h / 2) * kappa)
         motions(x_pred)
         t_row[:] = tangent
         y = x_pred  # no array is changed in place below
         gn_iters = None
         for it in range(MAX_CORRECTOR_ITERS):
             # The edge vectors feed the residual, the Jacobian and the areas.
-            dy = scatter.edge_vectors(y)
+            np.dot(incidence, y, out=dy_flat)
             np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
-            if np.maximum.reduce(np.abs(neg_g)) <= tol:
+            if (worst := np.maximum.reduce(np.abs(neg_g))) <= tol:
                 gn_iters = it
+                break
+            if not worst < np.inf:  # a NaN or inf residual, from a non-finite y, fails
                 break
             scatter.write(M, dy)
             try:
                 inverse = _inv(M)
             except np.linalg.LinAlgError:
                 break
-            y = y + (inverse[:n3, :n_edges] @ neg_g).reshape(nv, 3)
-            if not np.isfinite(y).all():
-                break
+            y = y + inverse[:n3, :n_edges] @ neg_g
         if gn_iters is None:
             rejected, h, easy_run = rejected + 1, 0.5 * h, 0
             logger.debug("corrector failed, halving step to %.3e", h)
@@ -550,12 +590,12 @@ def trace_flex(
             with suppress(np.linalg.LinAlgError):
                 inverse = _inv(M)
         if inverse is None or _screen(M, inverse, n3):
-            new_tangent = rank_test(dy)  # the rank test decides at x
+            new_tangent = rank_test()  # the rank test decides at x
         else:
             stress = inverse[n3:, :n_edges]
             np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
             v = inverse[:n3, -1]
-            new_tangent = v / np.sqrt(np.dot(v, v))
+            new_tangent = v / math.sqrt(np.dot(v, v))
         if np.dot(new_tangent, tangent) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h

@@ -58,6 +58,17 @@ def _point_rows(surface: SimplicialSurface, points: dict, name: str) -> list:
     return [points[v] for v in surface.vertices]
 
 
+def _rational_row(v: int, point) -> tuple[Fraction, ...]:
+    """An exact point as Fractions; ValueError naming vertex v when a
+    coordinate is not a rational number (a bad string, NaN, inf, None)."""
+    try:
+        return tuple(Fraction(c) for c in point)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"vertex {v}: exact point {tuple(point)!r} is not rational ({exc})"
+        ) from None
+
+
 class Polyhedron:
     """Vertex coordinates realizing a combinatorial surface.
 
@@ -65,7 +76,8 @@ class Polyhedron:
     float points are stored as one (n_vertices, 3) array in canonical vertex
     order, which every kernel reads and :meth:`vertex_array` copies.
     ``exact_coords`` optionally carries the same points as exact rationals,
-    the only source of exact edge lengths.
+    the only source of exact edge lengths; they are checked and converted to
+    Fractions once, here.
     """
 
     def __init__(
@@ -73,9 +85,11 @@ class Polyhedron:
     ):
         self.surface = surface
         self._vertex_array = np.array(_point_rows(surface, coords, "coordinates"), dtype=float)
-        if exact_coords is not None:
-            _point_rows(surface, exact_coords, "exact coordinates")
         self.exact_coords = exact_coords
+        self._exact_rows = None
+        if exact_coords is not None:
+            rows = _point_rows(surface, exact_coords, "exact coordinates")
+            self._exact_rows = [_rational_row(v, p) for v, p in zip(surface.vertices, rows)]
         self._exact_length_cache = None
 
     def vertex_array(self) -> np.ndarray:
@@ -93,11 +107,11 @@ class Polyhedron:
         integer points X_v, so edge (a, b) has squared length
         sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
         """
-        if self.exact_coords is None:
+        if self._exact_rows is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
         if self._exact_length_cache is None:
             verts = self.surface.vertices
-            exact = [Fraction(c) for v in verts for c in self.exact_coords[v]]
+            exact = [c for row in self._exact_rows for c in row]
             # The common denominator D is what 1 clears to.
             *flat, D = clear_to_integers([*exact, Fraction(1)])
             X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flex import FlexPath
-from .geometry import Polyhedron, edge_length_vector, principal_angles
+from .geometry import Polyhedron, all_dihedrals, edge_length_vector
 from .lengths import (
     _n_lengths,
     _span_verdict,
@@ -212,4 +212,4 @@ def monitor_flex(
 
 def initial_principal_angles(P: Polyhedron) -> np.ndarray:
     """Principal dihedral values in canonical edge order."""
-    return principal_angles(P.surface, P.vertex_array())[0]
+    return all_dihedrals(P)[0]

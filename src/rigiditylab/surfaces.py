@@ -144,6 +144,16 @@ def validate_complex(faces) -> ValidationReport:
     - "vi": once "iv" and "orientation" hold, the link of every vertex is a
       single cycle, so no vertex pinches two sheets of the surface together.
     """
+    return _validate(faces, None)
+
+
+def validate_surface(surface: SimplicialSurface) -> ValidationReport:
+    """validate_complex(surface.faces), the same report, checked on
+    ``surface`` itself rather than on a second surface built from its faces."""
+    return _validate(surface.faces, surface)
+
+
+def _validate(faces, built: SimplicialSurface | None) -> ValidationReport:
     faces = [tuple(int(v) for v in f) for f in faces]
     if not faces:
         raise ValueError("face list is empty")
@@ -165,9 +175,10 @@ def validate_complex(faces) -> ValidationReport:
     if duplicates:
         violations.append(("ii", duplicates))
 
-    surface = SimplicialSurface(ok_faces) if ok_faces else None
-    if surface is None:
+    if not ok_faces:
         return ValidationReport(False, violations)
+    # Without bad triples the surface of ok_faces is the one already built.
+    surface = built if built is not None and not bad_triples else SimplicialSurface(ok_faces)
 
     _, status = surface.wing_table
     edge_status = list(zip(surface.edges, status))

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from rigiditylab import cli
 from rigiditylab.models import OCTAHEDRON_FACES
+from rigiditylab.surfaces import SimplicialSurface
 
 from oracles import PROJECTIVE_PLANE_FACES, relabeled_faces, subdivided_faces
 
@@ -56,6 +58,21 @@ def test_validate_builtin_model():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["passed"] is True
+
+
+def test_validate_builds_one_surface(monkeypatch, capsys):
+    """validate checks the surface the model was built as: no second surface
+    and no second wing table."""
+    built, init = [], SimplicialSurface.__init__
+
+    def counted(self, faces):
+        built.append(self)
+        init(self, faces)
+
+    monkeypatch.setattr(SimplicialSurface, "__init__", counted)
+    assert cli.main(["validate", "--model", "octahedron"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert len(built) == 1 and "wing_table" in vars(built[0])
 
 
 def test_validate_boundary_edges_exit_1(tmp_path):

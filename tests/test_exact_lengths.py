@@ -95,3 +95,21 @@ def test_exact_points_are_checked_at_construction(tetrahedron):
     exact[2] = exact[2][:2]
     with pytest.raises(ValueError, match=r"vertex 2: expected a 3-vector, got shape \(2,\)"):
         Polyhedron(tetrahedron.surface, x, exact_coords=exact)
+
+
+@pytest.mark.parametrize("vertex, point, reason", [
+    (0, ("a", 0, 0), "Invalid literal for Fraction: 'a'"),
+    (2, (0, float("nan"), 0), "cannot convert NaN to integer ratio"),
+    (3, (0, 0, float("inf")), "cannot convert Infinity to integer ratio"),
+    (1, (0, None, 0), ""),
+])
+def test_non_rational_exact_point_is_named_at_construction(tetrahedron, vertex, point, reason):
+    """Each exact point becomes Fractions once, when the polyhedron is built:
+    a coordinate that is not a rational number raises there and names its
+    vertex, not at the first exact read."""
+    x = dict(enumerate(tetrahedron.vertex_array()))
+    exact = {**tetrahedron.exact_coords, vertex: point}
+    message = rf"^vertex {vertex}: exact point .* is not rational"
+    with pytest.raises(ValueError, match=message) as got:
+        Polyhedron(tetrahedron.surface, x, exact_coords=exact)
+    assert reason in str(got.value)

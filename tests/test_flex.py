@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -812,6 +813,64 @@ def test_failed_solve_halves_the_step(bricard, monkeypatch):
     assert path.step_sizes[3] == 0.01 and path.step_sizes[4] == 0.005
     assert_same_path(path, ref)
     assert path.rejected_attempts == ref.rejected_attempts == 1
+
+
+def nan_once(inverse, call):
+    """``inverse`` whose ``call``-th result is all NaN, raising nothing."""
+    calls = 0
+
+    def patched(*args):
+        nonlocal calls
+        calls += 1
+        out = inverse(*args)
+        return np.full_like(out, np.nan) if calls == call else out
+
+    return patched
+
+
+@pytest.mark.parametrize("step, call", [(0.01, 5), (1e-4, 3)])
+def test_nan_inverse_fails_like_a_singular_one(bricard, monkeypatch, step, call):
+    """An inverse that comes back NaN without raising acts as LinAlgError
+    does at the same call.  In the corrector (steps of 0.01, one inverse a
+    step, so the fifth is step 5's) its Newton step makes y NaN, whose
+    residual fails the attempt: the step halves and one attempt is counted.
+    At a tangent (steps of 1e-4, where every step past the first inverts at
+    its accepted point) the screen fires and the rank test decides.  Either
+    way the path, and the count of inverses and SVDs, equal those under
+    LinAlgError."""
+    original, x0 = flex._inv, bricard.vertex_array()
+    traced = []
+    for patched in (nan_once(original, call), fail_once(original, call)):
+        counts = {"svd": 0, "inv": 0}
+        monkeypatch.setattr(flex, "_svd", counting(counts, "svd", flex._svd))
+        monkeypatch.setattr(flex, "_inv", counting(counts, "inv", patched))
+        traced.append((trace_flex(x0, bricard.surface, n_steps=20, step=step), counts))
+        monkeypatch.undo()
+    (path, counts), (raised, raised_counts) = traced
+    assert path.n_samples == 21
+    assert_same_path(path, raised)
+    assert counts == raised_counts and path.rejected_attempts == raised.rejected_attempts
+    if step == 0.01:
+        assert path.step_sizes[3] == 0.01 and path.step_sizes[4] == 0.005
+        assert path.rejected_attempts == 1 and counts == {"svd": 1, "inv": 21}
+    else:
+        assert path.rejected_attempts == 0 and counts["svd"] == 2
+
+
+def test_failing_attempts_leak_no_warning(bricard, monkeypatch):
+    """Corrector iterates far outside the octahedron (a step cap of 256,
+    which halves eight times) and a bordered matrix that LAPACK finds
+    singular at every attempt warn of nothing: the inverse's singular
+    signal is its LinAlgError, inside the inverse's own error state."""
+    x0 = bricard.vertex_array()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace_flex(x0, bricard.surface, n_steps=12, step=256.0).rejected_attempts == 8
+        original = flex._inv
+        monkeypatch.setattr(flex, "_inv", lambda M: original(np.zeros_like(M)))
+        with pytest.raises(CorrectorDivergenceError) as exc:
+            trace_flex(x0, bricard.surface, n_steps=10, tol=1e-300)
+    assert exc.value.path.n_samples == 1
 
 
 def test_side_areas_equal_face_areas(octahedron, cube, bricard_path):

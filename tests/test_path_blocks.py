@@ -132,6 +132,7 @@ def test_each_block_is_evaluated_once(spy):
     assert [x.tobytes() for x in volumes] == blocks
 
 
+@pytest.mark.filterwarnings("error")
 def test_trace_never_sizes_a_buffer_from_n_steps(bricard, monkeypatch):
     """A corrector that never converges ends a trace of 10**12 requested
     steps with its one-sample path, not with a MemoryError."""

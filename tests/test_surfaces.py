@@ -3,6 +3,7 @@ import pytest
 
 from rigiditylab import SimplicialSurface, validate_complex
 from rigiditylab.models import BRICARD_FACES, BUILTIN_MODELS, OCTAHEDRON_FACES
+from rigiditylab.surfaces import validate_surface
 
 from oracles import (
     GRID_TORUS_FACES,
@@ -103,3 +104,17 @@ def test_flipping_some_faces_fails_only_orientation(name):
         assert validate_complex(flipped).conditions_failed() == {"orientation"}
     reversed_faces = [(f[0], f[2], f[1]) for f in faces]
     assert validate_complex(reversed_faces).passed
+
+
+def test_validate_surface_reports_what_validate_complex_does():
+    """Every kind of violation, on the surface itself or on its faces."""
+    octahedron = list(OCTAHEDRON_FACES)
+    shifted = [tuple(v + 100 for v in f) for f in octahedron]
+    flipped = [*octahedron[:3], octahedron[3][::-1], *octahedron[4:]]
+    cases = [octahedron, [(0, 1, 2)], octahedron + shifted, octahedron + [(0, 0, 1)],
+             octahedron + [(2, 1, 0)], flipped, PROJECTIVE_PLANE_FACES,
+             relabeled_faces(subdivided_faces(OCTAHEDRON_FACES), {5: 0, 4: 1}),
+             *CLOSED_SURFACES.values()]
+    for faces in cases:
+        surface = SimplicialSurface(faces)
+        assert validate_surface(surface) == validate_complex(faces), faces
