@@ -31,10 +31,9 @@ from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import _linalg, _umath_linalg
 
 from .geometry import (
-    _CROSS_A,
-    _CROSS_B,
     PATH_BLOCK,
     Polyhedron,
+    face_areas,
     oriented_volumes,
     path_blocks,
     principal_angles,
@@ -171,22 +170,17 @@ class _RigidityScatter:
     def __init__(self, surface, width: int):
         ends = surface.edge_table
         self.n_edges = len(ends)
-        self.heads, self.tails = ends[:, 0], ends[:, 1]
         # Coordinate k of edge e's head (tail) is entry entries[0 (1), e, k] of
         # x.reshape(-1); its block in row e starts at width*e + 3*vertex.
         self.entries = 3 * ends.T[:, :, None] + np.arange(3)  # (head/tail, E, 3)
         self.positions = self.entries + width * np.arange(self.n_edges)[:, None]
         self.values = np.empty(self.positions.shape)
 
-    def edge_vectors(self, x) -> np.ndarray:
-        """x[heads] - x[tails] for an (nv, 3) configuration x."""
-        return np.subtract(*x.take(self.entries))
-
     def incidence(self, n3: int) -> np.ndarray:
         """The (3E, n3) +-1 matrix whose product with a flat configuration is
         its edge vectors: row 3e + k adds x_i and -x_j, coordinate k of edge
-        e = (i, j), to zeros, so it rounds once, as edge_vectors' subtraction
-        does; only a zero difference may come out with the other sign."""
+        e = (i, j), to zeros, so it rounds once, as x_i - x_j does; only a
+        zero difference may come out with the other sign."""
         D = np.zeros((self.n_edges, 3, n3))
         rows, coords = np.arange(self.n_edges)[:, None], np.arange(3)
         D[rows, coords, self.entries[0]] = 1.0
@@ -194,7 +188,7 @@ class _RigidityScatter:
         return D.reshape(-1, n3)
 
     def write(self, out: np.ndarray, d) -> None:
-        """Write the rows for the edge vectors d = x[heads] - x[tails]."""
+        """Write the rows for the edge vectors d, x_i - x_j at edge (i, j)."""
         np.multiply(_EDGE_SIGNS, d, out=self.values)
         out.put(self.positions, self.values)
 
@@ -209,7 +203,7 @@ def rigidity_matrix(x, surface: SimplicialSurface) -> np.ndarray:
     x = as_config(x)
     scatter = _RigidityScatter(surface, x.size)
     R = np.zeros((scatter.n_edges, x.size))
-    scatter.write(R, scatter.edge_vectors(x))
+    scatter.write(R, np.subtract(*x.take(scatter.entries)))
     return R
 
 
@@ -377,28 +371,6 @@ def _start_direction(tangent: np.ndarray) -> np.ndarray:
     return -tangent if tangent[lead] < 0 else tangent
 
 
-def _side_areas(surface, heads, tails):
-    """face_areas(surface, y) from the edge vectors dy = y[heads] - y[tails].
-
-    Each face (a, b, c)'s sides b - a and c - a are +-dy at one edge each.
-    A sign flips the cross product exactly and leaves its square, so one
-    take of the entries that _cross multiplies gives face_areas' bits.
-    """
-    row = {}
-    for e, ends in enumerate(zip(heads.tolist(), tails.tolist())):
-        row[ends] = row[ends[::-1]] = e
-    entries = np.array([[3 * row[a, b] + _CROSS_A, 3 * row[a, c] + _CROSS_B]
-                        for a, b, c in surface.face_table.tolist()])
-
-    def areas(dy):
-        sides = dy.reshape(-1).take(entries)
-        p = sides[:, 0] * sides[:, 1]
-        n = p[:, :3] - p[:, 3:]
-        return 0.5 * np.sqrt(np.vecdot(n, n))
-
-    return areas
-
-
 def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
     """Whether the rank test must decide at the square bordered matrix
     M = [[R, W], [T.T, 0], [t, 0]], R with n3 columns and W unit columns:
@@ -430,11 +402,12 @@ def trace_flex(
     with :class:`CorrectorDivergenceError` when no step size works; the
     partial path is attached to the exception.  A path, whole or partial,
     is its configurations and step record, and the tracer computes no angle
-    past the start check.  The corrector stops when every residual is at
-    most ``tol``, positive and finite, by default 1e-11 times the squared
-    longest edge.  That bounds how far a face's area can move from the
-    start's, so the face test is decided once, at the start: faces run a
-    test per step only if one starts within twice that bound of collapse.
+    past the start check; a start that is not finite raises ValueError.
+    The corrector stops when every residual is at most ``tol``, positive and
+    finite, by default 1e-11 times the squared longest edge.  That bounds
+    how far a face's area can move from the start's, so face_areas runs
+    once, at the start, and at each accepted point only if some face starts
+    within twice that bound of collapse.
 
     The predictor is x_pred = x + h*t + (h*h/2)*kappa, where t is the unit
     tangent and kappa = (t - t_prev) / h_prev is the tangent's change over
@@ -472,6 +445,9 @@ def trace_flex(
     if tol is not None and not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     x = as_config(x0).copy()
+    if not (finite := np.isfinite(x).all(axis=1)).all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"start must be finite, got {x[i].tolist()} in row {i}")
     nv = x.shape[0]
     targets_sq = squared_lengths(surface, x)
     max_len = float(np.sqrt(targets_sq).max())
@@ -480,6 +456,12 @@ def trace_flex(
     area_tol = 1e-12 * max_len**2
 
     principal_angles(surface, x)  # a bad surface or start raises before tracing
+    # 16 A^2 = 2(ab + bc + ca) - a^2 - b^2 - c^2 in a face's squared sides, which
+    # the corrector holds within tol of the start's: no face's 16 A^2 moves by more
+    # than 12 L^2 tol + 9 tol^2 (L the longest edge) and rounding.  If every face
+    # starts clear of area_tol by twice that, none is tested again.
+    drift = 12.0 * max_len**2 * tol + 9.0 * tol**2 + 1e-12 * max_len**4
+    check_faces = 16.0 * (face_areas(surface, x).min() ** 2 - area_tol**2) <= 2.0 * drift
     centre, start_motions = x.mean(axis=0), _motion_rows(x)
     x = x.reshape(-1)  # configurations, tangents and kappa are flat 3v-vectors from here on
     # Per accepted step, its size and corrector iterations: objects that
@@ -504,7 +486,6 @@ def trace_flex(
     M = np.zeros((n_edges + 7, max(n_edges + 7, n3)))
     R, W, T, t_row = M[:n_edges, :n3], M[:n_edges, n3:], M[n_edges:-1, :n3], M[-1, :n3]
     scatter, motions = _RigidityScatter(surface, M.shape[1]), _slice_rows(T, centre)
-    side_areas = _side_areas(surface, scatter.heads, scatter.tails)
     # The current configuration's edge vectors, written in place by one product
     # with the incidence matrix.
     incidence, dy = scatter.incidence(n3), np.empty((n_edges, 3))
@@ -532,12 +513,6 @@ def trace_flex(
     T[:] = start_motions  # translations kept; the start's rank test is infinitesimal_flex_dim's
     np.dot(incidence, x, out=dy_flat)
     tangent = _start_direction(rank_test())
-    # 16 A^2 = 2(ab + bc + ca) - a^2 - b^2 - c^2 in a face's squared sides, which
-    # the corrector holds within tol of the start's: no face's 16 A^2 moves by more
-    # than 12 L^2 tol + 9 tol^2 (L the longest edge) and rounding.  If every face
-    # starts clear of area_tol by twice that, none is tested again.
-    drift = 12.0 * max_len**2 * tol + 9.0 * tol**2 + 1e-12 * max_len**4
-    check_faces = 16.0 * (side_areas(dy).min() ** 2 - area_tol**2) <= 2.0 * drift
 
     h, easy_run = step, 0
     kappa = np.zeros_like(tangent)  # the tangent's change per unit step; Euler first
@@ -551,7 +526,7 @@ def trace_flex(
         y = x_pred  # no array is changed in place below
         gn_iters = None
         for it in range(MAX_CORRECTOR_ITERS):
-            # The edge vectors feed the residual, the Jacobian and the areas.
+            # The edge vectors feed the residual and the Jacobian.
             np.dot(incidence, y, out=dy_flat)
             np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
             if (worst := np.maximum.reduce(np.abs(neg_g))) <= tol:
@@ -571,7 +546,7 @@ def trace_flex(
             continue
 
         if check_faces:
-            areas = side_areas(dy)
+            areas = face_areas(surface, y.reshape(nv, 3))
             if (smallest := np.minimum.reduce(areas)) <= area_tol:
                 fi = int(np.argmin(areas))
                 raise FaceDegenerationError(surface.faces[fi], float(smallest), path=path())

@@ -73,23 +73,26 @@ class Polyhedron:
     """Vertex coordinates realizing a combinatorial surface.
 
     ``coords`` and ``exact_coords`` map each vertex id to its point.  The
-    float points are stored as one (n_vertices, 3) array in canonical vertex
-    order, which every kernel reads and :meth:`vertex_array` copies.
-    ``exact_coords`` optionally carries the same points as exact rationals,
-    the only source of exact edge lengths; they are checked and converted to
-    Fractions once, here.
+    float points, which must be finite, are stored as one (n_vertices, 3)
+    array in canonical vertex order, which every kernel reads and
+    :meth:`vertex_array` copies.  ``exact_coords`` optionally carries the
+    same points as exact rationals, the only source of exact edge lengths;
+    they are checked and converted to Fractions once, here, into the
+    polyhedron's own ``exact_coords``.
     """
 
     def __init__(
         self, surface: SimplicialSurface, coords: dict, exact_coords: dict | None = None
     ):
         self.surface = surface
-        self._vertex_array = np.array(_point_rows(surface, coords, "coordinates"), dtype=float)
-        self.exact_coords = exact_coords
-        self._exact_rows = None
+        self._vertex_array = x = np.array(_point_rows(surface, coords, "coordinates"), dtype=float)
+        if not (finite := np.isfinite(x).all(axis=1)).all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"vertex {surface.vertices[i]}: point {x[i].tolist()} is not finite")
+        self.exact_coords = None
         if exact_coords is not None:
             rows = _point_rows(surface, exact_coords, "exact coordinates")
-            self._exact_rows = [_rational_row(v, p) for v, p in zip(surface.vertices, rows)]
+            self.exact_coords = {v: _rational_row(v, p) for v, p in zip(surface.vertices, rows)}
         self._exact_length_cache = None
 
     def vertex_array(self) -> np.ndarray:
@@ -107,11 +110,11 @@ class Polyhedron:
         integer points X_v, so edge (a, b) has squared length
         sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
         """
-        if self._exact_rows is None:
+        if self.exact_coords is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
         if self._exact_length_cache is None:
             verts = self.surface.vertices
-            exact = [c for row in self._exact_rows for c in row]
+            exact = [c for v in verts for c in self.exact_coords[v]]
             # The common denominator D is what 1 clears to.
             *flat, D = clear_to_integers([*exact, Fraction(1)])
             X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}

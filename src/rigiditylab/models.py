@@ -329,12 +329,9 @@ def save_report_json(certificate, combinations, monitoring=None, *, edges) -> st
     return json.dumps(report, indent=2) + "\n"
 
 
-def series_csv_blocks(path: FlexPath | None):
+def series_csv_blocks(path: FlexPath):
     """The text of :func:`save_series_csv` in pieces: the header lines, then
     the rows of one block of configurations at a time."""
-    if path is None or path.n_samples == 0:
-        yield f"# format_version: {FORMAT_VERSION}\nt,volume,weighted_angle_sum\n"
-        return
     cols = [f"phi_{a}_{b}" for a, b in path.surface.edges]
     yield f"# format_version: {FORMAT_VERSION}\nt,{','.join(cols)},volume,weighted_angle_sum\n"
     # %-formatting a whole row of Python floats gives format(v, ".17g")'s digits.
@@ -345,7 +342,7 @@ def series_csv_blocks(path: FlexPath | None):
         yield "".join([row % tuple(r) for r in table.tolist()])
 
 
-def save_series_csv(path: FlexPath | None) -> str:
+def save_series_csv(path: FlexPath) -> str:
     """Flex time series as CSV: parameter, lifted angle per edge, volume and
     length-weighted angle sum, 17 significant digits."""
     return "".join(series_csv_blocks(path))

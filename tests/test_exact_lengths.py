@@ -113,3 +113,17 @@ def test_non_rational_exact_point_is_named_at_construction(tetrahedron, vertex, 
     with pytest.raises(ValueError, match=message) as got:
         Polyhedron(tetrahedron.surface, x, exact_coords=exact)
     assert reason in str(got.value)
+
+
+def test_exact_coords_are_the_polyhedrons_own(tetrahedron):
+    """The polyhedron keeps the Fraction points it took at construction:
+    changing the caller's mapping, or a point in it, afterwards changes
+    neither ``exact_coords`` nor the exact lengths, which stay one form."""
+    exact = {v: list(p) for v, p in tetrahedron.exact_coords.items()}
+    P = exact_polyhedron(tetrahedron.surface, exact)
+    exact[0] = (5, 5, 5)
+    exact[1][0] = 7
+    assert P.exact_coords == {0: (1, 1, 1), 1: (1, -1, -1), 2: (-1, 1, -1), 3: (-1, -1, 1)}
+    assert all(type(c) is Fraction for p in P.exact_coords.values() for c in p)
+    assert P.exact_edge_lengths() == fraction_exact_lengths(P)
+    assert P.exact_edge_lengths() == fraction_exact_lengths(make_regular_tetrahedron())

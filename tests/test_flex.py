@@ -363,6 +363,25 @@ def test_trace_matches_reference_through_halving(bricard):
     assert_same_path(path, ref)
 
 
+def test_trace_matches_reference_with_per_step_face_test(bricard):
+    """At tol = 5e-2 L^2 no face starts clear of the Heron bound, so every
+    accepted point runs the face test, which the default tol never does."""
+    x0 = bricard.vertex_array()
+    L2 = float(np.sqrt(squared_lengths(bricard.surface, x0)).max()) ** 2
+    assert_same_path(*traced_pair(bricard, n_steps=300, tol=5e-2 * L2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_start_is_rejected_up_front(bricard, value):
+    """As a bad step, tol or n_steps is: a ValueError naming the row,
+    before any numpy warning or LAPACK call."""
+    x0 = bricard.vertex_array()
+    x0[2, 1] = value
+    with pytest.raises(ValueError, match=rf"^start must be finite, got .*{value}.* in row 2$"):
+        trace_flex(x0, bricard.surface)
+
+
 @pytest.fixture
 def two_octahedra(octahedron):
     """Two disjoint octahedra: 30 slice directions against 24 edges, and a
@@ -512,9 +531,8 @@ def test_face_test_decided_once_from_the_lengths(bricard, monkeypatch):
     16 A^2, 12 L^2 tol + 9 tol^2, and so at 1e-2 L^2 (0.67 L^4 against
     0.24 L^4 on the default spec); at 5e-2 L^2 (1.25 L^4) it does not, and
     each accepted step evaluates the areas once more."""
-    counts, original = {}, flex._side_areas
-    monkeypatch.setattr(flex, "_side_areas",
-                        lambda *args: counting(counts, "areas", original(*args)))
+    counts = {}
+    monkeypatch.setattr(flex, "face_areas", counting(counts, "areas", flex.face_areas))
     x0 = bricard.vertex_array()
     L2 = float(np.sqrt(squared_lengths(bricard.surface, x0)).max()) ** 2
     for tol, per_step in [(None, 0), (1e-2 * L2, 0), (5e-2 * L2, 1)]:
@@ -548,8 +566,7 @@ def test_face_degeneration_fires_where_the_bound_fails(bricard, monkeypatch, k):
     under the same dip."""
     x0 = bricard.vertex_array()
     tol = 5e-2 * float(np.sqrt(squared_lengths(bricard.surface, x0)).max()) ** 2
-    original = flex._side_areas
-    monkeypatch.setattr(flex, "_side_areas", lambda *args: dip_at(original(*args), k + 1))
+    monkeypatch.setattr(flex, "face_areas", dip_at(flex.face_areas, k + 1))
     with pytest.raises(FaceDegenerationError) as got:
         trace_flex(x0, bricard.surface, n_steps=60, tol=tol)
     monkeypatch.setattr(oracles, "face_areas", dip_at(oracles.face_areas, k))
@@ -871,14 +888,3 @@ def test_failing_attempts_leak_no_warning(bricard, monkeypatch):
         with pytest.raises(CorrectorDivergenceError) as exc:
             trace_flex(x0, bricard.surface, n_steps=10, tol=1e-300)
     assert exc.value.path.n_samples == 1
-
-
-def test_side_areas_equal_face_areas(octahedron, cube, bricard_path):
-    """Signed zeros included: the regular models have equal coordinates."""
-    cases = [(P.surface, P.vertex_array()) for P in (octahedron, cube)]
-    cases += [(bricard_path.surface, x) for x in bricard_path.configs[::15]]
-    for surface, x in cases:
-        ends = surface.edge_table
-        areas = flex._side_areas(surface, ends[:, 0], ends[:, 1])
-        want = face_areas(surface, x)
-        assert areas(x[ends[:, 0]] - x[ends[:, 1]]).tobytes() == want.tobytes()

@@ -47,6 +47,17 @@ def test_collinear_face_rejected():
     assert exc.value.area == 0.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_named_at_construction(octahedron, value):
+    """A float point that is not finite raises at construction and names
+    its vertex, before any kernel reads it."""
+    coords = dict(enumerate(octahedron.vertex_array()))
+    coords[4] = (0.0, value, 0.0)
+    message = rf"^vertex 4: point \[0\.0, {value}, 0\.0\] is not finite$"
+    with pytest.raises(ValueError, match=message):
+        Polyhedron(octahedron.surface, coords)
+
+
 def test_octahedron_edge_lengths(octahedron):
     lengths = edge_length_vector(octahedron)
     assert len(lengths) == 12

@@ -188,9 +188,3 @@ def test_series_csv(bricard_path):
     assert len(lines) == 2 + bricard_path.n_samples
     first = lines[2].split(",")
     assert float(first[0]) == 0.0
-
-
-def test_series_csv_empty_path():
-    text = save_series_csv(None)
-    assert text.startswith("# format_version: 1\n")
-    assert len(text.strip().split("\n")) == 2
