@@ -104,16 +104,17 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
 def _lapack(gufunc, signature: str, handler):
     state = _make_extobj(call=handler, all="ignore", invalid="call")
 
-    def call(a):
+    def call(a, out=None):  # out, positional, is the array the result is written into
         token = _extobj_contextvar.set(state)
         try:
-            return gufunc(a, signature=signature)
+            return gufunc(a, out, signature=signature)
         finally:
             _extobj_contextvar.reset(token)
 
     return call
 
 
+_QUIET = _make_extobj(all="ignore")  # an error state that warns of nothing
 _svd = _lapack(_umath_linalg.svd_f, "d->ddd", _linalg._raise_linalgerror_svd_nonconvergence)
 _inv = _lapack(_umath_linalg.inv, "d->d", _linalg._raise_linalgerror_singular)
 
@@ -422,21 +423,25 @@ def trace_flex(
     M = [[R(y), W], [T.T, 0], [t, 0]] and W the self-stresses from the last
     accepted point (one column on a sphere); a singular M, or a Newton step
     to a non-finite y (whose residual is NaN or infinite), fails the
-    attempt.  The last inverse, or one at the accepted point if no iteration
-    ran, gives the next tangent, its last column's first 3v entries
-    normalized (t.v = 1 keeps the sign), and the next W, its rows at W's
-    columns normalized.  At the start, and where the screen on M^-1 fires
-    (see ``_screen``), the rank test that :func:`infinitesimal_flex_dim`
-    also runs decides at the accepted point (see ``_rank_test``); where the
-    kernel dimension is 1, its SVD gives the tangent and W.
+    attempt.  A residual test takes |g|_inf only where |g|^2 leaves it open,
+    and a Newton step d is accepted untested where 2|d|^2 + sqrt(c)|mu|,
+    mu = M^-1[3v:, :E]*(-g) and c the columns of W, plus rounding is at
+    most tol/2, a bound on the residual at y + d.  The last inverse, or one at
+    the accepted point if no iteration ran, gives the next tangent, its
+    last column's first 3v entries normalized (t.v = 1 keeps the sign), and
+    the next W, its rows at W's columns normalized.  At the start, and
+    where the screen on M^-1 fires (see ``_screen``), the rank test that
+    :func:`infinitesimal_flex_dim` also runs decides at the accepted point
+    (see ``_rank_test``); where the kernel dimension is 1, its SVD gives the
+    tangent and W.
 
-    Configurations, the tangent and kappa are flat 3v-vectors, and one
-    product with a fixed +-1 incidence matrix gives the edge vectors, so a
-    step of one corrector iteration makes 37 small numpy calls.  On the
-    default Bricard octahedron it takes about 35 us (process time, one BLAS
-    thread, 2 vCPUs): the 19x19 inverse 9.8 us, edge vectors 1.2 us and
-    residual tests 5.0 us over two passes, the screen 2.8 us, and about
-    6.5 us of Python beyond numpy's calls.
+    Configurations, the tangent and kappa are flat 3v-vectors, one product
+    with a fixed +-1 incidence matrix gives the edge vectors, and every
+    inverse is written into one buffer, so a step of one corrector iteration
+    makes 36 small numpy calls.  On the default Bricard octahedron it takes
+    about 34 us, 6-8 % less than with a second residual pass (process time,
+    one BLAS thread, 2 vCPUs): the 19x19 inverse 10.3 us, the residual pass
+    2.3 us (3.3 us with |g|_inf), the bound 2.8 us and the screen 2.8 us.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -491,7 +496,29 @@ def trace_flex(
     incidence, dy = scatter.incidence(n3), np.empty((n_edges, 3))
     dy_flat = dy.reshape(-1)
     neg_g = np.empty(n_edges)  # -g, written in place
+    inverse = np.empty_like(M)  # every inverse of M; the Newton, stress and tangent blocks
+    newton, stress, tangent_col = inverse[:n3, :n_edges], inverse[n3:, :n_edges], inverse[:n3, -1]
+    M_flat, inverse_flat = M.reshape(-1), inverse.reshape(-1)
+    far = 2.0 * n_edges * (tol * tol)  # a sum of g_e^2 above it, rounding and all, has |g_e| > tol
+    # M [d; mu] = [-g; 0; 0] leaves g(y + d)_e = -(W mu)_e + |d_i - d_j|^2, at most
+    # sqrt(c)|mu| + 2|d|^2 as W's c columns are unit.  Rounding adds about eps kappa_F(M) |g|
+    # in the solve and a few eps L (L + |y|_inf) in y + d and g; the slice keeps the
+    # centroid, and a connected surface's vertices lie within nv L of it.
+    eps, root_c = np.finfo(float).eps, math.sqrt(M.shape[1] - n3)
+    slack = 16.0 * eps * max_len * ((nv + 1) * max_len + float(np.abs(centre).max()))
+    solve_eps = 4.0 * len(M) * eps
     rejected = 0
+
+    def vouched(d, gg):
+        """Whether the step d's bound (gg = |g|^2) is at most tol/2; it warns of nothing."""
+        token = _extobj_contextvar.set(_QUIET)
+        try:
+            mu = stress.dot(neg_g)  # kappa_F last: a stalled attempt's mu fails the bound
+            bound = root_c * math.sqrt(mu.dot(mu)) + 2.0 * d.dot(d) + slack
+            return bound <= 0.5 * tol and bound + solve_eps * math.sqrt(
+                M_flat.dot(M_flat) * inverse_flat.dot(inverse_flat) * gg) <= 0.5 * tol
+        finally:
+            _extobj_contextvar.reset(token)
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
@@ -501,7 +528,8 @@ def trace_flex(
                         np.array(iters, int), rejected)
 
     def rank_test():
-        """The unit tangent and W from the rank test at the edge vectors dy and T."""
+        """The unit tangent and W from the rank test at x and T."""
+        incidence.dot(x, out=dy_flat)
         scatter.write(M, dy)
         C, kernel, stresses = _rank_test(R, T)
         if (dim := len(kernel)) != 1:
@@ -511,7 +539,6 @@ def trace_flex(
         return C @ kernel[0]
 
     T[:] = start_motions  # translations kept; the start's rank test is infinitesimal_flex_dim's
-    np.dot(incidence, x, out=dy_flat)
     tangent = _start_direction(rank_test())
 
     h, easy_run = step, 0
@@ -527,19 +554,23 @@ def trace_flex(
         gn_iters = None
         for it in range(MAX_CORRECTOR_ITERS):
             # The edge vectors feed the residual and the Jacobian.
-            np.dot(incidence, y, out=dy_flat)
+            incidence.dot(y, out=dy_flat)
             np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
-            if (worst := np.maximum.reduce(np.abs(neg_g))) <= tol:
-                gn_iters = it
-                break
-            if not worst < np.inf:  # a NaN or inf residual, from a non-finite y, fails
-                break
+            if not far < (gg := neg_g.dot(neg_g)) < np.inf:
+                if (worst := np.maximum.reduce(np.abs(neg_g))) <= tol:
+                    gn_iters = it
+                    break
+                if not worst < np.inf:  # a NaN or inf residual, from a non-finite y, fails
+                    break
             scatter.write(M, dy)
             try:
-                inverse = _inv(M)
+                _inv(M, inverse)
             except np.linalg.LinAlgError:
                 break
-            y = y + inverse[:n3, :n_edges] @ neg_g
+            y = y + (d := newton.dot(neg_g))
+            if it + 1 < MAX_CORRECTOR_ITERS and vouched(d, gg):  # no test follows the last step
+                gn_iters = it + 1
+                break
         if gn_iters is None:
             rejected, h, easy_run = rejected + 1, 0.5 * h, 0
             logger.debug("corrector failed, halving step to %.3e", h)
@@ -559,19 +590,18 @@ def trace_flex(
         # The last inverse gives the tangent: T in M is x_pred's and R the
         # last iterate's, O(h^3) from x.  A step that took no iteration
         # inverts at x.
-        if not gn_iters:
+        inverted = gn_iters > 0
+        if not inverted:
             scatter.write(M, dy)
-            inverse = None
             with suppress(np.linalg.LinAlgError):
-                inverse = _inv(M)
-        if inverse is None or _screen(M, inverse, n3):
+                _inv(M, inverse)
+                inverted = True
+        if not inverted or _screen(M, inverse, n3):
             new_tangent = rank_test()  # the rank test decides at x
         else:
-            stress = inverse[n3:, :n_edges]
             np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
-            v = inverse[:n3, -1]
-            new_tangent = v / math.sqrt(np.dot(v, v))
-        if np.dot(new_tangent, tangent) < 0:
+            new_tangent = tangent_col / math.sqrt(tangent_col.dot(tangent_col))
+        if new_tangent.dot(tangent) < 0:
             new_tangent = -new_tangent
         kappa = (new_tangent - tangent) / h
         tangent = new_tangent

@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,6 +383,11 @@ def test_non_finite_start_is_rejected_up_front(bricard, value):
         trace_flex(x0, bricard.surface)
 
 
+_DEFAULT = make_bricard_type1()
+# The default spec's squared longest edge, L^2, as trace_flex computes it.
+DEFAULT_L2 = float(np.sqrt(squared_lengths(_DEFAULT.surface, _DEFAULT.vertex_array())).max()) ** 2
+
+
 @pytest.fixture
 def two_octahedra(octahedron):
     """Two disjoint octahedra: 30 slice directions against 24 edges, and a
@@ -400,6 +406,10 @@ def two_octahedra(octahedron):
         # zero residuals, and then no step size works.
         ("bricard", {"n_steps": 50, "tol": 1e-300}, CorrectorDivergenceError),
         ("two_octahedra", {"n_steps": 5}, SingularPointError),
+        # Below the rounding of the residual itself (a few eps L^2), no Newton
+        # step may vouch for its own residual test: these fail at steps 23 and 7.
+        ("bricard", {"n_steps": 30, "tol": 1e-16 * DEFAULT_L2}, CorrectorDivergenceError),
+        ("bricard", {"n_steps": 30, "tol": 1e-20 * DEFAULT_L2}, CorrectorDivergenceError),
     ],
 )
 def test_trace_failures_match_reference(model, kwargs, error, request, spy):
@@ -422,6 +432,29 @@ def test_trace_failures_match_reference(model, kwargs, error, request, spy):
     assert_same_path(path, rebuilt)
     for a, b in zip(path.monitor_series, rebuilt.monitor_series):
         assert a.shape == (path.n_samples,) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [None, 13])
+def test_samples_keep_the_start_lengths_exactly(seed):
+    """Every sample's squared edge lengths, in Fraction arithmetic on its
+    float coordinates, lie within tol of the start's, plus 1e-15 L^2 for the
+    rounding of the tracer's own residual test: what a step promises, checked
+    without a copy of the tracer's algorithm."""
+    spec = DEFAULT_BRICARD_SPEC if seed is None else inputs.bricard_spec(random.Random(seed))
+    P = make_bricard_type1(spec)
+    path = trace_flex(P.vertex_array(), P.surface, n_steps=600)
+    assert path.n_samples == 601
+
+    def exact_squared_lengths(x):
+        x = [[Fraction(c) for c in row] for row in x.tolist()]
+        return [sum((a - b) ** 2 for a, b in zip(x[i], x[j])) for i, j in P.surface.edge_table]
+
+    start = exact_squared_lengths(path.configs[0])
+    L2 = max(start)
+    allowed = Fraction(1e-11) * L2 + Fraction(1e-15) * L2  # the default tol, and rounding
+    for k, x in enumerate(path.configs):
+        worst = max(abs(a - b) for a, b in zip(exact_squared_lengths(x), start))
+        assert worst <= allowed, (k, float(worst / L2))
 
 
 def test_flex_matrices_match_reference(octahedron, cube, bricard_path):
@@ -832,32 +865,47 @@ def test_failed_solve_halves_the_step(bricard, monkeypatch):
     assert path.rejected_attempts == ref.rejected_attempts == 1
 
 
-def nan_once(inverse, call):
-    """``inverse`` whose ``call``-th result is all NaN, raising nothing."""
+def spoiled_once(inverse, call, value, where=...):
+    """``inverse`` whose ``call``-th result has ``value`` written into it at
+    ``where``, everywhere by default, raising nothing."""
     calls = 0
 
     def patched(*args):
         nonlocal calls
         calls += 1
         out = inverse(*args)
-        return np.full_like(out, np.nan) if calls == call else out
+        if calls == call:
+            out[where] = value
+        return out
 
     return patched
 
 
-@pytest.mark.parametrize("step, call", [(0.01, 5), (1e-4, 3)])
-def test_nan_inverse_fails_like_a_singular_one(bricard, monkeypatch, step, call):
-    """An inverse that comes back NaN without raising acts as LinAlgError
-    does at the same call.  In the corrector (steps of 0.01, one inverse a
-    step, so the fifth is step 5's) its Newton step makes y NaN, whose
-    residual fails the attempt: the step halves and one attempt is counted.
-    At a tangent (steps of 1e-4, where every step past the first inverts at
-    its accepted point) the screen fires and the rank test decides.  Either
-    way the path, and the count of inverses and SVDs, equal those under
-    LinAlgError."""
+# An inverse all NaN or all +-inf makes the Newton step's edge vectors NaN
+# (the incidence product meets 0 * inf); one huge finite entry makes one
+# coordinate huge, so the residual is infinite at its edges and finite at
+# the others.
+SPOILS = {"": (np.nan,), "inf": (np.inf,), "-inf": (-np.inf,), "overflow": (1e300, (0, 0))}
+
+
+@pytest.mark.parametrize("step, call, spoil", [
+    pytest.param(step, call, spoil, id="-".join(filter(None, [str(step), str(call), spoil])),
+                 # An infinite Newton step's own arithmetic warns, as numpy's would.
+                 marks=[pytest.mark.filterwarnings(
+                     "ignore:(invalid value|overflow) encountered:RuntimeWarning")] if spoil else [])
+    for step, call in [(0.01, 5), (1e-4, 3)] for spoil in SPOILS])
+def test_nan_inverse_fails_like_a_singular_one(bricard, monkeypatch, step, call, spoil):
+    """An inverse that comes back NaN, infinite or overflowing without
+    raising acts as LinAlgError does at the same call.  In the corrector
+    (steps of 0.01, one inverse a step, so the fifth is step 5's) its Newton
+    step makes the residual NaN or infinite, which fails the attempt: the
+    step halves and one attempt is counted.  At a tangent (steps of 1e-4,
+    where every step past the first inverts at its accepted point) the
+    screen fires and the rank test decides.  Either way the path, and the
+    count of inverses and SVDs, equal those under LinAlgError."""
     original, x0 = flex._inv, bricard.vertex_array()
     traced = []
-    for patched in (nan_once(original, call), fail_once(original, call)):
+    for patched in (spoiled_once(original, call, *SPOILS[spoil]), fail_once(original, call)):
         counts = {"svd": 0, "inv": 0}
         monkeypatch.setattr(flex, "_svd", counting(counts, "svd", flex._svd))
         monkeypatch.setattr(flex, "_inv", counting(counts, "inv", patched))
@@ -884,7 +932,7 @@ def test_failing_attempts_leak_no_warning(bricard, monkeypatch):
         warnings.simplefilter("error")
         assert trace_flex(x0, bricard.surface, n_steps=12, step=256.0).rejected_attempts == 8
         original = flex._inv
-        monkeypatch.setattr(flex, "_inv", lambda M: original(np.zeros_like(M)))
+        monkeypatch.setattr(flex, "_inv", lambda M, out: original(np.zeros_like(M), out))
         with pytest.raises(CorrectorDivergenceError) as exc:
             trace_flex(x0, bricard.surface, n_steps=10, tol=1e-300)
     assert exc.value.path.n_samples == 1
