@@ -11,29 +11,24 @@ failure.  Every library error derives from ValueError, so one handler maps
 it, or an OSError, to code 2 with one ``error: <type>: <message>`` line on
 stderr; argparse exits 2 on a usage error itself.
 The RIGIDITYLAB_LOG environment variable (error, info, debug) controls
-diagnostic logging on stderr.
+diagnostic logging on stderr; the library logs nothing at error level, so
+logging is set up only for info and debug.
+
+A subcommand imports only the modules it runs: ``validate`` and ``oracle``
+need neither the flex tracer nor the length algebra, and ``analyze`` needs
+no tracer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
 from . import models
-from .flex import trace_flex
 from .geometry import all_dihedrals, monte_carlo_dihedrals
-from .invariants import (
-    initial_principal_angles,
-    invariant_combinations,
-    monitor_flex,
-    rigidity_certificate,
-)
 from .surfaces import validate_surface
-
-logger = logging.getLogger("rigiditylab")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -129,6 +124,8 @@ def cmd_validate(args) -> int:
 
 
 def _analysis(P, mode, height):
+    from .invariants import initial_principal_angles, invariant_combinations, rigidity_certificate
+
     cert = rigidity_certificate(P, mode=mode, height=height)
     combinations = []
     if mode == "exact":
@@ -148,6 +145,11 @@ def cmd_analyze(args) -> int:
 def cmd_flex(args) -> int:
     P = _load(args)
     _require_valid(P)
+    import logging
+
+    from .flex import logger, trace_flex
+    from .invariants import monitor_flex
+
     cert, combinations = _analysis(P, args.mode, args.height)
     path = trace_flex(
         P.vertex_array(),
@@ -203,13 +205,11 @@ def cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     level = os.environ.get("RIGIDITYLAB_LOG", "error").lower()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level={"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-            level, logging.ERROR
-        ),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if level in ("info", "debug"):
+        import logging
+
+        logging.basicConfig(stream=sys.stderr, level=level.upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

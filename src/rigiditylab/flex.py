@@ -403,7 +403,8 @@ def trace_flex(
     with :class:`CorrectorDivergenceError` when no step size works; the
     partial path is attached to the exception.  A path, whole or partial,
     is its configurations and step record, and the tracer computes no angle
-    past the start check; a start that is not finite raises ValueError.
+    past the start check; a start that is not finite, or whose longest edge
+    is 2**256 or longer, raises ValueError.
     The corrector stops when every residual is at most ``tol``, positive and
     finite, by default 1e-11 times the squared longest edge.  That bounds
     how far a face's area can move from the start's, so face_areas runs
@@ -456,6 +457,10 @@ def trace_flex(
     nv = x.shape[0]
     targets_sq = squared_lengths(surface, x)
     max_len = float(np.sqrt(targets_sq).max())
+    if not max_len < 2.0**256:  # the bounds below take max_len**4, which overflows from here
+        edge = surface.edges[int(np.argmax(targets_sq))]
+        raise ValueError(f"longest edge {edge} has length {max_len:.6e}; "
+                         f"the tracer takes its fourth power, which overflows from 2**256 on")
     if tol is None:
         tol = 1e-11 * max_len**2
     area_tol = 1e-12 * max_len**2

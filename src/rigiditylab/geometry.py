@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lengths import clear_to_integers, normalize_sqrt
 from .surfaces import SimplicialSurface
 
 DEGENERATE_NORMAL_TOL = 1e-9
@@ -113,6 +112,8 @@ class Polyhedron:
         if self.exact_coords is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
         if self._exact_length_cache is None:
+            from .lengths import clear_to_integers, normalize_sqrt
+
             verts = self.surface.vertices
             exact = [c for v in verts for c in self.exact_coords[v]]
             # The common denominator D is what 1 clears to.
@@ -306,6 +307,15 @@ def all_dihedrals(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     return principal_angles(P.surface, P._vertex_array)
 
 
+def _wrap_2pi(t):
+    """Angles of arctan2, in [-pi, pi], mapped in place into [0, 2*pi) to
+    the bit as np.remainder(t, 2*pi) maps them, at a tenth of its cost: its
+    fmod leaves each one, and it adds 2*pi to a negative one and turns -0.0
+    into +0.0, as adding 2*pi or +0.0 does.  A masked add (``where=``) costs
+    five times as much."""
+    return np.add(t, (t < 0.0) * (2.0 * np.pi), out=t)
+
+
 def monte_carlo_dihedral(
     P: Polyhedron,
     edge: tuple[int, int],
@@ -368,8 +378,7 @@ def monte_carlo_dihedrals(
         for j, i in enumerate(live):
             np.matmul(dirs, e1[i], out=xm)
             np.matmul(dirs, e2[i], out=tm)
-            np.arctan2(tm, xm, out=tm)
-            np.remainder(tm, 2.0 * np.pi, out=tm)
+            _wrap_2pi(np.arctan2(tm, xm, out=tm))
             counts[j] += int(np.count_nonzero(tm <= a2[i]))
     for i, count in zip(live, counts):
         values[i] = 2.0 * np.pi * count / n_samples

@@ -13,10 +13,10 @@ length-weighted angle sum) is the numerical check of that prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flex import FlexPath
 from .geometry import Polyhedron, all_dihedrals, edge_length_vector
 from .lengths import (
     _n_lengths,
@@ -30,6 +30,9 @@ from .lengths import (
     find_integer_relation,
     q_basis,
 )
+
+if TYPE_CHECKING:  # the tracer is imported only where a path is traced
+    from .flex import FlexPath
 
 # Relative tolerance of the exact-versus-measured edge-length cross-check.
 LENGTH_TOL = 1e-9

@@ -13,12 +13,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flex import FlexPath
 from .geometry import Polyhedron, path_blocks
 from .surfaces import SimplicialSurface, _canonical_face
+
+if TYPE_CHECKING:  # the tracer is imported only where a path is traced
+    from .flex import FlexPath
 
 FORMAT_VERSION = 1
 

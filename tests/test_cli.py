@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from rigiditylab import cli
-from rigiditylab.models import OCTAHEDRON_FACES
+from rigiditylab.flex import polyhedron_from_config
+from rigiditylab.models import OCTAHEDRON_FACES, make_bricard_type1, save_off
 from rigiditylab.surfaces import SimplicialSurface
 
 from oracles import PROJECTIVE_PLANE_FACES, relabeled_faces, subdivided_faces
@@ -106,6 +107,20 @@ def test_non_finite_coordinate_exit_2(tmp_path, command, token):
     assert proc.stderr.decode().splitlines() == [
         f"error: ParseError: line 3: non-finite coordinate in '{token} 0 0'"
     ]
+
+
+def test_flex_with_overflowing_edge_bounds_exit_2(tmp_path):
+    """The default Bricard octahedron scaled by 2^255 has its longest edge,
+    (1, 2), beyond 2^256, where the tracer's bounds in the fourth power of
+    that length overflow: a typed error, not a traceback."""
+    P = make_bricard_type1()
+    off = tmp_path / "huge.off"
+    off.write_text(save_off(polyhedron_from_config(P.surface, P.vertex_array() * 2.0**255)))
+    proc = run_cli("flex", "--input", str(off), "--mode", "numeric")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert re.fullmatch(r"error: ValueError: longest edge \(1, 2\) has length 2\.29\d+e\+77; "
+                        r"[^\n]*2\*\*256[^\n]*\n", proc.stderr.decode())
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "flex", "oracle"])

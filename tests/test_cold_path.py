@@ -1,18 +1,25 @@
 """The work each CLI call does is cut to what its answer needs; these tests
 require that every result equals that of the code it replaced, kept in
 ``oracles`` (one Monte-Carlo draw per edge), or, for the trial-division
-square split, what sympy's factorization gives."""
+square split, what sympy's factorization gives.  A CLI process imports only
+the modules its subcommand runs, and the package's names resolve on first
+access to the objects its modules define."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigiditylab
 from rigiditylab import SimplicialSurface, cli, geometry, lengths, models
 from rigiditylab.geometry import monte_carlo_dihedral, monte_carlo_dihedrals, principal_angles
 from perfbench import inputs
@@ -256,3 +263,138 @@ def test_exact_cli_run_partitions_the_lengths_once(argv, monkeypatch, capsys):
     assert cli.main([*argv, "--model", "bricard-default"]) == cli.EXIT_OK
     assert calls == [12]
     assert len(json.loads(capsys.readouterr().out)["combinations"]) == 6
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ, RIGIDITYLAB_LOG="error"))
+
+
+# Runs the command line on its arguments and writes, at exit, the package's
+# modules that the process loaded to stderr.
+MODULES_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write(
+    " ".join(m for m in sys.modules if m.startswith("rigiditylab"))))
+sys.argv = ["rigiditylab", *sys.argv[1:]]
+runpy.run_module("rigiditylab.cli", run_name="__main__")
+"""
+TRACER_MODULES = {"rigiditylab.flex", "rigiditylab.invariants", "rigiditylab.lengths"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", "--model", "cube"], set()),
+    (["oracle", "--model", "octahedron", "--samples", "1000"], set()),
+    (["analyze", "--model", "bricard-default"], {"rigiditylab.invariants", "rigiditylab.lengths"}),
+    (["flex", "--model", "bricard-default", "--steps", "5"], TRACER_MODULES),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
+    proc = _python("-c", MODULES_PROBE, *argv)
+    assert proc.returncode == 0 and proc.stdout
+    imported = set(proc.stderr.decode().split())
+    assert {"rigiditylab.geometry", "rigiditylab.models"} <= imported
+    assert imported & TRACER_MODULES == loaded
+
+
+def test_importing_the_package_loads_nothing():
+    proc = _python("-c", "import sys, rigiditylab; print(sorted(m for m in sys.modules "
+                   "if m.startswith(('rigiditylab', 'numpy'))))")
+    assert proc.returncode == 0 and proc.stdout.decode().split() == ["['rigiditylab']"]
+
+
+# What the package re-exported when it imported every module up front.
+EXPORTS = {
+    "surfaces": ["SimplicialSurface", "validate_complex"],
+    "geometry": ["DegenerateFaceError", "Polyhedron", "all_dihedrals", "check_nondegenerate",
+                 "edge_length_vector", "monte_carlo_dihedral", "oriented_volume",
+                 "principal_dihedral", "weighted_angle_sum"],
+    "lengths": ["DEPENDENT", "INDEPENDENT_EXACT", "ExactLength", "find_integer_relation",
+                "is_q_independent", "normalize_sqrt", "q_basis"],
+    "flex": ["CorrectorDivergenceError", "DegenerateConfigurationError", "FaceDegenerationError",
+             "FlexPath", "LiftAmbiguityError", "SingularPointError", "infinitesimal_flex_dim",
+             "is_trivial_flex", "lift_angles", "polyhedron_from_config", "rigidity_matrix",
+             "trace_flex", "trivial_motion_basis"],
+    "invariants": ["INCONCLUSIVE", "RIGID", "RIGID_PRESUMED", "InvariantCombination",
+                   "constant_angle_edges", "initial_principal_angles", "invariant_combinations",
+                   "monitor_flex", "rigidity_certificate"],
+    "models": ["BRICARD_FACES", "BUILTIN_MODELS", "DEFAULT_BRICARD_SPEC", "BricardSpec",
+               "DegenerateSpecError", "NonTriangularFaceError", "OCTAHEDRON_FACES", "ParseError",
+               "half_turn_edge_pairs", "load_off", "make_bricard_type1",
+               "make_distinct_length_octahedron", "make_model", "make_regular_octahedron",
+               "make_regular_tetrahedron", "make_triangulated_cube", "save_off",
+               "save_report_json", "save_series_csv"],
+}
+
+# In a fresh process, so each name goes through the package's lazy lookup:
+# the names whose package attribute is not the defining module's object.
+EXPORTS_PROBE = """
+import importlib, json, sys
+import rigiditylab
+exports = json.loads(sys.argv[1])
+wrong = [name for module, names in exports.items() for name in names
+         if getattr(rigiditylab, name) is not getattr(
+             importlib.import_module("rigiditylab." + module), name)]
+wrong += [module for module in exports
+          if getattr(rigiditylab, module) is not sys.modules["rigiditylab." + module]]
+print(json.dumps(wrong))
+"""
+
+
+def test_every_name_resolves_to_its_module_object():
+    proc = _python("-c", EXPORTS_PROBE, json.dumps(EXPORTS))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == []
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == 59 and sorted(rigiditylab.__all__) == sorted(names)
+    assert set(rigiditylab.__all__) | set(EXPORTS) <= set(dir(rigiditylab))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        rigiditylab.no_such_name
+    with pytest.raises(ImportError):
+        from rigiditylab import no_such_name  # noqa: F401
+
+
+def test_oracle_wrap_matches_remainder_bit_for_bit():
+    """The oracle's wrap equals np.remainder(t, 2*pi) on arctan2's outputs
+    bit for bit, signed zeros and NaN included, and so counts the same
+    samples at every angle, 0 included."""
+    rng = np.random.default_rng(5)
+    y, x = rng.normal(size=(2, 10**6))
+    tiny = 5e-324
+    special = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (tiny, 1.0), (-tiny, 1.0),
+               (tiny, -1.0), (-tiny, -1.0), (1.0, 0.0), (-1.0, 0.0), (np.nan, 1.0)]
+    sy, sx = np.array(special).T
+    t = np.arctan2(np.r_[sy, y], np.r_[sx, x])
+    assert {np.pi, -np.pi, 0.0, tiny, -tiny} <= set(t[:10].tolist())
+    assert np.isnan(t[10]) and np.signbit(t[1])
+    want = np.remainder(t, 2 * np.pi)
+    got = geometry._wrap_2pi(t.copy())
+    assert not np.signbit(got[1]) and np.array_equal(got.view(np.int64), want.view(np.int64))
+    for a2 in [0.0, tiny, 1.0, np.pi, 2 * np.pi - 1e-12, *rng.uniform(0, 2 * np.pi, 5)]:
+        assert np.array_equal(got <= a2, want <= a2)
+
+
+# The tracer imports four private numpy names.  An empty stand-in for the
+# module of one of them breaks that import as a numpy release that moved the
+# name would.
+BROKEN_NUMPY_PROBE = """
+import runpy, sys, types
+import numpy
+sys.modules["numpy._core._ufunc_config"] = types.ModuleType("numpy._core._ufunc_config")
+sys.argv = ["rigiditylab", *sys.argv[1:]]
+runpy.run_module("rigiditylab.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "cube"],
+    ["analyze", "--model", "octahedron-distinct", "--mode", "numeric"],
+    ["oracle", "--model", "octahedron", "--samples", "1000"],
+], ids=lambda argv: argv[0])
+def test_subcommands_without_the_tracer_survive_a_moved_numpy_name(argv):
+    """Only ``flex`` imports the tracer, and with it numpy's private names."""
+    broken = _python("-c", BROKEN_NUMPY_PROBE, *argv)
+    assert (broken.returncode, broken.stderr) == (0, b"")
+    assert broken.stdout == _python("-m", "rigiditylab.cli", *argv).stdout

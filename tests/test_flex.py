@@ -936,3 +936,56 @@ def test_failing_attempts_leak_no_warning(bricard, monkeypatch):
         with pytest.raises(CorrectorDivergenceError) as exc:
             trace_flex(x0, bricard.surface, n_steps=10, tol=1e-300)
     assert exc.value.path.n_samples == 1
+
+
+def test_residual_just_below_tol_everywhere_needs_no_iteration(bricard, monkeypatch):
+    """Targets moved by +-0.9 tol at alternate edges, and a step short enough
+    that the predicted point keeps that residual: every |g_e| is just below
+    tol, yet |g|^2 = 0.81 E tol^2.  The |g|^2 shortcut may decide only above
+    2 E tol^2, where some |g_e| > tol for certain, so |g|_inf decides here
+    and accepts the predicted point without a corrector iteration."""
+    tol, step = 1e-8, 1e-7
+    x0 = bricard.vertex_array()
+    offsets = 0.9 * tol * (-1.0) ** np.arange(len(bricard.surface.edges))
+    monkeypatch.setattr(flex, "squared_lengths", lambda surface, x: squared_lengths(surface, x)
+                        + offsets)
+    path = trace_flex(x0, bricard.surface, n_steps=1, step=step, tol=tol)
+    assert path.corrector_iters.tolist() == [0] and path.rejected_attempts == 0
+    C, kernel, _ = rank_test_at(x0, bricard.surface)
+    tangent = _start_direction(C @ kernel[0])
+    assert path.configs[1].tobytes() == (x0.reshape(-1) + step * tangent).tobytes()
+    g = squared_lengths(bricard.surface, path.configs[1]) - squared_lengths(bricard.surface, x0)
+    g -= offsets
+    assert np.abs(g).max() <= tol < 2**0.5 * np.sqrt(g.dot(g) / len(g))
+
+
+def damped(inverse, calls, n3, alpha=0.25):
+    """``inverse`` whose first ``calls`` results give a Newton step damped by
+    ``alpha`` and a NaN stress multiplier, so no bound vouches for it."""
+    count = 0
+
+    def patched(*args):
+        nonlocal count
+        count += 1
+        out = inverse(*args)
+        if count <= calls:
+            out[:n3] *= alpha
+            out[n3:] = np.nan
+        return out
+
+    return patched
+
+
+def test_newton_step_meeting_tol_only_at_the_last_iteration_fails(bricard, monkeypatch):
+    """The first attempt's first MAX_CORRECTOR_ITERS - 1 Newton steps are
+    damped, so its residual stays above tol, and only the last, exact, step
+    would meet it.  No residual test follows the last step, so that attempt
+    fails as in the reference tracer, and the halved step succeeds."""
+    n3 = bricard.vertex_array().size
+    monkeypatch.setattr(flex, "_inv", damped(flex._inv, MAX_CORRECTOR_ITERS - 1, n3))
+    monkeypatch.setattr(np.linalg, "inv", damped(np.linalg.inv, MAX_CORRECTOR_ITERS - 1, n3))
+    path, ref = traced_pair(bricard, n_steps=3)
+    assert_same_path(path, ref)
+    assert path.rejected_attempts == ref.rejected_attempts == 1
+    assert path.step_sizes.tolist() == [0.005] * 3
+    assert MAX_CORRECTOR_ITERS not in path.corrector_iters.tolist()
