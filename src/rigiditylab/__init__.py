@@ -18,10 +18,9 @@ import sys
 _HOME = {
     name: module
     for module, names in {
-        "surfaces": ("SimplicialSurface", "validate_complex"),
+        "surfaces": ("Polyhedron", "SimplicialSurface", "validate_complex"),
         "geometry": (
             "DegenerateFaceError",
-            "Polyhedron",
             "all_dihedrals",
             "check_nondegenerate",
             "edge_length_vector",

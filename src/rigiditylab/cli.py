@@ -14,9 +14,9 @@ The RIGIDITYLAB_LOG environment variable (error, info, debug) controls
 diagnostic logging on stderr; the library logs nothing at error level, so
 logging is set up only for info and debug.
 
-A subcommand imports only the modules it runs: ``validate`` and ``oracle``
-need neither the flex tracer nor the length algebra, and ``analyze`` needs
-no tracer.
+A subcommand imports only the modules it runs: ``validate`` loads neither
+numpy nor the geometry kernel, ``oracle`` needs neither the flex tracer nor
+the length algebra, and ``analyze`` needs no tracer.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import os
 import sys
 
 from . import models
-from .geometry import all_dihedrals, monte_carlo_dihedrals
 from .surfaces import validate_surface
 
 EXIT_OK = 0
@@ -179,6 +178,8 @@ def cmd_flex(args) -> int:
 def cmd_oracle(args) -> int:
     P = _load(args)
     _require_valid(P)
+    from .geometry import all_dihedrals, monte_carlo_dihedrals
+
     edges = P.surface.edges
     values, flags = all_dihedrals(P)
     mcs = monte_carlo_dihedrals(P, edges, n_samples=args.samples, seed=args.seed)

@@ -90,8 +90,8 @@ def as_config(x) -> np.ndarray:
 
 
 def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
-    x = as_config(x)
-    return Polyhedron(surface, {v: x[i] for i, v in enumerate(surface.vertices)})
+    rows = as_config(x).tolist()
+    return Polyhedron(surface, {v: rows[i] for i, v in enumerate(surface.vertices)})
 
 
 # The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
@@ -406,7 +406,8 @@ def trace_flex(
     past the start check; a start that is not finite, or whose longest edge
     is 2**256 or longer, raises ValueError.
     The corrector stops when every residual is at most ``tol``, positive and
-    finite, by default 1e-11 times the squared longest edge.  That bounds
+    below 2**512 (a larger one raises ValueError), by default 1e-11 times
+    the squared longest edge.  That bounds
     how far a face's area can move from the start's, so face_areas runs
     once, at the start, and at each accepted point only if some face starts
     within twice that bound of collapse.
@@ -450,6 +451,9 @@ def trace_flex(
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if tol is not None and not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if tol is not None and not tol < 2.0**512:  # the bounds below take tol**2
+        raise ValueError(f"tol is {tol}; the tracer takes its square, which overflows "
+                         f"from 2**512 on")
     x = as_config(x0).copy()
     if not (finite := np.isfinite(x).all(axis=1)).all():
         i = int(np.argmin(finite))

@@ -2,9 +2,11 @@
 
 A polyhedron is a surface plus one (V, 3) array of vertex coordinates in
 R^3, in canonical vertex order, which every function here reads; per-edge
-results come back in canonical edge order.  Faces may self-intersect in
-space; the only geometric requirement is that every triangle is
-nondegenerate.  The dihedral angle at an edge is the oriented angle, in
+results come back in canonical edge order.  :class:`Polyhedron` is defined
+in :mod:`rigiditylab.surfaces`, which checks its points in plain Python,
+and re-exported here; its array is built when a function here first reads
+it.  Faces may self-intersect in space; the only geometric requirement is
+that every triangle is nondegenerate.  The dihedral angle at an edge is the oriented angle, in
 [0, 2*pi), from the first face's in-face direction u0 to the second's u1
 about the edge, in the frame (u0, e x u0): e is the unit edge direction,
 and the first face is the one that walks the edge as (a, b), a < b.  The
@@ -18,11 +20,10 @@ flagged as degenerate.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
-from .surfaces import SimplicialSurface
+from .surfaces import Polyhedron  # re-exported: defined in surfaces
 
 DEGENERATE_NORMAL_TOL = 1e-9
 # Unit directions the Monte-Carlo oracle draws and classifies at a time.  A
@@ -38,96 +39,6 @@ class DegenerateFaceError(ValueError):
         self.face = face
         self.area = area
         super().__init__(f"face {face} has area {area:.3e}")
-
-
-def _point_rows(surface: SimplicialSurface, points: dict, name: str) -> list:
-    """The 3-vectors of a vertex -> point mapping in canonical vertex order;
-    ValueError when its vertex ids are not the surface's or a point is not
-    a 3-vector."""
-    points = {int(v): p for v, p in points.items()}
-    missing, extra = set(surface.vertices) - set(points), set(points) - set(surface.vertices)
-    if missing or extra:
-        raise ValueError(
-            f"{name} do not match surface vertices "
-            f"(missing {sorted(missing)}, extra {sorted(extra)})"
-        )
-    for v, p in points.items():
-        if np.shape(p) != (3,):
-            raise ValueError(f"vertex {v}: expected a 3-vector, got shape {np.shape(p)}")
-    return [points[v] for v in surface.vertices]
-
-
-def _rational_row(v: int, point) -> tuple[Fraction, ...]:
-    """An exact point as Fractions; ValueError naming vertex v when a
-    coordinate is not a rational number (a bad string, NaN, inf, None)."""
-    try:
-        return tuple(Fraction(c) for c in point)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(
-            f"vertex {v}: exact point {tuple(point)!r} is not rational ({exc})"
-        ) from None
-
-
-class Polyhedron:
-    """Vertex coordinates realizing a combinatorial surface.
-
-    ``coords`` and ``exact_coords`` map each vertex id to its point.  The
-    float points, which must be finite, are stored as one (n_vertices, 3)
-    array in canonical vertex order, which every kernel reads and
-    :meth:`vertex_array` copies.  ``exact_coords`` optionally carries the
-    same points as exact rationals, the only source of exact edge lengths;
-    they are checked and converted to Fractions once, here, into the
-    polyhedron's own ``exact_coords``.
-    """
-
-    def __init__(
-        self, surface: SimplicialSurface, coords: dict, exact_coords: dict | None = None
-    ):
-        self.surface = surface
-        self._vertex_array = x = np.array(_point_rows(surface, coords, "coordinates"), dtype=float)
-        if not (finite := np.isfinite(x).all(axis=1)).all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"vertex {surface.vertices[i]}: point {x[i].tolist()} is not finite")
-        self.exact_coords = None
-        if exact_coords is not None:
-            rows = _point_rows(surface, exact_coords, "exact coordinates")
-            self.exact_coords = {v: _rational_row(v, p) for v, p in zip(surface.vertices, rows)}
-        self._exact_length_cache = None
-
-    def vertex_array(self) -> np.ndarray:
-        """Coordinates as an (n_vertices, 3) array in canonical vertex order."""
-        return self._vertex_array.copy()
-
-    def max_edge_length(self) -> float:
-        return float(edge_length_vector(self).max())
-
-    def exact_edge_lengths(self):
-        """Exact edge lengths in canonical edge order, from ``exact_coords``.
-
-        Computed once per polyhedron; every call returns a new list.  The
-        rational coordinates are scaled by the lcm D of their denominators to
-        integer points X_v, so edge (a, b) has squared length
-        sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
-        """
-        if self.exact_coords is None:
-            raise ValueError("polyhedron carries no exact coordinate or length data")
-        if self._exact_length_cache is None:
-            from .lengths import clear_to_integers, normalize_sqrt
-
-            verts = self.surface.vertices
-            exact = [c for v in verts for c in self.exact_coords[v]]
-            # The common denominator D is what 1 clears to.
-            *flat, D = clear_to_integers([*exact, Fraction(1)])
-            X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}
-            split = {}
-            out = []
-            for a, b in self.surface.edges:
-                n = sum((x - y) ** 2 for x, y in zip(X[a], X[b]))
-                if n not in split:
-                    split[n] = normalize_sqrt(Fraction(n, D * D))
-                out.append(split[n])
-            self._exact_length_cache = out
-        return list(self._exact_length_cache)
 
 
 # Batched kernel over (..., V, 3) coordinates in canonical vertex order: one
@@ -155,9 +66,18 @@ def _corners(surface, x):
     return x[..., f[:, 0], :], x[..., f[:, 1], :], x[..., f[:, 2], :]
 
 
+def _wrap_2pi(t):
+    """Angles of arctan2, in [-pi, pi], mapped into [0, 2*pi) to the bit as
+    np.remainder(t, 2*pi) maps them, at a tenth of its cost: its fmod leaves
+    each one, and it adds 2*pi to a negative one and turns -0.0 into +0.0,
+    as adding 2*pi or +0.0 does.  An array is mapped in place.  A masked add
+    (``where=``) costs five times as much."""
+    return np.add(t, (t < 0.0) * (2.0 * np.pi), out=t if isinstance(t, np.ndarray) else None)
+
+
 def _plane_angle(z, e1, e2):
     """Angle of z in the (e1, e2) frame, mapped to [0, 2*pi)."""
-    return np.arctan2(_dot(z, e2), _dot(z, e1)) % (2.0 * np.pi)
+    return _wrap_2pi(np.arctan2(_dot(z, e2), _dot(z, e1)))
 
 
 def squared_lengths(surface, x) -> np.ndarray:
@@ -305,15 +225,6 @@ def all_dihedrals(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     """Principal dihedral values and degenerate flags in canonical edge
     order, shapes (E,); see :func:`principal_angles`."""
     return principal_angles(P.surface, P._vertex_array)
-
-
-def _wrap_2pi(t):
-    """Angles of arctan2, in [-pi, pi], mapped in place into [0, 2*pi) to
-    the bit as np.remainder(t, 2*pi) maps them, at a tenth of its cost: its
-    fmod leaves each one, and it adds 2*pi to a negative one and turns -0.0
-    into +0.0, as adding 2*pi or +0.0 does.  A masked add (``where=``) costs
-    five times as much."""
-    return np.add(t, (t < 0.0) * (2.0 * np.pi), out=t)
 
 
 def monte_carlo_dihedral(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Polyhedron, all_dihedrals, edge_length_vector
+from .geometry import Polyhedron, all_dihedrals, squared_lengths
 from .lengths import (
     _n_lengths,
     _span_verdict,
@@ -112,11 +112,19 @@ def rigidity_certificate(
     coordinates); they are cross-checked against the float edge lengths,
     so exact points that differ from the float ones cannot go unnoticed.
     Numeric mode runs the lattice-reduction relation search on the float
-    lengths and can only ever certify rigidity "up to height".
+    lengths and can only ever certify rigidity "up to height".  In either
+    mode a squared float length that overflows raises ValueError naming
+    its edge.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"mode must be 'exact' or 'numeric', got {mode!r}")
-    float_lengths = edge_length_vector(P)
+    with np.errstate(over="ignore"):
+        squared = squared_lengths(P.surface, P._vertex_array)
+    if not (finite := np.isfinite(squared)).all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"edge {P.surface.edges[i]} has squared length {squared[i]}, "
+                         f"which is not finite")
+    float_lengths = np.sqrt(squared)
     if mode == "exact":
         exact = P.exact_edge_lengths()
         for ell, f in zip(exact, float_lengths):

@@ -10,15 +10,13 @@ marker.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .geometry import Polyhedron, path_blocks
-from .surfaces import SimplicialSurface, _canonical_face
+from .surfaces import Polyhedron, SimplicialSurface, _canonical_face
 
 if TYPE_CHECKING:  # the tracer is imported only where a path is traced
     from .flex import FlexPath
@@ -61,7 +59,7 @@ def _to_fraction(x) -> Fraction:
 
 def _exact_polyhedron(faces, points: dict) -> Polyhedron:
     """Polyhedron on exact rational points (ints or Fractions), which are
-    also its float coordinates: numpy rounds each to the nearest float."""
+    also its float coordinates: float() rounds each to the nearest float."""
     return Polyhedron(SimplicialSurface(faces), points, exact_coords=points)
 
 
@@ -248,10 +246,10 @@ def load_off(text: str) -> Polyhedron:
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 3 coordinates, got {line!r}")
         try:
-            coords[i] = np.array([float(p) for p in parts])
+            coords[i] = [float(p) for p in parts]
         except ValueError:
             raise ParseError(lineno, f"bad coordinate in {line!r}") from None
-        if not np.isfinite(coords[i]).all():
+        if not all(map(math.isfinite, coords[i])):
             raise ParseError(lineno, f"non-finite coordinate in {line!r}")
     faces = []
     for i in range(nf):
@@ -281,7 +279,7 @@ def save_off(P: Polyhedron) -> str:
     )
     out = ["OFF", f"# format_version: {FORMAT_VERSION}"]
     out.append(f"{P.surface.n_vertices} {P.surface.n_faces} 0")
-    for row in P.vertex_array().tolist():
+    for row in P._float_rows:
         out.append(" ".join(map(repr, row)))
     for f in canon_faces:
         out.append(f"3 {f[0]} {f[1]} {f[2]}")
@@ -335,6 +333,10 @@ def save_report_json(certificate, combinations, monitoring=None, *, edges) -> st
 def series_csv_blocks(path: FlexPath):
     """The text of :func:`save_series_csv` in pieces: the header lines, then
     the rows of one block of configurations at a time."""
+    import numpy as np
+
+    from .geometry import path_blocks
+
     cols = [f"phi_{a}_{b}" for a, b in path.surface.edges]
     yield f"# format_version: {FORMAT_VERSION}\nt,{','.join(cols)},volume,weighted_angle_sum\n"
     # %-formatting a whole row of Python floats gives format(v, ".17g")'s digits.

@@ -1,16 +1,24 @@
-"""Combinatorial closed triangulated surfaces.
+"""Combinatorial closed triangulated surfaces and their realizations.
 
 A surface is stored purely combinatorially: a list of vertex triples whose
-cyclic order encodes the orientation of each triangle.  All geometric data
-lives in :mod:`rigiditylab.geometry`.
+cyclic order encodes the orientation of each triangle.  A
+:class:`Polyhedron` realizes one with a point per vertex; it lives here,
+and :mod:`rigiditylab.geometry`, which holds every metric quantity,
+re-exports it.  Building a surface or a polyhedron and checking the surface
+conditions is plain Python: numpy is imported where an index table or a
+polyhedron's (V, 3) array is first read, so ``validate`` never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where a table or array is first built
+    import numpy as np
 
 
 def _canonical_face(face: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -80,6 +88,17 @@ class SimplicialSurface:
         return list(self._edge_faces.get(key, []))
 
     @cached_property
+    def edge_status(self) -> tuple[int, ...]:
+        """Per edge (a, b), a < b: 0 when one face walks it as (a, b) and one
+        as (b, a), 1 when it is not in exactly two faces, 2 when both of its
+        two faces walk it the same way."""
+        status = []
+        for a, b in self.edges:
+            fwd, bwd = len(self._walks.get((a, b), ())), len(self._walks.get((b, a), ()))
+            status.append(0 if fwd == bwd == 1 else 1 if fwd + bwd != 2 else 2)
+        return tuple(status)
+
+    @cached_property
     def edge_table(self) -> np.ndarray:
         """Vertex indices of each edge's endpoints, shape (E, 2)."""
         return _index_table(self._vertex_index, self.edges, 2)
@@ -92,23 +111,140 @@ class SimplicialSurface:
     @cached_property
     def wing_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (f0, f1, c0, c1) per edge (a, b), a < b: the face walking it as
-        (a, b), the other face, and their third vertices' indices; shape (E, 4).
-        Status 1 (edge not in exactly two faces) or 2 (both faces walk it the
-        same way) gets a placeholder row.  Building never raises."""
-        rows, status = [], []
-        for a, b in self.edges:
-            fwd, bwd = self._walks.get((a, b), []), self._walks.get((b, a), [])
-            ok = len(fwd) == len(bwd) == 1
-            status.append(0 if ok else 1 if len(fwd) + len(bwd) != 2 else 2)
-            (f0, c0), (f1, c1) = (fwd[0], bwd[0]) if ok else ((0, a), (0, a))
+        (a, b), the other face, and their third vertices' indices; shape (E, 4);
+        and :attr:`edge_status` as an array.  An edge of nonzero status gets a
+        placeholder row.  Building never raises."""
+        import numpy as np
+
+        rows, walks = [], self._walks
+        for (a, b), s in zip(self.edges, self.edge_status):
+            (f0, c0), (f1, c1) = (walks[a, b][0], walks[b, a][0]) if s == 0 else ((0, a), (0, a))
             rows.append((f0, f1, self._vertex_index[c0], self._vertex_index[c1]))
-        return np.array(rows, dtype=np.intp).reshape(-1, 4), np.array(status, dtype=np.int8)
+        return (np.array(rows, dtype=np.intp).reshape(-1, 4),
+                np.array(self.edge_status, dtype=np.int8))
 
 
 def _index_table(index: dict, simplices, width: int) -> np.ndarray:
     """Column-major, so each column is a contiguous index array."""
+    import numpy as np
+
     table = np.array([[index[v] for v in s] for s in simplices], dtype=np.intp)
     return np.asfortranarray(table.reshape(-1, width))
+
+
+def _shape(point) -> tuple:
+    """np.shape(point); a list or tuple of three numbers or strings is
+    (3,) without importing numpy."""
+    if (isinstance(point, (list, tuple)) and len(point) == 3
+            and all(isinstance(c, (int, float, str, Fraction)) for c in point)):
+        return (3,)
+    import numpy as np
+
+    return np.shape(point)
+
+
+def _point_rows(surface: SimplicialSurface, points: dict, name: str) -> list:
+    """The 3-vectors of a vertex -> point mapping in canonical vertex order;
+    ValueError when its vertex ids are not the surface's or a point is not
+    a 3-vector."""
+    points = {int(v): p for v, p in points.items()}
+    missing, extra = set(surface.vertices) - set(points), set(points) - set(surface.vertices)
+    if missing or extra:
+        raise ValueError(
+            f"{name} do not match surface vertices "
+            f"(missing {sorted(missing)}, extra {sorted(extra)})"
+        )
+    for v, p in points.items():
+        if (shape := _shape(p)) != (3,):
+            raise ValueError(f"vertex {v}: expected a 3-vector, got shape {shape}")
+    return [points[v] for v in surface.vertices]
+
+
+def _rational_row(v: int, point) -> tuple[Fraction, ...]:
+    """An exact point as Fractions; ValueError naming vertex v when a
+    coordinate is not a rational number (a bad string, NaN, inf, None)."""
+    try:
+        return tuple(Fraction(c) for c in point)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"vertex {v}: exact point {tuple(point)!r} is not rational ({exc})"
+        ) from None
+
+
+class Polyhedron:
+    """Vertex coordinates realizing a combinatorial surface.
+
+    ``coords`` and ``exact_coords`` map each vertex id to its point.  The
+    float points, which must be finite, are each coordinate's ``float()``,
+    kept as rows in canonical vertex order.  The (n_vertices, 3) float64
+    array of those rows, which every kernel reads and :meth:`vertex_array`
+    copies, is built on first read: numpy rounds each coordinate as
+    ``float()`` does, so it equals ``np.array(rows, dtype=float)`` bit for
+    bit.  ``exact_coords`` optionally carries the same points as exact
+    rationals, the only source of exact edge lengths; they are checked and
+    converted to Fractions once, here, into the polyhedron's own
+    ``exact_coords``.
+    """
+
+    def __init__(
+        self, surface: SimplicialSurface, coords: dict, exact_coords: dict | None = None
+    ):
+        self.surface = surface
+        # Every row is converted before any is tested, so a coordinate that
+        # float() rejects raises before a non-finite one elsewhere.
+        rows = [[float(c) for c in p] for p in _point_rows(surface, coords, "coordinates")]
+        for v, row in zip(surface.vertices, rows):
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"vertex {v}: point {row} is not finite")
+        self._float_rows = rows
+        self.exact_coords = None
+        if exact_coords is not None:
+            rows = _point_rows(surface, exact_coords, "exact coordinates")
+            self.exact_coords = {v: _rational_row(v, p) for v, p in zip(surface.vertices, rows)}
+        self._exact_length_cache = None
+
+    @cached_property
+    def _vertex_array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._float_rows, dtype=float)
+
+    def vertex_array(self) -> np.ndarray:
+        """Coordinates as an (n_vertices, 3) array in canonical vertex order."""
+        return self._vertex_array.copy()
+
+    def max_edge_length(self) -> float:
+        from .geometry import edge_length_vector
+
+        return float(edge_length_vector(self).max())
+
+    def exact_edge_lengths(self):
+        """Exact edge lengths in canonical edge order, from ``exact_coords``.
+
+        Computed once per polyhedron; every call returns a new list.  The
+        rational coordinates are scaled by the lcm D of their denominators to
+        integer points X_v, so edge (a, b) has squared length
+        sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
+        """
+        if self.exact_coords is None:
+            raise ValueError("polyhedron carries no exact coordinate or length data")
+        if self._exact_length_cache is None:
+            from .lengths import clear_to_integers, normalize_sqrt
+
+            verts = self.surface.vertices
+            exact = [c for v in verts for c in self.exact_coords[v]]
+            # The common denominator D is what 1 clears to.
+            *flat, D = clear_to_integers([*exact, Fraction(1)])
+            X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}
+            split = {}
+            out = []
+            for a, b in self.surface.edges:
+                n = sum((x - y) ** 2 for x, y in zip(X[a], X[b]))
+                if n not in split:
+                    split[n] = normalize_sqrt(Fraction(n, D * D))
+                out.append(split[n])
+            self._exact_length_cache = out
+        return list(self._exact_length_cache)
 
 
 @dataclass
@@ -180,8 +316,7 @@ def _validate(faces, built: SimplicialSurface | None) -> ValidationReport:
     # Without bad triples the surface of ok_faces is the one already built.
     surface = built if built is not None and not bad_triples else SimplicialSurface(ok_faces)
 
-    _, status = surface.wing_table
-    edge_status = list(zip(surface.edges, status))
+    edge_status = list(zip(surface.edges, surface.edge_status))
     bad_edges = [(e, len(surface.faces_of_edge(e))) for e, s in edge_status if s == 1]
     if bad_edges:
         violations.append(("iv", bad_edges))

@@ -62,8 +62,8 @@ def test_validate_builtin_model():
 
 
 def test_validate_builds_one_surface(monkeypatch, capsys):
-    """validate checks the surface the model was built as: no second surface
-    and no second wing table."""
+    """validate checks the surface the model was built as: no second surface,
+    and its plain per-edge status, not the wing table's arrays."""
     built, init = [], SimplicialSurface.__init__
 
     def counted(self, faces):
@@ -73,7 +73,8 @@ def test_validate_builds_one_surface(monkeypatch, capsys):
     monkeypatch.setattr(SimplicialSurface, "__init__", counted)
     assert cli.main(["validate", "--model", "octahedron"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert len(built) == 1 and "wing_table" in vars(built[0])
+    assert len(built) == 1 and "edge_status" in vars(built[0])
+    assert "wing_table" not in vars(built[0])
 
 
 def test_validate_boundary_edges_exit_1(tmp_path):
@@ -121,6 +122,33 @@ def test_flex_with_overflowing_edge_bounds_exit_2(tmp_path):
     assert proc.stdout == b""
     assert re.fullmatch(r"error: ValueError: longest edge \(1, 2\) has length 2\.29\d+e\+77; "
                         r"[^\n]*2\*\*256[^\n]*\n", proc.stderr.decode())
+
+
+def test_flex_with_overflowing_tol_exit_2():
+    """A finite tol whose square overflows is refused before any bound is
+    formed from it: a typed error, not an OverflowError traceback."""
+    proc = run_cli("flex", "--model", "bricard-default", "--tol", "1e200", "--steps", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert re.fullmatch(r"error: ValueError: tol is 1e\+200; [^\n]*2\*\*512[^\n]*\n",
+                        proc.stderr.decode())
+
+
+def test_overflowing_squared_lengths_exit_2(tmp_path):
+    """Coordinates near 1e300 are finite, and validate passes them, but
+    their squared edge lengths overflow: the certificate names the first
+    such edge, in either mode, with no numpy warning before it."""
+    P = make_bricard_type1()
+    off = tmp_path / "huge.off"
+    off.write_text(save_off(polyhedron_from_config(P.surface, P.vertex_array() * 1e300)))
+    assert run_cli("validate", "--input", str(off)).returncode == 0
+    for command in ("analyze", "flex"):
+        proc = run_cli(command, "--input", str(off), "--mode", "numeric")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            "error: ValueError: edge (0, 1) has squared length inf, which is not finite\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "flex", "oracle"])

@@ -2,8 +2,10 @@
 require that every result equals that of the code it replaced, kept in
 ``oracles`` (one Monte-Carlo draw per edge), or, for the trial-division
 square split, what sympy's factorization gives.  A CLI process imports only
-the modules its subcommand runs, and the package's names resolve on first
-access to the objects its modules define."""
+the modules its subcommand runs (``validate`` no numpy), and the package's
+names resolve on first access to the objects its modules define.  A
+polyhedron's array, built on first read from its float() rows, equals
+numpy's conversion of its points."""
 
 import json
 import math
@@ -12,6 +14,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,29 +274,87 @@ def _python(*args):
 
 
 # Runs the command line on its arguments and writes, at exit, the package's
-# modules that the process loaded to stderr.
+# and numpy's modules that the process loaded to stderr.
 MODULES_PROBE = """
 import atexit, runpy, sys
 atexit.register(lambda: sys.stderr.write(
-    " ".join(m for m in sys.modules if m.startswith("rigiditylab"))))
+    " ".join(m for m in sys.modules if m.startswith(("rigiditylab", "numpy")))))
 sys.argv = ["rigiditylab", *sys.argv[1:]]
 runpy.run_module("rigiditylab.cli", run_name="__main__")
 """
+GEOMETRY = "rigiditylab.geometry"
 TRACER_MODULES = {"rigiditylab.flex", "rigiditylab.invariants", "rigiditylab.lengths"}
 
 
 @pytest.mark.parametrize("argv, loaded", [
     (["validate", "--model", "cube"], set()),
-    (["oracle", "--model", "octahedron", "--samples", "1000"], set()),
-    (["analyze", "--model", "bricard-default"], {"rigiditylab.invariants", "rigiditylab.lengths"}),
-    (["flex", "--model", "bricard-default", "--steps", "5"], TRACER_MODULES),
+    (["oracle", "--model", "octahedron", "--samples", "1000"], {GEOMETRY}),
+    (["analyze", "--model", "bricard-default"],
+     {GEOMETRY, "rigiditylab.invariants", "rigiditylab.lengths"}),
+    (["flex", "--model", "bricard-default", "--steps", "5"], {GEOMETRY, *TRACER_MODULES}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
+    """Only the geometry kernel imports numpy, and validate needs neither."""
     proc = _python("-c", MODULES_PROBE, *argv)
     assert proc.returncode == 0 and proc.stdout
     imported = set(proc.stderr.decode().split())
-    assert {"rigiditylab.geometry", "rigiditylab.models"} <= imported
-    assert imported & TRACER_MODULES == loaded
+    assert "rigiditylab.models" in imported
+    assert imported & {GEOMETRY, *TRACER_MODULES} == loaded
+    assert any(m.startswith("numpy") for m in imported) == (GEOMETRY in loaded)
+
+
+@pytest.mark.parametrize("source", ["model", "input"])
+def test_validate_loads_no_numpy(source, tmp_path):
+    """validate builds the polyhedron and checks its surface in plain Python,
+    from a built-in model or an OFF file, and prints what it always did."""
+    if source == "model":
+        argv = ["validate", "--model", "cube"]
+    else:
+        off = tmp_path / "cube.off"
+        off.write_text(models.save_off(models.make_triangulated_cube()))
+        argv = ["validate", "--input", str(off)]
+    proc = _python("-c", MODULES_PROBE, *argv)
+    assert proc.returncode == 0
+    imported = proc.stderr.decode().split()
+    assert GEOMETRY not in imported and not [m for m in imported if m.startswith("numpy")]
+    golden = os.path.join(os.path.dirname(__file__), "golden", "validate-cube.stdout")
+    with open(golden, "rb") as fh:
+        assert proc.stdout == fh.read()
+
+
+PARITY_ROWS = {
+    "int": [(0, 0, 0), (1, -2, 3), (2**60 + 1, 7, -(2**70) - 3), (0, 1, 1)],
+    "fraction": [(Fraction(1, 3), Fraction(-2, 7), Fraction(10**20 + 1, 3)),
+                 (Fraction(0), Fraction(1, 10), Fraction(2, 3)),
+                 (Fraction(5, 6), Fraction(-1, 10**30), Fraction(22, 7)),
+                 (Fraction(1), Fraction(1), Fraction(1))],
+    "decimal": [("0.1", "-2.5e-300", "1e308"), ("1.7976931348623157e308", "0.3", " 4.4 "),
+                ("-0.0", "5e-324", "123456789.123456789123"), ("1_000", "+2", "3.0")],
+    "float": [(0.1, -0.0, 1e-310), (1e308, -2.5, 3.3), (4.4, 5e-324, -7.0), (0.0, 1.0, 2.0)],
+    "float64": [tuple(np.float64(c) for c in r) for r in
+                [(0.1, -0.0, 1e-310), (1e308, -2.5, 3.3), (4.4, 5e-324, -7.0), (0.0, 1.0, 2.0)]],
+}
+TETRAHEDRON = SimplicialSurface([(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)])
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_ROWS))
+def test_vertex_array_equals_numpy_conversion(kind):
+    """The array built from the float() rows is numpy's own conversion of
+    the points, bit for bit."""
+    rows = PARITY_ROWS[kind]
+    P = geometry.Polyhedron(TETRAHEDRON, dict(enumerate(rows)))
+    assert _bits(P._vertex_array) == _bits(np.array(rows, dtype=float))
+
+
+@pytest.mark.parametrize("name", sorted(models.BUILTIN_MODELS))
+def test_builtin_vertex_array_equals_numpy_conversion(name):
+    P = models.make_model(name)
+    rows = [P.exact_coords[v] for v in P.surface.vertices]
+    assert _bits(P._vertex_array) == _bits(np.array(rows, dtype=float))
 
 
 def test_importing_the_package_loads_nothing():
