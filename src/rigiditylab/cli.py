@@ -22,7 +22,6 @@ the length algebra, and ``analyze`` needs no tracer.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -97,15 +96,13 @@ def _emit(text: str, out_path: str | None):
 
 
 def _validation_report_json(report) -> str:
-    payload = {
-        "format_version": models.FORMAT_VERSION,
+    return models.versioned_json({
         "passed": report.passed,
         "violations": [
             {"condition": cond, "simplices": simplices}
             for cond, simplices in report.violations
         ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def _require_valid(P):
@@ -194,13 +191,8 @@ def cmd_oracle(args) -> int:
                 "degenerate": flag,
             }
         )
-    payload = {
-        "format_version": models.FORMAT_VERSION,
-        "samples": args.samples,
-        "seed": args.seed,
-        "edges": rows,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out_json)
+    payload = {"samples": args.samples, "seed": args.seed, "edges": rows}
+    _emit(models.versioned_json(payload), args.out_json)
     return EXIT_OK
 
 

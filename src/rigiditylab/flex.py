@@ -94,29 +94,26 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
     return Polyhedron(surface, {v: rows[i] for i, v in enumerate(surface.vertices)})
 
 
-# The tracer's factorizations call numpy's LAPACK gufuncs as numpy 2.4's
-# np.linalg.svd and inv do (same gufuncs, signatures, error states and
-# LinAlgError handlers), so their results equal the public functions' to the
-# bit without the wrappers' dtype checks and result copies.  Each call runs
-# in the error state of np.errstate(call=handler, all="ignore",
-# invalid="call"), built once and set on numpy's context variable as errstate
-# sets it; a new errstate object would cost about 1 us per call.
-def _lapack(gufunc, signature: str, handler):
-    state = _make_extobj(call=handler, all="ignore", invalid="call")
+_svd = np.linalg.svd  # the rank test's, once per trace and where the screen fires
 
-    def call(a, out=None):  # out, positional, is the array the result is written into
-        token = _extobj_contextvar.set(state)
-        try:
-            return gufunc(a, out, signature=signature)
-        finally:
-            _extobj_contextvar.reset(token)
-
-    return call
-
-
+# The per-step inverse calls numpy's LAPACK gufunc as numpy 2.4's np.linalg.inv
+# does (same gufunc, signature, error state and LinAlgError handler), so its
+# result equals np.linalg.inv's to the bit, without the wrapper's dtype checks
+# and result copy.  Its error state, that of np.errstate(call=handler,
+# all="ignore", invalid="call"), is built once and set on numpy's context
+# variable as errstate sets it, not built anew per call; CHANGES.md records
+# what each route costs.
+_INV_STATE = _make_extobj(call=_linalg._raise_linalgerror_singular, all="ignore", invalid="call")
 _QUIET = _make_extobj(all="ignore")  # an error state that warns of nothing
-_svd = _lapack(_umath_linalg.svd_f, "d->ddd", _linalg._raise_linalgerror_svd_nonconvergence)
-_inv = _lapack(_umath_linalg.inv, "d->d", _linalg._raise_linalgerror_singular)
+
+
+def _inv(a, out=None):
+    """np.linalg.inv(a), written into ``out`` when it is given."""
+    token = _extobj_contextvar.set(_INV_STATE)
+    try:
+        return _umath_linalg.inv(a, out, signature="d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _motion_rows(x) -> np.ndarray:
@@ -440,10 +437,8 @@ def trace_flex(
     Configurations, the tangent and kappa are flat 3v-vectors, one product
     with a fixed +-1 incidence matrix gives the edge vectors, and every
     inverse is written into one buffer, so a step of one corrector iteration
-    makes 36 small numpy calls.  On the default Bricard octahedron it takes
-    about 34 us, 6-8 % less than with a second residual pass (process time,
-    one BLAS thread, 2 vCPUs): the 19x19 inverse 10.3 us, the residual pass
-    2.3 us (3.3 us with |g|_inf), the bound 2.8 us and the screen 2.8 us.
+    makes 36 small numpy calls, among them one inverse, one residual pass,
+    the bound and the screen.  CHANGES.md records what each costs.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")

@@ -19,6 +19,7 @@ flagged as degenerate.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -126,36 +127,42 @@ def _edge_frames(surface, x, edges=None):
     normals of the two incident faces (..., E, 2, 3), at every edge or at the
     edge indices ``edges``; the first face walks the edge as (a, b), a < b.
     The first failing edge raises ValueError (not two oppositely oriented
-    faces, zero length) or DegenerateFaceError (zero direction or normal).
+    faces, a length or a face normal that is not finite, zero length) or
+    DegenerateFaceError (zero direction or normal).
     """
     wings, status = surface.wing_table
     ends = surface.edge_table
     if edges is not None:
         wings, status, ends = wings[edges], status[edges], ends[edges]
-    pa = x[..., ends[:, 0], :]
-    e = x[..., ends[:, 1], :] - pa
-    e_len = np.sqrt(_dot(e, e))
-    a, b, c = _corners(surface, x)
-    normals = _cross(b - a, c - a)
-    n_len = np.sqrt(_dot(normals, normals))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pa = x[..., ends[:, 0], :]
+        e = x[..., ends[:, 1], :] - pa
+        e_len = np.sqrt(_dot(e, e))
+        a, b, c = _corners(surface, x)
+        normals = _cross(b - a, c - a)
+        n_len = np.sqrt(_dot(normals, normals))
         e_hat = e / e_len[..., None]
         v = x[..., wings[:, 2:], :] - pa[..., None, :]
         u = v - _dot(v, e_hat[..., None, :])[..., None] * e_hat[..., None, :]
         u_len = np.sqrt(_dot(u, u))
         u = u / u_len[..., None]
         n = (normals / n_len[..., None])[..., wings[:, :2], :]
-    n_len = n_len[..., wings[:, :2]]
-    if status.any() or not (e_len.all() and u_len.all() and n_len.all()):
-        checks = (status == 1, status == 2, e_len == 0.0,
+        n_len = n_len[..., wings[:, :2]]
+        # Each finite norm is below 2**512, so the sum is finite exactly when
+        # every norm is.
+        finite = math.isfinite(e_len.sum() + n_len.sum())
+    if status.any() or not (finite and e_len.all() and u_len.all() and n_len.all()):
+        non_finite = ~(np.isfinite(e_len) & np.isfinite(n_len).all(axis=-1))
+        checks = (status == 1, status == 2, non_finite, e_len == 0.0,
                   *np.moveaxis(u_len == 0.0, -1, 0), *np.moveaxis(n_len == 0.0, -1, 0))
         *_, row, check = np.argwhere(np.stack(np.broadcast_arrays(*checks), axis=-1))[0]
         edge = surface.edges[row if edges is None else edges[row]]
-        if check < 3:
+        if check < 4:
             raise ValueError(("edge {} is not shared by exactly two faces",
                               "faces at edge {} do not induce opposite orientations",
+                              "edge {} has a length or face normal that is not finite",
                               "edge {} has zero length")[check].format(edge))
-        raise DegenerateFaceError(surface.faces[wings[row, (check - 3) % 2]], 0.0)
+        raise DegenerateFaceError(surface.faces[wings[row, (check - 4) % 2]], 0.0)
     return e_hat, u, n
 
 

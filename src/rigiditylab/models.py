@@ -316,8 +316,7 @@ def save_report_json(certificate, combinations, monitoring=None, *, edges) -> st
             "volume": monitoring.volume_deviation,
             "weighted_angle_sum": monitoring.weighted_angle_sum_deviation,
         }
-    report = {
-        "format_version": FORMAT_VERSION,
+    return versioned_json({
         "verdict": certificate.verdict,
         "mode": certificate.mode,
         "height": certificate.height,
@@ -326,8 +325,14 @@ def save_report_json(certificate, combinations, monitoring=None, *, edges) -> st
         "caveat": certificate.caveat,
         "combinations": combs,
         "monitors": monitors,
-    }
-    return json.dumps(report, indent=2) + "\n"
+    })
+
+
+def versioned_json(fields: dict) -> str:
+    """Deterministic JSON text of ``fields`` after ``"format_version"``,
+    indented by two spaces, with a final newline: every JSON document the
+    package writes."""
+    return json.dumps({"format_version": FORMAT_VERSION, **fields}, indent=2) + "\n"
 
 
 def series_csv_blocks(path: FlexPath):

@@ -31,12 +31,12 @@ def _canonical_face(face: tuple[int, int, int]) -> tuple[int, int, int]:
 class SimplicialSurface:
     """Finite two-dimensional simplicial complex given by oriented triangles.
 
-    Vertices, edges and incidence maps are derived from the face list in
-    one pass: each directed edge (a, b) maps to the faces walking it, each
-    with its third vertex, and each edge to the faces containing it.  Edges
-    are kept in lexicographic order of their sorted vertex pairs;
-    this order is the canonical edge indexing used by every downstream
-    coefficient vector and report.  Index tables are built on first use.
+    Vertices, edges and the one incidence map are derived from the face
+    list in one pass: each directed edge (a, b) maps to the faces walking
+    it, each with its third vertex.  Edges are kept in lexicographic order
+    of their sorted vertex pairs; this order is the canonical edge indexing
+    used by every downstream coefficient vector and report.  Index tables
+    are built on first use.
     """
 
     faces: tuple[tuple[int, int, int], ...]
@@ -46,15 +46,12 @@ class SimplicialSurface:
     def __init__(self, faces):
         self.faces = tuple(tuple(int(v) for v in f) for f in faces)
         walks: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        edge_faces: dict[tuple[int, int], list[int]] = {}
         for fi, (u, v, w) in enumerate(self.faces):
             for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
                 walks.setdefault((a, b), []).append((fi, c))
-                edge_faces.setdefault((a, b) if a < b else (b, a), []).append(fi)
         self.vertices = tuple(sorted({a for a, _ in walks}))
-        self.edges = tuple(sorted(edge_faces))
+        self.edges = tuple(sorted({(a, b) if a < b else (b, a) for a, b in walks}))
         self._walks = walks
-        self._edge_faces = edge_faces
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
@@ -83,9 +80,11 @@ class SimplicialSurface:
         return self._vertex_index[vertex]
 
     def faces_of_edge(self, edge: tuple[int, int]) -> list[int]:
+        """Indices of the faces walking the edge either way, in face order,
+        a face once per time it walks it."""
         a, b = edge
-        key = (a, b) if a < b else (b, a)
-        return list(self._edge_faces.get(key, []))
+        walks = self._walks.get((a, b), []) + (self._walks.get((b, a), []) if a != b else [])
+        return sorted(fi for fi, _ in walks)
 
     @cached_property
     def edge_status(self) -> tuple[int, ...]:
@@ -174,7 +173,7 @@ def _rational_row(v: int, point) -> tuple[Fraction, ...]:
 class Polyhedron:
     """Vertex coordinates realizing a combinatorial surface.
 
-    ``coords`` and ``exact_coords`` map each vertex id to its point.  The
+    Arguments ``coords`` and ``exact_coords`` map each vertex id to a point.  The
     float points, which must be finite, are each coordinate's ``float()``,
     kept as rows in canonical vertex order.  The (n_vertices, 3) float64
     array of those rows, which every kernel reads and :meth:`vertex_array`
@@ -201,7 +200,6 @@ class Polyhedron:
         if exact_coords is not None:
             rows = _point_rows(surface, exact_coords, "exact coordinates")
             self.exact_coords = {v: _rational_row(v, p) for v, p in zip(surface.vertices, rows)}
-        self._exact_length_cache = None
 
     @cached_property
     def _vertex_array(self) -> np.ndarray:
@@ -226,25 +224,27 @@ class Polyhedron:
         integer points X_v, so edge (a, b) has squared length
         sum((X_a - X_b)**2) / D**2, and each distinct numerator is split once.
         """
+        return list(self._exact_lengths)
+
+    @cached_property
+    def _exact_lengths(self) -> list:  # a raise caches nothing
         if self.exact_coords is None:
             raise ValueError("polyhedron carries no exact coordinate or length data")
-        if self._exact_length_cache is None:
-            from .lengths import clear_to_integers, normalize_sqrt
+        from .lengths import clear_to_integers, normalize_sqrt
 
-            verts = self.surface.vertices
-            exact = [c for v in verts for c in self.exact_coords[v]]
-            # The common denominator D is what 1 clears to.
-            *flat, D = clear_to_integers([*exact, Fraction(1)])
-            X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}
-            split = {}
-            out = []
-            for a, b in self.surface.edges:
-                n = sum((x - y) ** 2 for x, y in zip(X[a], X[b]))
-                if n not in split:
-                    split[n] = normalize_sqrt(Fraction(n, D * D))
-                out.append(split[n])
-            self._exact_length_cache = out
-        return list(self._exact_length_cache)
+        verts = self.surface.vertices
+        exact = [c for v in verts for c in self.exact_coords[v]]
+        # The common denominator D is what 1 clears to.
+        *flat, D = clear_to_integers([*exact, Fraction(1)])
+        X = {v: flat[3 * i : 3 * i + 3] for i, v in enumerate(verts)}
+        split = {}
+        out = []
+        for a, b in self.surface.edges:
+            n = sum((x - y) ** 2 for x, y in zip(X[a], X[b]))
+            if n not in split:
+                split[n] = normalize_sqrt(Fraction(n, D * D))
+            out.append(split[n])
+        return out
 
 
 @dataclass
@@ -348,8 +348,8 @@ def _faces_reached_from_first(surface: SimplicialSurface) -> set[int]:
     seen, stack = {0}, [0]
     while stack:
         u, v, w = surface.faces[stack.pop()]
-        for edge in ((u, v), (v, w), (w, u)):
-            for gi in surface.faces_of_edge(edge):
+        for walk in ((u, v), (v, w), (w, u), (v, u), (w, v), (u, w)):
+            for gi, _ in surface._walks.get(walk, ()):
                 if gi not in seen:
                     seen.add(gi)
                     stack.append(gi)

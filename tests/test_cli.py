@@ -151,6 +151,22 @@ def test_overflowing_squared_lengths_exit_2(tmp_path):
         )
 
 
+@pytest.mark.parametrize("scale", [1e300, 2.0**256, 2.0**255], ids=["1e300", "2^256", "2^255"])
+def test_oracle_with_overflowing_frames_exit_2(tmp_path, scale):
+    """validate passes the scaled default Bricard octahedron, but its edge
+    vectors or face normals overflow: the oracle names the first such edge
+    in one line instead of printing every angle as a fold."""
+    P = make_bricard_type1()
+    off = tmp_path / "huge.off"
+    off.write_text(save_off(polyhedron_from_config(P.surface, P.vertex_array() * scale)))
+    assert run_cli("validate", "--input", str(off)).returncode == 0
+    proc = run_cli("oracle", "--input", str(off), "--samples", "1000")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert re.fullmatch(r"error: ValueError: edge \(\d+, \d+\) [^\n]* not finite\n",
+                        proc.stderr.decode())
+
+
 @pytest.mark.parametrize("command", ["validate", "analyze", "flex", "oracle"])
 @pytest.mark.parametrize("name", sorted(INVALID_SURFACES))
 def test_invalid_surface_exit_1_with_report(tmp_path, command, name):

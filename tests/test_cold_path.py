@@ -7,6 +7,7 @@ names resolve on first access to the objects its modules define.  A
 polyhedron's array, built on first read from its float() rows, equals
 numpy's conversion of its points."""
 
+import ast
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,7 +439,11 @@ def test_oracle_wrap_matches_remainder_bit_for_bit():
         assert np.array_equal(got <= a2, want <= a2)
 
 
-# The tracer imports four private numpy names.  An empty stand-in for the
+# The tracer reads four private numpy names, all for its per-step inverse:
+# the gufunc numpy.linalg._umath_linalg.inv, its LinAlgError handler
+# numpy.linalg._linalg._raise_linalgerror_singular, and, for the error states,
+# numpy._core._multiarray_umath._make_extobj and
+# numpy._core._ufunc_config._extobj_contextvar.  An empty stand-in for the
 # module of one of them breaks that import as a numpy release that moved the
 # name would.
 BROKEN_NUMPY_PROBE = """
@@ -459,3 +465,69 @@ def test_subcommands_without_the_tracer_survive_a_moved_numpy_name(argv):
     broken = _python("-c", BROKEN_NUMPY_PROBE, *argv)
     assert (broken.returncode, broken.stderr) == (0, b"")
     assert broken.stdout == _python("-m", "rigiditylab.cli", *argv).stdout
+
+
+TRACER_PRIVATE_NUMPY = {
+    "numpy.linalg._umath_linalg.inv",
+    "numpy.linalg._linalg._raise_linalgerror_singular",
+    "numpy._core._multiarray_umath._make_extobj",
+    "numpy._core._ufunc_config._extobj_contextvar",
+}
+
+
+def private_numpy_reads(source: str) -> set[str]:
+    """Dotted names of numpy's private API that ``source`` reads: each name
+    bound by an import from numpy, followed through the attributes read off
+    it (or fetched by ``getattr`` with a literal name), that has a component
+    starting with one underscore."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":  # "import numpy.x" binds numpy
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and (base := dotted(node.value)):
+            return f"{base}.{node.attr}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and (base := dotted(node.args[0]))):
+            return f"{base}.{node.args[1].value}"
+        return None
+
+    reads = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if (name := dotted(node)) and not isinstance(getattr(node, "ctx", None), ast.Store):
+            reads.add(name)  # the longest chain; its prefixes are not reads of their own
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return {name for name in reads
+            if any(part.startswith("_") and not part.startswith("__")
+                   for part in name.split("."))}
+
+
+def test_tracer_reads_only_the_private_numpy_names_its_inverse_needs():
+    """The rank test's SVD and every other numpy call go through the public
+    API; a private name read for anything else fails here.  Attributes of an
+    allowed name, such as the context variable's ``set``, come with it."""
+    source = (Path(rigiditylab.__file__).parent / "flex.py").read_text(encoding="utf-8")
+    reads = private_numpy_reads(source)
+    assert {"numpy.linalg._umath_linalg.inv",
+            "numpy._core._ufunc_config._extobj_contextvar.set"} <= reads
+    assert {name for name in reads
+            if not any(f"{name}.".startswith(f"{a}.") for a in TRACER_PRIVATE_NUMPY)} == set()
+    seen = private_numpy_reads(
+        "import numpy as np\nfrom numpy.linalg import _linalg, _umath_linalg as u\n"
+        "u.svd_f(a)\nnp.linalg.inv(a)\nh = _linalg._raise_linalgerror_svd_nonconvergence\n"
+        "getattr(np.linalg, '_umath_linalg').inv(a)\n")
+    assert seen == {"numpy.linalg._umath_linalg.svd_f", "numpy.linalg._umath_linalg.inv",
+                    "numpy.linalg._linalg._raise_linalgerror_svd_nonconvergence"}

@@ -118,3 +118,27 @@ def test_validate_surface_reports_what_validate_complex_does():
     for faces in cases:
         surface = SimplicialSurface(faces)
         assert validate_surface(surface) == validate_complex(faces), faces
+
+
+def sides_of(faces, edge) -> list[int]:
+    """The faces having ``edge`` as a side, either way, a face once per side;
+    read off the face list, not the surface's incidence map."""
+    return [fi for fi, f in enumerate(faces)
+            for side in zip(f, f[1:] + f[:1]) if sorted(side) == sorted(edge)]
+
+
+@pytest.mark.parametrize("faces", [
+    *CLOSED_SURFACES.values(),
+    [(0, 1, 2)],  # three boundary edges
+    [*OCTAHEDRON_FACES, (0, 1, 9)],  # edge (0, 1) in three faces
+    [*OCTAHEDRON_FACES, (0, 0, 1)],  # a repeated vertex: edge (0, 0), and (0, 1) twice in one face
+    [*OCTAHEDRON_FACES, (3, 3, 3)],
+], ids=[*CLOSED_SURFACES, "boundary", "three-faces", "repeated-vertex", "one-vertex-face"])
+def test_faces_of_edge_matches_the_face_list(faces):
+    surface = SimplicialSurface(faces)
+    sides = {tuple(sorted(side)) for f in faces for side in zip(f, f[1:] + f[:1])}
+    assert surface.edges == tuple(sorted(sides))
+    for a, b in surface.edges:
+        assert surface.faces_of_edge((a, b)) == surface.faces_of_edge((b, a)) \
+            == sides_of(surface.faces, (a, b))
+    assert surface.faces_of_edge((0, 99)) == []
