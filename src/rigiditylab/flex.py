@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy._core._multiarray_umath import _make_extobj
-from numpy._core._ufunc_config import _extobj_contextvar
-from numpy.linalg import _linalg, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from .geometry import (
     PATH_BLOCK,
@@ -97,23 +94,15 @@ def polyhedron_from_config(surface: SimplicialSurface, x) -> Polyhedron:
 _svd = np.linalg.svd  # the rank test's, once per trace and where the screen fires
 
 # The per-step inverse calls numpy's LAPACK gufunc as numpy 2.4's np.linalg.inv
-# does (same gufunc, signature, error state and LinAlgError handler), so its
-# result equals np.linalg.inv's to the bit, without the wrapper's dtype checks
-# and result copy.  Its error state, that of np.errstate(call=handler,
-# all="ignore", invalid="call"), is built once and set on numpy's context
-# variable as errstate sets it, not built anew per call; CHANGES.md records
-# what each route costs.
-_INV_STATE = _make_extobj(call=_linalg._raise_linalgerror_singular, all="ignore", invalid="call")
-_QUIET = _make_extobj(all="ignore")  # an error state that warns of nothing
-
-
+# does (same gufunc and signature), so its result equals np.linalg.inv's to
+# the bit, without the wrapper's dtype checks, result copy and error state.  A
+# matrix LAPACK finds singular comes back all NaN, with numpy's invalid flag
+# set, which the tracer's error state ignores; CHANGES.md records what each
+# route costs.
 def _inv(a, out=None):
-    """np.linalg.inv(a), written into ``out`` when it is given."""
-    token = _extobj_contextvar.set(_INV_STATE)
-    try:
-        return _umath_linalg.inv(a, out, signature="d->d")
-    finally:
-        _extobj_contextvar.reset(token)
+    """np.linalg.inv(a), written into ``out`` when it is given; NaN where
+    np.linalg.inv raises LinAlgError."""
+    return _umath_linalg.inv(a, out, signature="d->d")
 
 
 def _motion_rows(x) -> np.ndarray:
@@ -514,15 +503,11 @@ def trace_flex(
     rejected = 0
 
     def vouched(d, gg):
-        """Whether the step d's bound (gg = |g|^2) is at most tol/2; it warns of nothing."""
-        token = _extobj_contextvar.set(_QUIET)
-        try:
-            mu = stress.dot(neg_g)  # kappa_F last: a stalled attempt's mu fails the bound
-            bound = root_c * math.sqrt(mu.dot(mu)) + 2.0 * d.dot(d) + slack
-            return bound <= 0.5 * tol and bound + solve_eps * math.sqrt(
-                M_flat.dot(M_flat) * inverse_flat.dot(inverse_flat) * gg) <= 0.5 * tol
-        finally:
-            _extobj_contextvar.reset(token)
+        """Whether the step d's bound (gg = |g|^2) is at most tol/2."""
+        mu = stress.dot(neg_g)  # kappa_F last: a stalled attempt's mu fails the bound
+        bound = root_c * math.sqrt(mu.dot(mu)) + 2.0 * d.dot(d) + slack
+        return bound <= 0.5 * tol and bound + solve_eps * math.sqrt(
+            M_flat.dot(M_flat) * inverse_flat.dot(inverse_flat) * gg) <= 0.5 * tol
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
@@ -547,72 +532,70 @@ def trace_flex(
 
     h, easy_run = step, 0
     kappa = np.zeros_like(tangent)  # the tangent's change per unit step; Euler first
-    while len(sizes) < n_steps:
-        if h < step * 2.0**-24:
-            raise CorrectorDivergenceError(f"step size underflow at accepted step {len(sizes)}",
-                                           path=path())
-        x_pred = x + (h * tangent + (h * h / 2) * kappa)
-        motions(x_pred)
-        t_row[:] = tangent
-        y = x_pred  # no array is changed in place below
-        gn_iters = None
-        for it in range(MAX_CORRECTOR_ITERS):
-            # The edge vectors feed the residual and the Jacobian.
-            incidence.dot(y, out=dy_flat)
-            np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
-            if not far < (gg := neg_g.dot(neg_g)) < np.inf:
-                if (worst := np.maximum.reduce(np.abs(neg_g))) <= tol:
-                    gn_iters = it
+    # A singular M, an overflowing Newton step and the iterates past it fail
+    # by their NaN or infinite values, whatever the caller's error state.
+    with np.errstate(all="ignore"):
+        while len(sizes) < n_steps:
+            if h < step * 2.0**-24:
+                raise CorrectorDivergenceError(
+                    f"step size underflow at accepted step {len(sizes)}", path=path())
+            x_pred = x + (h * tangent + (h * h / 2) * kappa)
+            motions(x_pred)
+            t_row[:] = tangent
+            y = x_pred  # no array is changed in place below
+            gn_iters = None
+            for it in range(MAX_CORRECTOR_ITERS):
+                # The edge vectors feed the residual and the Jacobian.
+                incidence.dot(y, out=dy_flat)
+                np.subtract(targets_sq, np.vecdot(dy, dy), out=neg_g)
+                if not far < (gg := neg_g.dot(neg_g)) < np.inf:
+                    if (worst := np.maximum.reduce(np.abs(neg_g))) <= tol:
+                        gn_iters = it
+                        break
+                    if not worst < np.inf:  # a NaN or inf residual, from a non-finite y, fails
+                        break
+                scatter.write(M, dy)
+                _inv(M, inverse)  # a singular M's NaN inverse makes the next residual NaN
+                y = y + (d := newton.dot(neg_g))
+                # No test follows the last step.
+                if it + 1 < MAX_CORRECTOR_ITERS and vouched(d, gg):
+                    gn_iters = it + 1
                     break
-                if not worst < np.inf:  # a NaN or inf residual, from a non-finite y, fails
-                    break
-            scatter.write(M, dy)
-            try:
+            if gn_iters is None:
+                rejected, h, easy_run = rejected + 1, 0.5 * h, 0
+                logger.debug("corrector failed, halving step to %.3e", h)
+                continue
+
+            if check_faces:
+                areas = face_areas(surface, y.reshape(nv, 3))
+                if (smallest := np.minimum.reduce(areas)) <= area_tol:
+                    fi = int(np.argmin(areas))
+                    raise FaceDegenerationError(surface.faces[fi], float(smallest), path=path())
+
+            sizes.append(h)
+            iters.append(gn_iters)
+            x = y
+            keep(x)
+
+            # The last inverse gives the tangent: T in M is x_pred's and R the
+            # last iterate's, O(h^3) from x.  A step that took no iteration
+            # inverts at x.
+            if gn_iters == 0:
+                scatter.write(M, dy)
                 _inv(M, inverse)
-            except np.linalg.LinAlgError:
-                break
-            y = y + (d := newton.dot(neg_g))
-            if it + 1 < MAX_CORRECTOR_ITERS and vouched(d, gg):  # no test follows the last step
-                gn_iters = it + 1
-                break
-        if gn_iters is None:
-            rejected, h, easy_run = rejected + 1, 0.5 * h, 0
-            logger.debug("corrector failed, halving step to %.3e", h)
-            continue
+            if _screen(M, inverse, n3):
+                new_tangent = rank_test()  # the rank test decides at x
+            else:
+                np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
+                new_tangent = tangent_col / math.sqrt(tangent_col.dot(tangent_col))
+            if new_tangent.dot(tangent) < 0:
+                new_tangent = -new_tangent
+            kappa = (new_tangent - tangent) / h
+            tangent = new_tangent
 
-        if check_faces:
-            areas = face_areas(surface, y.reshape(nv, 3))
-            if (smallest := np.minimum.reduce(areas)) <= area_tol:
-                fi = int(np.argmin(areas))
-                raise FaceDegenerationError(surface.faces[fi], float(smallest), path=path())
-
-        sizes.append(h)
-        iters.append(gn_iters)
-        x = y
-        keep(x)
-
-        # The last inverse gives the tangent: T in M is x_pred's and R the
-        # last iterate's, O(h^3) from x.  A step that took no iteration
-        # inverts at x.
-        inverted = gn_iters > 0
-        if not inverted:
-            scatter.write(M, dy)
-            with suppress(np.linalg.LinAlgError):
-                _inv(M, inverse)
-                inverted = True
-        if not inverted or _screen(M, inverse, n3):
-            new_tangent = rank_test()  # the rank test decides at x
-        else:
-            np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)
-            new_tangent = tangent_col / math.sqrt(tangent_col.dot(tangent_col))
-        if new_tangent.dot(tangent) < 0:
-            new_tangent = -new_tangent
-        kappa = (new_tangent - tangent) / h
-        tangent = new_tangent
-
-        easy_run = easy_run + 1 if gn_iters <= 3 else 0
-        if easy_run >= 3:
-            h, easy_run = min(2.0 * h, step), 0
+            easy_run = easy_run + 1 if gn_iters <= 3 else 0
+            if easy_run >= 3:
+                h, easy_run = min(2.0 * h, step), 0
 
     return path()
 

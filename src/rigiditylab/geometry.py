@@ -199,11 +199,20 @@ def check_nondegenerate(P: Polyhedron, tol: float | None = None) -> list[float]:
     """Areas of all faces; raises DegenerateFaceError on the first tiny one.
 
     Default tolerance is 1e-12 times the squared maximum edge length, which
-    makes the check scale invariant.
+    makes the check scale invariant.  An edge length or face area that
+    overflows raises ValueError naming the first such edge or face.
     """
-    if tol is None:
-        tol = 1e-12 * P.max_edge_length() ** 2
-    areas = face_areas(P.surface, P._vertex_array)
+    with np.errstate(all="ignore"):  # an overflow is named below, not warned of
+        if tol is None:
+            lengths = edge_length_vector(P)
+            if not (finite := np.isfinite(lengths)).all():
+                edge = P.surface.edges[int(np.argmin(finite))]
+                raise ValueError(f"edge {edge} has a length that is not finite")
+            tol = 1e-12 * float(lengths.max()) ** 2
+        areas = face_areas(P.surface, P._vertex_array)
+    if not (finite := np.isfinite(areas)).all():
+        face = P.surface.faces[int(np.argmin(finite))]
+        raise ValueError(f"face {face} has an area that is not finite")
     small = np.flatnonzero(areas <= tol)
     if small.size:
         raise DegenerateFaceError(P.surface.faces[small[0]], float(areas[small[0]]))

@@ -439,17 +439,15 @@ def test_oracle_wrap_matches_remainder_bit_for_bit():
         assert np.array_equal(got <= a2, want <= a2)
 
 
-# The tracer reads four private numpy names, all for its per-step inverse:
-# the gufunc numpy.linalg._umath_linalg.inv, its LinAlgError handler
-# numpy.linalg._linalg._raise_linalgerror_singular, and, for the error states,
-# numpy._core._multiarray_umath._make_extobj and
-# numpy._core._ufunc_config._extobj_contextvar.  An empty stand-in for the
-# module of one of them breaks that import as a numpy release that moved the
-# name would.
+# The tracer reads one private numpy name, for its per-step inverse: the
+# gufunc numpy.linalg._umath_linalg.inv.  Taking its module off numpy.linalg
+# and out of the import system breaks that import as a numpy release that
+# moved the module would.
 BROKEN_NUMPY_PROBE = """
-import runpy, sys, types
-import numpy
-sys.modules["numpy._core._ufunc_config"] = types.ModuleType("numpy._core._ufunc_config")
+import runpy, sys
+import numpy.linalg
+del numpy.linalg._umath_linalg
+sys.modules["numpy.linalg._umath_linalg"] = None
 sys.argv = ["rigiditylab", *sys.argv[1:]]
 runpy.run_module("rigiditylab.cli", run_name="__main__")
 """
@@ -467,12 +465,16 @@ def test_subcommands_without_the_tracer_survive_a_moved_numpy_name(argv):
     assert broken.stdout == _python("-m", "rigiditylab.cli", *argv).stdout
 
 
-TRACER_PRIVATE_NUMPY = {
-    "numpy.linalg._umath_linalg.inv",
-    "numpy.linalg._linalg._raise_linalgerror_singular",
-    "numpy._core._multiarray_umath._make_extobj",
-    "numpy._core._ufunc_config._extobj_contextvar",
-}
+def test_the_moved_numpy_name_breaks_the_tracer():
+    """The probe breaks ``flex``, the one subcommand that imports the
+    tracer, so the others survive it by not reading the name."""
+    broken = _python("-c", BROKEN_NUMPY_PROBE, "flex", "--model", "bricard-default",
+                     "--steps", "5")
+    assert broken.returncode == 1 and not broken.stdout
+    assert b"import of numpy.linalg._umath_linalg halted" in broken.stderr
+
+
+TRACER_PRIVATE_NUMPY = {"numpy.linalg._umath_linalg.inv"}
 
 
 def private_numpy_reads(source: str) -> set[str]:
@@ -516,15 +518,11 @@ def private_numpy_reads(source: str) -> set[str]:
 
 
 def test_tracer_reads_only_the_private_numpy_names_its_inverse_needs():
-    """The rank test's SVD and every other numpy call go through the public
-    API; a private name read for anything else fails here.  Attributes of an
-    allowed name, such as the context variable's ``set``, come with it."""
+    """The rank test's SVD, the error state and every other numpy call go
+    through the public API; a private name read for anything else fails
+    here."""
     source = (Path(rigiditylab.__file__).parent / "flex.py").read_text(encoding="utf-8")
-    reads = private_numpy_reads(source)
-    assert {"numpy.linalg._umath_linalg.inv",
-            "numpy._core._ufunc_config._extobj_contextvar.set"} <= reads
-    assert {name for name in reads
-            if not any(f"{name}.".startswith(f"{a}.") for a in TRACER_PRIVATE_NUMPY)} == set()
+    assert private_numpy_reads(source) == TRACER_PRIVATE_NUMPY
     seen = private_numpy_reads(
         "import numpy as np\nfrom numpy.linalg import _linalg, _umath_linalg as u\n"
         "u.svd_f(a)\nnp.linalg.inv(a)\nh = _linalg._raise_linalgerror_svd_nonconvergence\n"

@@ -749,7 +749,7 @@ def test_screen_fired_mid_path_goes_on_by_svd(bricard, monkeypatch, k, singular)
     kwargs = {}
     if singular:
         kwargs["step"] = 1e-4
-        monkeypatch.setattr(flex, "_inv", fail_once(flex._inv, k + 1))
+        monkeypatch.setattr(flex, "_inv", singular_once(flex._inv, k + 1))
         monkeypatch.setattr(np.linalg, "inv", fail_once(np.linalg.inv, k + 1))
     else:
         monkeypatch.setattr(flex, "_screen", fire_at(flex._screen, k))
@@ -851,12 +851,25 @@ def fail_once(solve, call):
     return patched
 
 
+def singular_once(inverse, call):
+    """``inverse`` that inverts a zero matrix, which LAPACK finds singular,
+    on its ``call``-th call."""
+    calls = 0
+
+    def patched(a, out=None):
+        nonlocal calls
+        calls += 1
+        return inverse(np.zeros_like(a) if calls == call else a, out)
+
+    return patched
+
+
 def test_failed_solve_halves_the_step(bricard, monkeypatch):
     """A singular bordered system fails its attempt like a diverging
     iterate: the step halves, the attempt is counted and the trace goes on.
     Each default step takes one inverse, so the fifth belongs to the fifth
     step."""
-    monkeypatch.setattr(flex, "_inv", fail_once(flex._inv, 5))
+    monkeypatch.setattr(flex, "_inv", singular_once(flex._inv, 5))
     monkeypatch.setattr(np.linalg, "inv", fail_once(np.linalg.inv, 5))
     path, ref = traced_pair(bricard, n_steps=20)
     assert path.n_samples == 21
@@ -888,33 +901,32 @@ def spoiled_once(inverse, call, value, where=...):
 SPOILS = {"": (np.nan,), "inf": (np.inf,), "-inf": (-np.inf,), "overflow": (1e300, (0, 0))}
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("step, call, spoil", [
-    pytest.param(step, call, spoil, id="-".join(filter(None, [str(step), str(call), spoil])),
-                 # An infinite Newton step's own arithmetic warns, as numpy's would.
-                 marks=[pytest.mark.filterwarnings(
-                     "ignore:(invalid value|overflow) encountered:RuntimeWarning")] if spoil else [])
+    pytest.param(step, call, spoil, id="-".join(filter(None, [str(step), str(call), spoil])))
     for step, call in [(0.01, 5), (1e-4, 3)] for spoil in SPOILS])
 def test_nan_inverse_fails_like_a_singular_one(bricard, monkeypatch, step, call, spoil):
-    """An inverse that comes back NaN, infinite or overflowing without
-    raising acts as LinAlgError does at the same call.  In the corrector
-    (steps of 0.01, one inverse a step, so the fifth is step 5's) its Newton
-    step makes the residual NaN or infinite, which fails the attempt: the
-    step halves and one attempt is counted.  At a tangent (steps of 1e-4,
-    where every step past the first inverts at its accepted point) the
-    screen fires and the rank test decides.  Either way the path, and the
-    count of inverses and SVDs, equal those under LinAlgError."""
+    """An inverse that comes back NaN, infinite or overflowing acts as the
+    inverse of a matrix LAPACK finds singular does at the same call, and
+    neither warns.  In the corrector (steps of 0.01, one inverse a step, so
+    the fifth is step 5's) its Newton step makes the residual NaN or
+    infinite, which fails the attempt: the step halves and one attempt is
+    counted.  At a tangent (steps of 1e-4, where every step past the first
+    inverts at its accepted point) the screen fires and the rank test
+    decides.  Either way the path, and the count of inverses and SVDs,
+    equal those at the singular matrix."""
     original, x0 = flex._inv, bricard.vertex_array()
     traced = []
-    for patched in (spoiled_once(original, call, *SPOILS[spoil]), fail_once(original, call)):
+    for patched in (spoiled_once(original, call, *SPOILS[spoil]), singular_once(original, call)):
         counts = {"svd": 0, "inv": 0}
         monkeypatch.setattr(flex, "_svd", counting(counts, "svd", flex._svd))
         monkeypatch.setattr(flex, "_inv", counting(counts, "inv", patched))
         traced.append((trace_flex(x0, bricard.surface, n_steps=20, step=step), counts))
         monkeypatch.undo()
-    (path, counts), (raised, raised_counts) = traced
+    (path, counts), (singular, singular_counts) = traced
     assert path.n_samples == 21
-    assert_same_path(path, raised)
-    assert counts == raised_counts and path.rejected_attempts == raised.rejected_attempts
+    assert_same_path(path, singular)
+    assert counts == singular_counts and path.rejected_attempts == singular.rejected_attempts
     if step == 0.01:
         assert path.step_sizes[3] == 0.01 and path.step_sizes[4] == 0.005
         assert path.rejected_attempts == 1 and counts == {"svd": 1, "inv": 21}
@@ -926,7 +938,7 @@ def test_failing_attempts_leak_no_warning(bricard, monkeypatch):
     """Corrector iterates far outside the octahedron (a step cap of 256,
     which halves eight times) and a bordered matrix that LAPACK finds
     singular at every attempt warn of nothing: the inverse's singular
-    signal is its LinAlgError, inside the inverse's own error state."""
+    signal is its NaN, under the tracer's own error state."""
     x0 = bricard.vertex_array()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -936,6 +948,38 @@ def test_failing_attempts_leak_no_warning(bricard, monkeypatch):
         with pytest.raises(CorrectorDivergenceError) as exc:
             trace_flex(x0, bricard.surface, n_steps=10, tol=1e-300)
     assert exc.value.path.n_samples == 1
+
+
+CALLER_STATES = {"raise": lambda: np.errstate(all="raise"),
+                 "warnings-as-errors": lambda: warnings.catch_warnings(action="error")}
+
+
+@pytest.mark.parametrize("state", CALLER_STATES)
+def test_trace_ignores_the_callers_error_state(bricard, monkeypatch, state):
+    """An overflowing Newton step (a 1e300 entry in the fifth inverse, which
+    _inv returns without raising) fails its attempt whatever error state
+    the caller sets: under np.errstate(all="raise"), and with warnings as
+    errors, the path, its step sizes and rejected count equal those under
+    the default state.  The caller's error state is back afterwards, also
+    after a CorrectorDivergenceError."""
+    x0, original = bricard.vertex_array(), flex._inv
+
+    def traced():
+        monkeypatch.setattr(flex, "_inv", spoiled_once(original, 5, *SPOILS["overflow"]))
+        return trace_flex(x0, bricard.surface, n_steps=20)
+
+    want = traced()
+    with CALLER_STATES[state]():
+        caller = np.geterr()
+        got = traced()
+        assert np.geterr() == caller
+        monkeypatch.setattr(flex, "_inv", lambda a, out=None: original(np.zeros_like(a), out))
+        with pytest.raises(CorrectorDivergenceError):
+            trace_flex(x0, bricard.surface, n_steps=10, tol=1e-300)
+        assert np.geterr() == caller
+    assert_same_path(got, want)
+    assert got.step_sizes.tolist() == want.step_sizes.tolist()
+    assert got.rejected_attempts == want.rejected_attempts == 1
 
 
 def test_residual_just_below_tol_everywhere_needs_no_iteration(bricard, monkeypatch):

@@ -47,6 +47,22 @@ def test_collinear_face_rejected():
     assert exc.value.area == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, message", [
+    (1e150, r"^face \(0, 1, 2\) has an area that is not finite$"),
+    (1e160, r"^edge \(0, 1\) has a length that is not finite$"),
+], ids=["area", "length"])
+def test_overflowing_length_or_area_is_named(octahedron, scale, message):
+    """Scaled by 1e150 the octahedron's face areas overflow, and by 1e160
+    its edge lengths too, so the default tolerance would be infinite: a
+    plain ValueError names the first such edge or face, with no numpy
+    warning, where an area of inf was returned or called degenerate."""
+    P = Polyhedron(octahedron.surface, dict(enumerate(scale * octahedron.vertex_array())))
+    with pytest.raises(ValueError, match=message) as exc:
+        check_nondegenerate(P)
+    assert type(exc.value) is ValueError
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_is_named_at_construction(octahedron, value):
     """A float point that is not finite raises at construction and names
