@@ -358,9 +358,10 @@ def _start_direction(tangent: np.ndarray) -> np.ndarray:
     return -tangent if tangent[lead] < 0 else tangent
 
 
-def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
+def _screen(kf2: float, inverse: np.ndarray, n3: int) -> bool:
     """Whether the rank test must decide at the square bordered matrix
-    M = [[R, W], [T.T, 0], [t, 0]], R with n3 columns and W unit columns:
+    M = [[R, W], [T.T, 0], [t, 0]], R with n3 columns and W unit columns,
+    from kf2 = |M|_F^2 |M^-1|_F^2 and ``inverse``, M^-1:
     kappa_F(M) >= 1/SV_THRESHOLD, border multipliers mu (M^-1's last column
     below row n3) with sum |mu_i| >= SV_THRESHOLD, or a NaN.  It fires
     wherever that test finds no unique tangent.  A kernel of R*C of
@@ -369,8 +370,7 @@ def _screen(M: np.ndarray, inverse: np.ndarray, n3: int) -> bool:
     least 1 and s[0].  Full rank has s[-1] > SV_THRESHOLD*max(s[0], 1), and
     the last column [v; mu], t.v = 1, has s[-1] <= |R*v| = |W*mu| <= sum |mu_i|.
     """
-    return not (np.vdot(M, M) * np.vdot(inverse, inverse) < SV_THRESHOLD**-2
-                and np.add.reduce(np.abs(inverse[n3:, -1])) < SV_THRESHOLD)
+    return not (kf2 < SV_THRESHOLD**-2 and np.add.reduce(np.abs(inverse[n3:, -1])) < SV_THRESHOLD)
 
 
 def trace_flex(
@@ -426,8 +426,9 @@ def trace_flex(
     Configurations, the tangent and kappa are flat 3v-vectors, one product
     with a fixed +-1 incidence matrix gives the edge vectors, and every
     inverse is written into one buffer, so a step of one corrector iteration
-    makes 36 small numpy calls, among them one inverse, one residual pass,
-    the bound and the screen.  CHANGES.md records what each costs.
+    makes 34 small numpy calls, among them one inverse, one residual pass,
+    and the bound and the screen, which read one kappa_F(M) per inverse.
+    CHANGES.md records what each costs.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -491,23 +492,16 @@ def trace_flex(
     neg_g = np.empty(n_edges)  # -g, written in place
     inverse = np.empty_like(M)  # every inverse of M; the Newton, stress and tangent blocks
     newton, stress, tangent_col = inverse[:n3, :n_edges], inverse[n3:, :n_edges], inverse[:n3, -1]
-    M_flat, inverse_flat = M.reshape(-1), inverse.reshape(-1)
     far = 2.0 * n_edges * (tol * tol)  # a sum of g_e^2 above it, rounding and all, has |g_e| > tol
     # M [d; mu] = [-g; 0; 0] leaves g(y + d)_e = -(W mu)_e + |d_i - d_j|^2, at most
     # sqrt(c)|mu| + 2|d|^2 as W's c columns are unit.  Rounding adds about eps kappa_F(M) |g|
     # in the solve and a few eps L (L + |y|_inf) in y + d and g; the slice keeps the
-    # centroid, and a connected surface's vertices lie within nv L of it.
+    # centroid, and a connected surface's vertices lie within nv L of it.  A step whose
+    # bound is at most tol/2 is accepted untested.
     eps, root_c = np.finfo(float).eps, math.sqrt(M.shape[1] - n3)
     slack = 16.0 * eps * max_len * ((nv + 1) * max_len + float(np.abs(centre).max()))
     solve_eps = 4.0 * len(M) * eps
     rejected = 0
-
-    def vouched(d, gg):
-        """Whether the step d's bound (gg = |g|^2) is at most tol/2."""
-        mu = stress.dot(neg_g)  # kappa_F last: a stalled attempt's mu fails the bound
-        bound = root_c * math.sqrt(mu.dot(mu)) + 2.0 * d.dot(d) + slack
-        return bound <= 0.5 * tol and bound + solve_eps * math.sqrt(
-            M_flat.dot(M_flat) * inverse_flat.dot(inverse_flat) * gg) <= 0.5 * tol
 
     def path():
         # The path ends the trace, so its copy replaces the blocks.
@@ -556,9 +550,13 @@ def trace_flex(
                         break
                 scatter.write(M, dy)
                 _inv(M, inverse)  # a singular M's NaN inverse makes the next residual NaN
+                kf2 = np.vdot(M, M) * np.vdot(inverse, inverse)  # kappa_F(M)^2, for the screen too
                 y = y + (d := newton.dot(neg_g))
+                mu = stress.dot(neg_g)
+                bound = root_c * math.sqrt(mu.dot(mu)) + 2.0 * d.dot(d) + slack
+                rounding = solve_eps * math.sqrt(kf2 * gg)  # >= 0, or NaN
                 # No test follows the last step.
-                if it + 1 < MAX_CORRECTOR_ITERS and vouched(d, gg):
+                if it + 1 < MAX_CORRECTOR_ITERS and bound + rounding <= 0.5 * tol:
                     gn_iters = it + 1
                     break
             if gn_iters is None:
@@ -583,7 +581,8 @@ def trace_flex(
             if gn_iters == 0:
                 scatter.write(M, dy)
                 _inv(M, inverse)
-            if _screen(M, inverse, n3):
+                kf2 = np.vdot(M, M) * np.vdot(inverse, inverse)
+            if _screen(kf2, inverse, n3):
                 new_tangent = rank_test()  # the rank test decides at x
             else:
                 np.divide(stress.T, np.sqrt(np.vecdot(stress, stress)), out=W)

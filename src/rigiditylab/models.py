@@ -235,6 +235,8 @@ def load_off(text: str) -> Polyhedron:
         nv, nf, _ = (int(p) for p in parts)
     except ValueError:
         raise ParseError(lineno, f"counts must be integers, got {counts!r}") from None
+    if nv < 0 or nf < 0:
+        raise ParseError(lineno, f"counts must be nonnegative, got {counts!r}")
     body = lines[2:]
     if len(body) < nv + nf:
         last = body[-1][0] if body else lineno

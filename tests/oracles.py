@@ -320,6 +320,42 @@ def per_edge_monte_carlo_dihedral(P, edge, n_samples: int = 10**6, seed: int = 0
     return 2.0 * np.pi * int(np.count_nonzero(in_first == ref_in_first)) / n_samples
 
 
+# Dihedral angles from edge lengths alone, in plain Python: no kernel table,
+# frame or helper of the library is read, only the face list.
+
+
+def length_only_angles(surface, x) -> list[float]:
+    """The dihedral angle at each edge (a, b) of ``surface.edges`` at the
+    configuration x, rows in ``surface.vertices`` order.
+
+    The wings c0 and c1 are the third vertices of the faces that walk (a, b)
+    and (b, a).  The spherical law of cosines at a, on the face angles
+    alpha = (b, c0), beta = (b, c1) and gamma = (c0, c1) there, each from
+    the law of cosines on three distances, gives theta in [0, pi]:
+    cos theta = (cos gamma - cos alpha cos beta) / (sin alpha sin beta).
+    The angle is theta where det(b - a, c0 - a, c1 - a) > 0 and
+    2 pi - theta otherwise.
+    """
+    pos = {v: [float(c) for c in x[i]] for i, v in enumerate(surface.vertices)}
+    third = {(f[k], f[(k + 1) % 3]): f[(k + 2) % 3] for f in surface.faces for k in range(3)}
+
+    def face_cos(a, u, v):  # of the face angle at a between u and v
+        au, av, uv = (math.dist(pos[p], pos[q]) for p, q in ((a, u), (a, v), (u, v)))
+        return (au * au + av * av - uv * uv) / (2.0 * au * av)
+
+    angles = []
+    for a, b in surface.edges:
+        c0, c1 = third[a, b], third[b, a]
+        ca, cb, cg = face_cos(a, b, c0), face_cos(a, b, c1), face_cos(a, c0, c1)
+        cos_theta = (cg - ca * cb) / math.sqrt((1.0 - ca * ca) * (1.0 - cb * cb))
+        theta = math.acos(min(1.0, max(-1.0, cos_theta)))
+        u, v, w = ([p - q for p, q in zip(pos[c], pos[a])] for c in (b, c0, c1))
+        det = (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+               + u[2] * (v[0] * w[1] - v[1] * w[0]))
+        angles.append(theta if det > 0 else 2.0 * math.pi - theta)
+    return angles
+
+
 # The flex tracer's algorithm without its reused workspace: every matrix is
 # built afresh, by the (E, V, 3) scatter, np.cross, the fancy-index motion
 # basis and np.block, and factored by the public numpy.linalg functions.  A

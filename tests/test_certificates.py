@@ -74,6 +74,8 @@ def test_certificate_numeric_mode(distinct_octahedron, octahedron):
     cert = rigidity_certificate(octahedron, mode="numeric")
     assert cert.verdict == INCONCLUSIVE
     assert cert.evidence.relation is not None
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'numeric', got 'bogus'$"):
+        rigidity_certificate(octahedron, "bogus")
 
 
 def test_certificate_rejects_inconsistent_declared_lengths(octahedron):
@@ -248,6 +250,8 @@ def test_monitor_trivial_rotation_path(octahedron):
     assert max(report.combination_deviations) <= 1e-9
     assert report.volume_deviation <= 1e-9
     assert report.weighted_angle_sum_deviation <= 1e-9
+    with pytest.raises(ValueError, match="^empty path$"):
+        monitor_flex(FlexPath(octahedron.surface, np.empty((0, 6, 3))), combs, octahedron)
 
 
 def test_monitor_bricard_path(bricard, bricard_path):

@@ -155,6 +155,10 @@ def test_monte_carlo_takes_every_frame_in_one_pass(spy, octahedron):
     assert values[S.edge_index((0, 1))] == 0.0
     assert principal_angles(S, folded.vertex_array())[1].tolist() == [
         v == 0.0 for v in values]
+    # Only folded edges: 0.0 each, and no generator is made.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", None)
+        assert monte_carlo_dihedrals(folded, [(0, 1)], n_samples=1000) == [0.0]
 
 
 def test_monte_carlo_looks_up_every_edge_before_any_frame(octahedron):
@@ -163,6 +167,8 @@ def test_monte_carlo_looks_up_every_edge_before_any_frame(octahedron):
     x = octahedron.vertex_array()
     x[2] = 0.5 * (x[0] + x[1])  # face (0, 1, 2) flat
     P = geometry.Polyhedron(octahedron.surface, dict(enumerate(x)))
+    with pytest.raises(ValueError, match=r"^need at least one sample, got n_samples=0$"):
+        monte_carlo_dihedrals(P, [(0, 5)], n_samples=0)  # the count is checked first
     with pytest.raises(geometry.DegenerateFaceError):
         monte_carlo_dihedrals(P, [(0, 1)], n_samples=10)
     with pytest.raises(ValueError, match=r"edge \(0, 5\) is not shared"):

@@ -684,9 +684,9 @@ def test_tangent_lag_is_harmless(monkeypatch, seed):
     P = make_bricard_type1(spec)
     screened, original = [], flex._screen
 
-    def screen(M, inverse, n3):
+    def screen(kf2, inverse, n3):
         screened.append(inverse[:n3, -1] / np.linalg.norm(inverse[:n3, -1]))
-        return original(M, inverse, n3)
+        return original(kf2, inverse, n3)
 
     monkeypatch.setattr(flex, "_screen", screen)
     path = trace_flex(P.vertex_array(), P.surface, n_steps=3300)
@@ -827,7 +827,8 @@ def test_screen_fires_wherever_the_rank_test_finds_no_unique_tangent():
         M = np.block([[R, W], [np.vstack([T, t]), np.zeros((7, n_w))]])
         flex_dim, _, _ = oracles.reference_rank_test(R, T)
         try:
-            fired = flex._screen(M, np.linalg.inv(M), n3)
+            inverse = np.linalg.inv(M)
+            fired = flex._screen(np.vdot(M, M) * np.vdot(inverse, inverse), inverse, n3)
         except np.linalg.LinAlgError:
             fired = True
         verdicts.append((flex_dim, fired))

@@ -5,12 +5,14 @@ shares no helper with ``rigiditylab.geometry``.
 """
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from perfbench import inputs
 from rigiditylab import (
     DegenerateFaceError,
     Polyhedron,
@@ -26,6 +28,7 @@ from rigiditylab import (
     q_basis,
     rigidity_matrix,
     save_series_csv,
+    trace_flex,
     trivial_motion_basis,
     validate_complex,
 )
@@ -37,9 +40,9 @@ from rigiditylab.geometry import (
     weighted_angle_sums,
 )
 from rigiditylab.flex import _inv
-from rigiditylab.models import OCTAHEDRON_FACES
+from rigiditylab.models import BUILTIN_MODELS, OCTAHEDRON_FACES, make_model
 
-from oracles import reference_motion_rows, whole_path_monitor_series
+from oracles import length_only_angles, reference_motion_rows, whole_path_monitor_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,6 +139,23 @@ def test_kernel_matches_reference_on_random_configurations(make):
             ref_volume(S.faces, pos), rel=1e-12, abs=1e-12)
         assert float(weighted_angle_sums(S, x, values)) == pytest.approx(
             sum(ell * v for ell, (v, _) in zip(lengths, expected)), rel=1e-12)
+
+
+def test_kernel_matches_length_only_oracle():
+    """Modulo 2*pi, the kernel's angles agree within 1e-10 with angles from
+    the edge lengths and one orientation sign: on the built-in models, 40
+    seeded inputs and every 50th sample of the default flex cycle."""
+    rng = random.Random(9001)
+    seeded = [inputs.rational_octahedron(rng) if k % 2 == 0
+              else make_bricard_type1(inputs.bricard_spec(rng)) for k in range(40)]
+    cases = [(P.surface, P.vertex_array())
+             for P in [make_model(name) for name in sorted(BUILTIN_MODELS)] + seeded]
+    P = make_bricard_type1()
+    path = trace_flex(P.vertex_array(), P.surface, n_steps=3300)
+    cases += [(P.surface, x) for x in path.configs[::50]]
+    for S, x in cases:
+        miss = np.subtract(principal_angles(S, x)[0], length_only_angles(S, x))
+        assert np.abs(np.remainder(miss + math.pi, TWO_PI) - math.pi).max() <= 1e-10
 
 
 def test_path_batch_equals_per_configuration(bricard_path):

@@ -43,6 +43,8 @@ def test_normalize_examples():
     assert normalize_sqrt(8) == ExactLength(Fraction(2), 2)
     assert normalize_sqrt(1) == ExactLength(Fraction(1), 1)
     assert normalize_sqrt(Fraction(9, 2)) == ExactLength(Fraction(3, 2), 2)
+    with pytest.raises(ValueError, match="^radicand must be positive$"):
+        ExactLength(Fraction(1), 0)
 
 
 def test_normalize_roundtrip_random():
@@ -93,6 +95,9 @@ def test_q_basis_examples():
     span = q_basis([ExactLength(Fraction(3), 1), ExactLength(Fraction(5, 2), 1)])
     assert [b.d for b in span.basis] == [1]
     assert [row[0] for row in span.coefficients] == [Fraction(3), Fraction(5, 2)]
+
+    with pytest.raises(ValueError, match="^empty length list$"):
+        q_basis([])
 
 
 def test_q_basis_reconstruction_random():
@@ -233,6 +238,8 @@ def test_find_relation_input_validation():
     for bad in (float("inf"), "nan", "inf"):
         with pytest.raises(ValueError, match="values must be finite"):
             find_integer_relation([bad, 1.0])
+    with pytest.raises(ValueError, match="^coefficient height must be at least 1, got 0$"):
+        find_integer_relation([1.0, 2.0], height=0)
 
 
 def relation_search_inputs():

@@ -18,6 +18,7 @@ from rigiditylab import (
     invariant_combinations,
     load_off,
     make_bricard_type1,
+    make_model,
     monitor_flex,
     oriented_volume,
     polyhedron_from_config,
@@ -38,6 +39,8 @@ def test_generators_validate_and_stay_oriented(
 ):
     for P in (octahedron, cube, tetrahedron, bricard, distinct_octahedron):
         assert validate_complex(P.surface.faces).passed
+    with pytest.raises(ValueError, match=r"^unknown model 'nope'; available: \['bricard-default'"):
+        make_model("nope")
 
 
 def test_octahedron_model(octahedron):
@@ -72,6 +75,10 @@ def test_bricard_edge_pairs_exactly_equal(bricard):
 
 def test_bricard_default_is_flexible(bricard):
     assert infinitesimal_flex_dim(bricard.vertex_array(), bricard.surface) == 1
+    # Float entries are read through their repr, so they give the default's points.
+    floats = BricardSpec(a=(2.0, 0.3, 1.1), b=(-0.4, 1.7, -0.9), n=(0.5, -0.6, 2.2))
+    assert floats.points() == bricard.exact_coords
+    assert make_bricard_type1(floats).exact_coords == bricard.exact_coords
 
 
 def test_bricard_degenerate_specs():
@@ -82,6 +89,8 @@ def test_bricard_degenerate_specs():
     with pytest.raises(DegenerateSpecError):
         make_bricard_type1(BricardSpec(a=(0, 0, 1), b=("-0.4", "1.7", "-0.9"),
                                        n=("0.5", "-0.6", "2.2")))
+    with pytest.raises(DegenerateSpecError, match=r"^face \(2, 0, 1\) is degenerate$"):
+        make_bricard_type1(BricardSpec(a=(1, 0, 0), b=(2, 0, 0), n=(3, 0, 0)))
 
 
 def test_bricard_mirrored_angle_series(bricard, bricard_path):
@@ -148,6 +157,28 @@ def test_off_bad_counts_and_indices():
         load_off("OFF\n3 1\n")
     with pytest.raises(ParseError):
         load_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
+
+
+TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "empty file"),
+    ("# a comment\n\n", 1, "empty file"),
+    ("OFF\n", 1, "missing counts line"),
+    ("OFF\n3 one 0\n", 2, "counts must be integers, got '3 one 0'"),
+    ("OFF\n3 -1 0\n" + TRIANGLE, 2, "counts must be nonnegative, got '3 -1 0'"),
+    ("OFF\n-1 1 0\n3 0 1 2\n", 2, "counts must be nonnegative, got '-1 1 0'"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n", 4, "expected 3 vertex and 1 face lines"),
+    ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4, "expected 3 coordinates, got '1 0'"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", 4, "bad coordinate in '1 0 x'"),
+    ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1 2.0\n", 6, "bad face line '3 0 1 2.0'"),
+])
+def test_off_parse_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        load_off(text)
+    assert type(exc.value) is ParseError
+    assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
 
 
 def test_report_json_schema(bricard, bricard_path):

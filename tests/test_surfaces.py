@@ -30,6 +30,8 @@ def test_single_triangle_fails_edge_condition():
     assert report.conditions_failed() == {"iv"}
     (_, offending), = report.violations
     assert len(offending) == 3  # all three edges have one incident face
+    with pytest.raises(ValueError, match="^face list is empty$"):
+        validate_complex([])
 
 
 def test_disjoint_octahedra_fail_connectivity():
@@ -43,6 +45,10 @@ def test_repeated_vertex_fails():
     faces = list(OCTAHEDRON_FACES) + [(0, 0, 1)]
     report = validate_complex(faces)
     assert "i" in report.conditions_failed()
+    # Alone, such a face fails condition (i) only: no edge or link is built from it.
+    report = validate_complex([(0, 0, 1)])
+    assert not report.passed
+    assert report.violations == [("i", [(0, 0, 1)])]
 
 
 def test_duplicate_face_fails():
